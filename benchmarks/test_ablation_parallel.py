@@ -21,6 +21,8 @@ constraint):
 See ``docs/parallel.md`` for the sharding invariant behind the identity.
 """
 
+from collections import Counter
+
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
@@ -52,10 +54,11 @@ def tax_workload():
 
 
 def _changes_key(result):
-    return {
+    """The change multiset: parallel repair logs changes in shard order."""
+    return Counter(
         (change.tuple_index, change.attribute, change.old_value, change.new_value)
         for change in result.changes
-    }
+    )
 
 
 # ---------------------------------------------------------------------------

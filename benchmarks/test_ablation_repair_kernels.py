@@ -17,7 +17,10 @@ code (``[ZIP, MR, CH] → [STX, MTX, CTX]``) at 1% noise:
 * the :class:`~repro.repair.heuristic.RepairResult` change logs are
   **byte-identical** across the two kernels (the small-relation agreement
   grid lives in ``tests/integration/test_kernel_agreement.py``; this file
-  pins the full-size workload).
+  pins the full-size workload);
+* the two-shard ``method="parallel"`` point keeps the parallel contract of
+  ``docs/parallel.md``: the same final relation, the same multiset of cell
+  changes (the log comes back in shard order) and the same total cost.
 
 The timing contract is :func:`~repro.bench.harness.time_kernel_repair`: the
 store is pre-built and force-encoded outside the timer (identical one-off
@@ -30,6 +33,7 @@ series produces in CI, so the repair-side speedup is tracked run over run.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -58,6 +62,9 @@ TAX_NOISE = 0.01
 #: interleaved min-of-pairs measurement below, which keeps the ratio stable
 #: under uniform machine slowdowns.
 MIN_REPAIR_SPEEDUP = 3.0
+#: Shards of the parallel point: pinned, so the host's CPU count can never
+#: collapse the run to the serial single-shard shortcut.
+PARALLEL_SHARDS = 2
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +126,14 @@ def test_numpy_kernel_repair_at_least_3x_on_50k_tax(fd_workload):
     assert python_result.total_cost == numpy_result.total_cost
     assert find_all_violations(numpy_result.relation, fd_workload.cfds).is_clean()
     parallel_seconds, parallel_result = time_kernel_repair(
-        fd_workload, "numpy", method="parallel"
+        fd_workload, "numpy", method="parallel", shard_count=PARALLEL_SHARDS
     )
-    assert _changes_key(parallel_result) == _changes_key(numpy_result)
+    assert parallel_result.parallel_stats.shard_count == PARALLEL_SHARDS
+    assert parallel_result.relation == numpy_result.relation
+    assert Counter(_changes_key(parallel_result)) == Counter(
+        _changes_key(numpy_result)
+    )
+    assert parallel_result.total_cost == pytest.approx(numpy_result.total_cost)
     speedup = python_seconds / numpy_seconds if numpy_seconds else float("inf")
     write_json(
         os.environ.get("REPRO_BENCH_JSON_DIR", "bench-artifacts"),

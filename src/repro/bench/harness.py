@@ -312,6 +312,7 @@ def time_kernel_repair(
     method: str = "incremental",
     max_passes: int = 25,
     repeats: int = 1,
+    shard_count: Optional[int] = None,
 ) -> Tuple[float, RepairResult]:
     """Median wall-clock of a columnar repair fixpoint under one kernel.
 
@@ -323,7 +324,8 @@ def time_kernel_repair(
     ratio).  Each repeat repairs a fresh :meth:`ColumnStore.copy`, since the
     fixpoint mutates cells in place.  Every kernel produces the
     byte-identical :class:`RepairResult` change log, so results can be
-    compared directly.
+    compared directly.  ``shard_count`` pins the shard plan of
+    ``method="parallel"``.
     """
     store = ColumnStore.from_relation(workload.relation)
     for cfd in workload.cfds:
@@ -335,6 +337,7 @@ def time_kernel_repair(
         check_consistency=False,
         storage="columnar",
         kernel=kernel,
+        shard_count=shard_count,
     )
 
     def run_once() -> RepairResult:
@@ -376,9 +379,9 @@ def time_parallel_detection(
 ) -> Tuple[float, ViolationReport]:
     """Median wall-clock of sharded parallel detection, plus the last report.
 
-    Everything is timed — planning the shards, pickling them into the pool,
-    per-shard detection and the merge — because that end-to-end cost is what
-    competes against the serial backends.
+    Everything is timed — planning and spilling the shards, dispatching
+    them to the pool, per-shard detection and the merge — because that
+    end-to-end cost is what competes against the serial backends.
     """
     return _median_timed(
         lambda: find_violations_parallel(

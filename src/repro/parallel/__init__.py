@@ -1,10 +1,11 @@
 """Sharded parallel execution of CFD detection and repair.
 
 ``repro.parallel`` is the scaling layer the ROADMAP's "as fast as the
-hardware allows" goal calls for: it splits a relation into sub-relations
-closed under LHS equivalence-class sharing (:mod:`repro.parallel.sharding`),
-fans per-shard detection/repair out over a ``concurrent.futures`` process
-pool with a serial in-process fallback (:mod:`repro.parallel.executor`), and
+hardware allows" goal calls for: it splits a relation into shards closed
+under LHS equivalence-class sharing and spills them to disk
+(:mod:`repro.parallel.sharding`), fans per-shard detection/repair out over
+a ``concurrent.futures`` process pool whose workers memory-map their shard
+(:mod:`repro.parallel.executor`, with a serial in-process fallback), and
 merges the shard results back into the ordinary
 :class:`~repro.core.violations.ViolationReport` /
 :class:`~repro.repair.heuristic.RepairResult` types
@@ -26,15 +27,21 @@ from repro.parallel.engine import (
 )
 from repro.parallel.executor import default_workers, resolve_workers, run_tasks
 from repro.parallel.repairer import ParallelRepairEngine
-from repro.parallel.sharding import Shard, ShardPlan, components, shard_relation
+from repro.parallel.sharding import (
+    SpilledShard,
+    SpilledShardPlan,
+    components,
+    shard_relation,
+    spill_shards,
+)
 
 __all__ = [
     "ParallelDetectionRun",
     "ParallelRepairEngine",
     "ParallelStats",
-    "Shard",
-    "ShardPlan",
     "ShardTiming",
+    "SpilledShard",
+    "SpilledShardPlan",
     "components",
     "default_workers",
     "detect_sharded",
@@ -42,4 +49,5 @@ __all__ = [
     "resolve_workers",
     "run_tasks",
     "shard_relation",
+    "spill_shards",
 ]

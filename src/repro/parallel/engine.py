@@ -1,15 +1,15 @@
 """Sharded parallel violation detection (the ``method="parallel"`` backend).
 
-The relation is split by :func:`repro.parallel.sharding.shard_relation` into
-sub-relations closed under equivalence-class sharing, each shard is detected
-independently with the partition-indexed backend — in a
-``concurrent.futures`` process pool when one can start, serially in-process
-otherwise — and the per-shard reports are remapped to global tuple indices
-and merged in the scan oracle's canonical order.  By the sharding invariant
-(no violation spans two shards) the merged report is violation-for-violation
-identical to a serial run; the Hypothesis properties in
-``tests/parallel/test_parallel_properties.py`` pin that down across random
-shard and worker counts.
+The relation is split by :func:`repro.parallel.sharding.spill_shards` into
+shards closed under equivalence-class sharing and spilled to disk.  Each
+shard is detected independently with the partition-indexed backend over its
+memory-mapped code files — in a ``concurrent.futures`` process pool when one
+can start, serially in-process otherwise — and the workers' reports, already
+translated to global tuple indices, are merged in the scan oracle's
+canonical order.  By the sharding invariant (no violation spans two shards)
+the merged report is violation-for-violation identical to a serial run; the
+Hypothesis properties in ``tests/parallel/test_parallel_properties.py`` pin
+that down across random shard and worker counts.
 
 This module registers the backend, so importing it (or anything that calls
 :func:`repro.registry.detector_names`) makes ``method="parallel"`` available
@@ -19,7 +19,6 @@ CLI.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -29,17 +28,13 @@ from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
 from repro.detection.indexed import find_violations_indexed
 from repro.parallel.executor import default_workers, resolve_workers, run_tasks
-from repro.parallel.sharding import (
-    Shard,
-    ShardPlan,
+from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
     SpilledShardPlan,
     shard_relation,
     spill_shards,
 )
 from repro.registry import register_detector
-from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
-from repro.relation.schema import Schema
 from repro.repair.incremental import canonical_order
 
 
@@ -62,7 +57,7 @@ class ParallelStats:
     workers: int
     #: Shards the plan produced (never more than requested).
     shard_count: int
-    #: Union-find components available to the planner.
+    #: Class-closed components available to the planner.
     component_count: int
     timings: Tuple[ShardTiming, ...] = ()
 
@@ -75,6 +70,26 @@ class ParallelStats:
             "shard_rows": [timing.rows for timing in self.timings],
             "shard_seconds": [round(timing.seconds, 6) for timing in self.timings],
         }
+
+    @classmethod
+    def of_run(
+        cls,
+        plan: SpilledShardPlan,
+        mode: str,
+        workers: Optional[int],
+        seconds: Sequence[float],
+    ) -> ParallelStats:
+        """The statistics of a run over ``plan``, one timing per shard."""
+        return cls(
+            mode=mode,
+            workers=resolve_workers(workers, len(plan)),
+            shard_count=len(plan),
+            component_count=plan.component_count,
+            timings=tuple(
+                ShardTiming(shard_id=shard.shard_id, rows=shard.length, seconds=spent)
+                for shard, spent in zip(plan.shards, seconds)
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -94,106 +109,30 @@ def resolve_shard_count(shard_count: Optional[int], workers: Optional[int]) -> i
     return default_workers()
 
 
-def _detect_shard(payload: Tuple[Relation, List[CFD]]) -> Tuple[List[Violation], float]:
-    """Worker body: detect one shard, report local-index violations + seconds."""
-    relation, cfds = payload
+def _detect_shard(
+    payload: Tuple[SpilledShardPlan, int, List[CFD]],
+) -> Tuple[List[Violation], float]:
+    """Worker body: detect one spilled shard, report global-index violations.
+
+    The payload carries only the plan's paths and metadata — the worker maps
+    the shard's code files directly off the spill directory (no columns
+    cross the process boundary) and translates shard-local tuple indices
+    through ``indices.bin`` before returning.
+    """
+    plan, shard_id, cfds = payload
     start = time.perf_counter()
-    report = find_violations_indexed(relation, cfds)
-    return list(report.violations), time.perf_counter() - start
-
-
-def _remap_to_global(violations: Sequence[Violation], shard: Shard) -> List[Violation]:
-    return [
+    report = find_violations_indexed(plan.open_shard(shard_id), cfds)
+    indices = plan.shards[shard_id].global_indices()
+    violations = [
         replace(
             violation,
             tuple_indices=tuple(
-                shard.to_global(index) for index in violation.tuple_indices
+                int(indices[index]) for index in violation.tuple_indices
             ),
         )
-        for violation in violations
+        for violation in report.violations
     ]
-
-
-def _detect_spilled_shard(
-    payload: Tuple[Schema, str, int, str, List[CFD]],
-) -> Tuple[List[Violation], float]:
-    """Worker body for a spilled shard: mmap the codes in place, then detect.
-
-    The payload carries only paths and metadata — the worker maps the
-    shard's code files directly off the spill directory (no pickled columns
-    cross the process boundary) and loads the shared dictionaries once.
-    """
-    schema, shard_dir, length, dicts_path, cfds = payload
-    start = time.perf_counter()
-    with open(dicts_path, "rb") as handle:
-        dictionaries = pickle.load(handle)
-    relation = MmapColumnStore.adopt_spilled(schema, shard_dir, length, dictionaries)
-    report = find_violations_indexed(relation, cfds)
-    return list(report.violations), time.perf_counter() - start
-
-
-def _spilled_payloads(
-    plan: SpilledShardPlan, cfds: List[CFD]
-) -> List[Tuple[Schema, str, int, str, List[CFD]]]:
-    dicts_path = str(plan.dictionaries_path)
-    return [
-        (plan.schema, shard.directory, shard.length, dicts_path, cfds)
-        for shard in plan.shards
-    ]
-
-
-def detect_sharded_spilled(
-    relation: MmapColumnStore,
-    cfds: Union[CFD, Sequence[CFD]],
-    shard_count: Optional[int] = None,
-    workers: Optional[int] = None,
-    spill_dir: Optional[str] = None,
-) -> ParallelDetectionRun:
-    """Sharded detection over a spilled plan (the out-of-core path).
-
-    Shard membership is identical to :func:`detect_sharded` (same component
-    closure and packing, pinned by the sharding tests), but shards travel to
-    workers as spill-directory paths instead of pickled relations, and each
-    worker memory-maps its code files read-locally.  The spill run directory
-    is removed when the merge succeeds and preserved on a crash, mirroring
-    the store lifecycle.
-    """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
-    plan = spill_shards(
-        relation, cfds, resolve_shard_count(shard_count, workers), spill_dir
-    )
-    payloads = _spilled_payloads(plan, cfds)
-    outcomes, mode = run_tasks(_detect_spilled_shard, payloads, workers=workers)
-
-    merged: List[Violation] = []
-    timings: List[ShardTiming] = []
-    for shard, (violations, seconds) in zip(plan.shards, outcomes):
-        indices = shard.global_indices()
-        merged.extend(
-            replace(
-                violation,
-                tuple_indices=tuple(
-                    int(indices[index]) for index in violation.tuple_indices
-                ),
-            )
-            for violation in violations
-        )
-        timings.append(
-            ShardTiming(shard_id=shard.shard_id, rows=shard.length, seconds=seconds)
-        )
-        del indices  # drop the index mmap before the plan directory goes away
-    report = ViolationReport(canonical_order(merged, cfds))
-    stats = ParallelStats(
-        mode=mode,
-        workers=resolve_workers(workers, len(payloads)) if payloads else 1,
-        shard_count=len(plan.shards),
-        component_count=plan.component_count,
-        timings=tuple(timings),
-    )
-    plan.release()
-    return ParallelDetectionRun(report=report, stats=stats)
+    return violations, time.perf_counter() - start
 
 
 def detect_sharded(
@@ -201,17 +140,15 @@ def detect_sharded(
     cfds: Union[CFD, Sequence[CFD]],
     shard_count: Optional[int] = None,
     workers: Optional[int] = None,
-    plan: Optional[ShardPlan] = None,
     spill_dir: Optional[str] = None,
 ) -> ParallelDetectionRun:
     """Sharded detection with full execution statistics.
 
     ``shard_count`` defaults to the worker count (one shard per worker keeps
     every process busy without over-splitting); ``workers`` defaults to the
-    CPU count.  A pre-computed ``plan`` (for the same relation and CFDs) is
-    reused as-is.  A memory-mapped relation (no pre-computed plan) routes
-    through :func:`detect_sharded_spilled`, keeping the whole run out of
-    core.
+    CPU count.  The shard plan is spilled under the base resolved from
+    ``spill_dir`` and removed when the run ends; only a failed run under an
+    explicit base keeps it, for post-mortem inspection.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> run = detect_sharded(cust_relation(), cust_cfds(), shard_count=3, workers=1)
@@ -221,35 +158,20 @@ def detect_sharded(
     if isinstance(cfds, CFD):
         cfds = [cfds]
     cfds = list(cfds)
-    if plan is None and isinstance(relation, MmapColumnStore):
-        return detect_sharded_spilled(
-            relation,
-            cfds,
-            shard_count=shard_count,
-            workers=workers,
-            spill_dir=spill_dir,
-        )
-    if plan is None:
-        plan = shard_relation(relation, cfds, resolve_shard_count(shard_count, workers))
-    payloads = [(shard.relation, cfds) for shard in plan.shards]
-    outcomes, mode = run_tasks(_detect_shard, payloads, workers=workers)
-
-    merged: List[Violation] = []
-    timings: List[ShardTiming] = []
-    for shard, (violations, seconds) in zip(plan.shards, outcomes):
-        merged.extend(_remap_to_global(violations, shard))
-        timings.append(
-            ShardTiming(shard_id=shard.shard_id, rows=len(shard), seconds=seconds)
-        )
-    report = ViolationReport(canonical_order(merged, cfds))
-    stats = ParallelStats(
-        mode=mode,
-        workers=resolve_workers(workers, len(payloads)) if payloads else 1,
-        shard_count=len(plan.shards),
-        component_count=plan.component_count,
-        timings=tuple(timings),
+    with spill_shards(
+        relation, cfds, resolve_shard_count(shard_count, workers), spill_dir
+    ) as plan:
+        payloads = [(plan, shard.shard_id, cfds) for shard in plan.shards]
+        outcomes, mode = run_tasks(_detect_shard, payloads, workers=workers)
+    merged = [
+        violation for violations, _seconds in outcomes for violation in violations
+    ]
+    return ParallelDetectionRun(
+        report=ViolationReport(canonical_order(merged, cfds)),
+        stats=ParallelStats.of_run(
+            plan, mode, workers, [seconds for _violations, seconds in outcomes]
+        ),
     )
-    return ParallelDetectionRun(report=report, stats=stats)
 
 
 def find_violations_parallel(

@@ -8,20 +8,26 @@ under *any* pattern of the workload can therefore never co-violate, and the
 relation can be split into sub-relations that are detected (and repaired)
 independently.
 
-:func:`shard_relation` computes that split:
+:func:`spill_shards` (also bound as :func:`shard_relation`) computes that
+split and writes it to disk:
 
 1. For every pattern tuple of every CFD, take its ``@``-free LHS attribute
-   set and group the relation's tuples by their projection onto it (exactly
-   the grouping the partition-indexed detector builds).
-2. Union-find over tuple indices merges every group into one *component*, so
-   a component is closed under "shares an equivalence class with, under some
-   pattern" — the transitive closure across all patterns.
+   set and label the relation's tuples by their code projection onto it
+   (exactly the grouping the partition-indexed detector builds).
+2. The connected closure over all labelings merges tuples into
+   *components*, closed under "shares an equivalence class with, under some
+   pattern" — the transitive closure across all patterns.  With numpy this
+   is a vectorised min-propagation; without it, the union-find in
+   :func:`components`.
 3. Components are packed into ``shard_count`` shards by greedy size-balanced
    assignment (largest component first, onto the currently smallest shard).
    The assignment is a pure function of the data — ties break on the lowest
    shard id and components are ordered by size then smallest member — so it
    is stable across runs and worker processes, unlike ``hash()`` of a string
    key, which ``PYTHONHASHSEED`` would randomise.
+4. Each shard's full-width code columns and ascending global indices are
+   written under one spill run directory, from which workers memory-map
+   them (:meth:`SpilledShardPlan.open_shard`).  No relation is pickled.
 
 The resulting **sharding invariant** — *no variable-CFD violation spans two
 shards* — is what makes the per-shard reports (and the per-shard repairs)
@@ -32,6 +38,7 @@ argument and its limits under repair-induced value changes.
 from __future__ import annotations
 
 import pickle
+import shutil
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,49 +57,6 @@ from repro.relation.mmap_store import (
 )
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One sub-relation plus the mapping back to global tuple indices."""
-
-    shard_id: int
-    #: Global tuple indices in ascending order; ``global_indices[local]`` is
-    #: the index the shard's row ``local`` has in the source relation.
-    global_indices: Tuple[int, ...]
-    relation: Relation
-
-    def __len__(self) -> int:
-        return len(self.global_indices)
-
-    def to_global(self, local_index: int) -> int:
-        """Translate a shard-local tuple index back to the source relation."""
-        return self.global_indices[local_index]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The full decomposition of one relation for one CFD workload."""
-
-    shards: Tuple[Shard, ...]
-    #: Number of union-find components (upper bound on useful shards).
-    component_count: int
-    #: Shard count that was requested (the plan may hold fewer, never more).
-    requested_shard_count: int
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(len(shard) for shard in self.shards)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "shards": len(self.shards),
-            "requested_shards": self.requested_shard_count,
-            "components": self.component_count,
-            "sizes": list(self.sizes()),
-        }
 
 
 class _UnionFind:
@@ -136,9 +100,10 @@ def _grouping_attribute_sets(cfds: Sequence[CFD]) -> List[Tuple[str, ...]]:
     return list(seen)
 
 
-def components(relation: Relation, cfds: Sequence[CFD]) -> List[List[int]]:
+def components(relation: ColumnStore, cfds: Sequence[CFD]) -> List[List[int]]:
     """Tuple-index components closed under equivalence-class sharing.
 
+    The pure-Python planner (the no-numpy fallback of :func:`spill_shards`).
     Each returned list holds the global indices (ascending) of one component;
     components are ordered by descending size, ties by smallest member.  An
     empty LHS attribute set (a pattern whose LHS is all don't-care, or a
@@ -150,25 +115,19 @@ def components(relation: Relation, cfds: Sequence[CFD]) -> List[List[int]]:
     if count == 0:
         return []
     uf = _UnionFind(count)
-    columnar = isinstance(relation, ColumnStore)
     for attributes in _grouping_attribute_sets(cfds):
-        if columnar:
+        if attributes:
             # The union-find only consumes the members, so the grouping runs
             # entirely over dictionary codes through the active kernel; no
             # partition key is ever built — not even decoded code tuples.
-            if attributes:
-                columns = list(relation.project_codes(attributes))
-                groups = (
-                    members
-                    for _codes, members in active_kernel().group_codes(
-                        columns, 0, count
-                    )
-                )
-            else:
-                # Empty LHS groups every tuple together.
-                groups = iter([list(range(count))])
+            columns = list(relation.project_codes(attributes))
+            groups = (
+                members
+                for _codes, members in active_kernel().group_codes(columns, 0, count)
+            )
         else:
-            groups = iter(relation.group_by(attributes).values())
+            # Empty LHS groups every tuple together.
+            groups = iter([list(range(count))])
         for indices in groups:
             first = indices[0]
             for other in indices[1:]:
@@ -179,55 +138,6 @@ def components(relation: Relation, cfds: Sequence[CFD]) -> List[List[int]]:
     return sorted(grouped.values(), key=lambda member: (-len(member), member[0]))
 
 
-def shard_relation(
-    relation: Relation, cfds: Sequence[CFD], shard_count: int
-) -> ShardPlan:
-    """Split ``relation`` into at most ``shard_count`` class-closed shards.
-
-    Rows keep their relative order inside a shard (ascending global index),
-    so per-shard detection reports violations in the same relative order as a
-    global run — which is what lets the merged, canonically-ordered report
-    match the serial engines violation for violation.
-
-    ``shard_count`` larger than the number of components (or than the number
-    of rows) simply yields fewer shards; it is never an error.
-    """
-    if shard_count < 1:
-        raise ParallelExecutionError(
-            f"shard_count must be at least 1, got {shard_count}"
-        )
-    member_lists = components(relation, cfds)
-    bucket_count = max(1, min(shard_count, len(member_lists)))
-    buckets: List[List[int]] = [[] for _ in range(bucket_count)]
-    loads = [0] * bucket_count
-    for members in member_lists:
-        target = loads.index(min(loads))  # lowest id wins ties: deterministic
-        buckets[target].extend(members)
-        loads[target] += len(members)
-
-    shards: List[Shard] = []
-    for shard_id, bucket in enumerate(buckets):
-        bucket.sort()
-        # take() preserves the storage class without re-coercion (sharding
-        # runs on the 150K+-row hot path): a ColumnStore shard is gathered
-        # code-wise and ships to its worker as int arrays plus one dictionary
-        # per attribute — far cheaper to pickle than value tuples.
-        sub = relation.take(bucket)
-        shards.append(
-            Shard(shard_id=shard_id, global_indices=tuple(bucket), relation=sub)
-        )
-    return ShardPlan(
-        shards=tuple(shards),
-        component_count=len(member_lists),
-        requested_shard_count=shard_count,
-    )
-
-
-# ---------------------------------------------------------------------------
-# out-of-core sharding (spill-to-disk plans)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SpilledShard:
     """One shard living on disk: code files plus the global-index map.
@@ -236,9 +146,8 @@ class SpilledShard:
     (``length`` 32-bit codes each, the layout
     :meth:`~repro.relation.mmap_store.MmapColumnStore.adopt_spilled` opens)
     and ``indices.bin`` — the ascending global tuple indices as 64-bit
-    ints.  Workers mmap the code files read-locally instead of receiving
-    pickled columns; the parent maps ``indices.bin`` to translate shard-local
-    results back to global indices without holding ``O(rows)`` Python ints.
+    ints.  Rows keep their relative order inside a shard, so per-shard
+    detection reports violations in the same relative order as a global run.
     """
 
     shard_id: int
@@ -271,7 +180,7 @@ class SpilledShard:
     def open_relation(
         self, schema: Schema, dictionaries: Sequence[Sequence[Any]]
     ) -> MmapColumnStore:
-        """Map the shard's code files as a relation (the worker-side open)."""
+        """Map the shard's code files as a relation."""
         return MmapColumnStore.adopt_spilled(
             schema, self.directory, self.length, dictionaries
         )
@@ -279,25 +188,40 @@ class SpilledShard:
 
 @dataclass(frozen=True)
 class SpilledShardPlan:
-    """A :class:`ShardPlan` counterpart whose shards live in a spill directory.
+    """The decomposition of one relation for one CFD workload, on disk.
 
     The plan owns one run directory containing a ``shard<i>/`` per shard and
     a single ``dictionaries.pkl`` (the per-position decode lists, shared by
     every shard — shards carry full-width code columns over the *parent's*
     dictionaries, which is what keeps per-shard repair decisions, including
-    the full-schema LHS fallback, byte-identical to a serial run).  Call
-    :meth:`release` when the run succeeded; a crash leaves the directory for
-    post-mortem inspection, mirroring the store lifecycle.
+    the full-schema LHS fallback, byte-identical to a serial run).  The plan
+    is small and picklable, so it is what a worker receives.
+
+    Lifecycle follows the stores': :meth:`release` removes the directory.
+    Used as a context manager the plan releases itself on exit, except that
+    a plan under an explicit spill base (``spill_dir=``, ``REPRO_SPILL_DIR``)
+    survives an exception for post-mortem inspection.
     """
 
     schema: Schema
     shards: Tuple[SpilledShard, ...]
+    #: Components available to the planner (upper bound on useful shards).
     component_count: int
+    #: Shard count that was requested (the plan may hold fewer, never more).
     requested_shard_count: int
     plan_dir: str
+    #: Whether ``plan_dir`` lives under an explicitly chosen spill base.
+    explicit: bool = False
 
     def __len__(self) -> int:
         return len(self.shards)
+
+    def __enter__(self) -> SpilledShardPlan:
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        if exc_type is None or not self.explicit:
+            self.release()
 
     def sizes(self) -> Tuple[int, ...]:
         return tuple(shard.length for shard in self.shards)
@@ -310,10 +234,14 @@ class SpilledShardPlan:
         with open(self.dictionaries_path, "rb") as handle:
             return pickle.load(handle)
 
+    def open_shard(self, shard_id: int) -> MmapColumnStore:
+        """Map one shard's code files as a relation (the worker-side open)."""
+        return self.shards[shard_id].open_relation(
+            self.schema, self.load_dictionaries()
+        )
+
     def release(self) -> None:
         """Remove the plan's spill files (idempotent)."""
-        import shutil
-
         shutil.rmtree(self.plan_dir, ignore_errors=True)
 
     def summary(self) -> Dict[str, object]:
@@ -386,9 +314,8 @@ def _pack_components(
     """Greedy size-balanced packing: component position → shard id.
 
     Components must arrive largest-first (ties by smallest member), exactly
-    the order :func:`components` emits — the assignment is then identical to
-    :func:`shard_relation`'s, which is what makes a spilled plan's shard
-    membership byte-compatible with the in-memory plan for the same input.
+    the order :func:`components` emits — both planners then assign every
+    component to the same shard.
     """
     bucket_count = max(1, min(shard_count, len(ordered_sizes)))
     loads = [0] * bucket_count
@@ -400,108 +327,112 @@ def _pack_components(
     return assignment, bucket_count
 
 
-def spill_shards(
-    relation: ColumnStore,
-    cfds: Sequence[CFD],
-    shard_count: int,
-    spill_dir: Optional[Union[str, Path]] = None,
-) -> SpilledShardPlan:
-    """Split an encoded relation into class-closed shards spilled to disk.
-
-    The out-of-core counterpart of :func:`shard_relation`: shard membership
-    is identical (same component closure, same ordering, same greedy
-    packing), but instead of materialising sub-relations for pickling, each
-    shard's full-width code columns are written under a spill run directory
-    from which workers mmap them read-locally
-    (:meth:`SpilledShard.open_relation`).  With numpy the component closure
-    is computed by vectorised min-propagation over dense label arrays — no
-    per-row Python objects; the pure-Python fallback routes through
-    :func:`components` (correct, but O(rows) Python ints, so no-numpy runs
-    should stay small).
-    """
-    if shard_count < 1:
-        raise ParallelExecutionError(
-            f"shard_count must be at least 1, got {shard_count}"
-        )
-    schema = relation.schema
-    width = len(schema)
-    count = len(relation)
-    base, _explicit = resolve_spill_base(spill_dir)
-    plan_dir = create_run_dir(base)
-    dictionaries = [list(relation.dictionary(name)) for name in schema.names]
-    with open(plan_dir / "dictionaries.pkl", "wb") as handle:
-        pickle.dump(dictionaries, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    np_module = _numpy()
-    shards: List[SpilledShard] = []
-    if count == 0:
-        component_count = 0
-    elif np_module is not None:
-        roots = _component_roots_vector(relation, cfds, np_module)
-        unique_roots, inverse, counts = np_module.unique(
-            roots, return_inverse=True, return_counts=True
-        )
-        component_count = len(unique_roots)
-        # Largest component first, ties by smallest member (the root *is*
-        # the smallest member) — the order components() emits.
-        order = np_module.lexsort((unique_roots, -counts))
-        assignment, bucket_count = _pack_components(
-            [int(counts[position]) for position in order], shard_count
-        )
-        shard_of_component = np_module.empty(component_count, dtype=np_module.int64)
-        shard_of_component[order] = np_module.asarray(assignment, dtype=np_module.int64)
-        shard_of_row = shard_of_component[inverse]
-        columns = [
-            np_module.asarray(relation.codes(name), dtype=np_module.intc)
-            for name in schema.names
-        ]
-        for shard_id in range(bucket_count):
-            indices = np_module.flatnonzero(shard_of_row == shard_id)
-            shard_dir = Path(plan_dir) / f"shard{shard_id}"
-            shard_dir.mkdir()
-            indices.astype(np_module.int64).tofile(str(shard_dir / "indices.bin"))
-            for position in range(width):
-                columns[position][indices].tofile(
-                    str(shard_dir / f"col{position}.0.bin")
-                )
-            shards.append(
-                SpilledShard(
-                    shard_id=shard_id,
-                    directory=str(shard_dir),
-                    length=int(len(indices)),
-                )
-            )
-    else:
+def _shard_members(
+    relation: ColumnStore, cfds: Sequence[CFD], shard_count: int, np_module: Any
+) -> Tuple[List[Any], int]:
+    """Ascending member indices per shard, plus the component count."""
+    if not len(relation):
+        return [], 0
+    if np_module is None:
         member_lists = components(relation, cfds)
-        component_count = len(member_lists)
         assignment, bucket_count = _pack_components(
             [len(members) for members in member_lists], shard_count
         )
         buckets: List[List[int]] = [[] for _ in range(bucket_count)]
         for members, target in zip(member_lists, assignment):
             buckets[target].extend(members)
-        columns_seq = [relation.codes(name) for name in schema.names]
-        for shard_id, bucket in enumerate(buckets):
+        for bucket in buckets:
             bucket.sort()
-            shard_dir = Path(plan_dir) / f"shard{shard_id}"
+        return buckets, len(member_lists)
+    roots = _component_roots_vector(relation, cfds, np_module)
+    unique_roots, inverse, counts = np_module.unique(
+        roots, return_inverse=True, return_counts=True
+    )
+    # Largest component first, ties by smallest member (the root *is* the
+    # smallest member) — the order components() emits.
+    order = np_module.lexsort((unique_roots, -counts))
+    assignment, bucket_count = _pack_components(
+        [int(counts[position]) for position in order], shard_count
+    )
+    shard_of_component = np_module.empty(len(unique_roots), dtype=np_module.int64)
+    shard_of_component[order] = np_module.asarray(assignment, dtype=np_module.int64)
+    shard_of_row = shard_of_component[inverse]
+    members = [
+        np_module.flatnonzero(shard_of_row == shard_id)
+        for shard_id in range(bucket_count)
+    ]
+    return members, len(unique_roots)
+
+
+def spill_shards(
+    relation: Relation,
+    cfds: Sequence[CFD],
+    shard_count: int,
+    spill_dir: Optional[Union[str, Path]] = None,
+) -> SpilledShardPlan:
+    """Split ``relation`` into at most ``shard_count`` class-closed shards on disk.
+
+    A relation that is not a :class:`ColumnStore` is dictionary-encoded once
+    first.  ``shard_count`` larger than the number of components (or than
+    the number of rows) simply yields fewer shards; an empty relation yields
+    none.  The plan directory goes under the spill base resolved from
+    ``spill_dir`` (see :func:`repro.relation.mmap_store.resolve_spill_base`);
+    the caller owns it — use the plan as a context manager, or call
+    :meth:`SpilledShardPlan.release`.
+    """
+    if shard_count < 1:
+        raise ParallelExecutionError(
+            f"shard_count must be at least 1, got {shard_count}"
+        )
+    if not isinstance(relation, ColumnStore):
+        relation = ColumnStore.from_relation(relation)
+    schema = relation.schema
+    base, explicit = resolve_spill_base(spill_dir)
+    plan_dir = create_run_dir(base)
+    np_module = _numpy()
+    shards: List[SpilledShard] = []
+    try:
+        members, component_count = _shard_members(
+            relation, cfds, shard_count, np_module
+        )
+        dictionaries = [list(relation.dictionary(name)) for name in schema.names]
+        with open(plan_dir / "dictionaries.pkl", "wb") as handle:
+            pickle.dump(dictionaries, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        columns = [relation.codes(name) for name in schema.names]
+        if np_module is not None:
+            columns = [
+                np_module.asarray(column, dtype=np_module.intc) for column in columns
+            ]
+        for shard_id, indices in enumerate(members):
+            shard_dir = plan_dir / f"shard{shard_id}"
             shard_dir.mkdir()
-            with open(shard_dir / "indices.bin", "wb") as handle:
-                handle.write(array("q", bucket).tobytes())
-            for position in range(width):
-                source = columns_seq[position]
-                with open(shard_dir / f"col{position}.0.bin", "wb") as handle:
-                    handle.write(
-                        array("i", (source[index] for index in bucket)).tobytes()
-                    )
+            if np_module is not None:
+                indices.astype(np_module.int64).tofile(str(shard_dir / "indices.bin"))
+                for position, column in enumerate(columns):
+                    column[indices].tofile(str(shard_dir / f"col{position}.0.bin"))
+            else:
+                (shard_dir / "indices.bin").write_bytes(array("q", indices).tobytes())
+                for position, column in enumerate(columns):
+                    gathered = array("i", (column[index] for index in indices))
+                    (shard_dir / f"col{position}.0.bin").write_bytes(gathered.tobytes())
             shards.append(
                 SpilledShard(
-                    shard_id=shard_id, directory=str(shard_dir), length=len(bucket)
+                    shard_id=shard_id, directory=str(shard_dir), length=len(indices)
                 )
             )
+    except BaseException:
+        if not explicit:
+            shutil.rmtree(str(plan_dir), ignore_errors=True)
+        raise
     return SpilledShardPlan(
         schema=schema,
         shards=tuple(shards),
         component_count=component_count,
         requested_shard_count=shard_count,
         plan_dir=str(plan_dir),
+        explicit=explicit,
     )
+
+
+#: An alias of :func:`spill_shards`, kept for existing callers.
+shard_relation = spill_shards

@@ -76,8 +76,8 @@ def _parallel_threshold_from_env(default: int = 150_000) -> int:
 
 
 #: Relation size (rows) above which ``method="auto"`` escalates to the
-#: sharded parallel backend for both detection and repair.  Below it, the
-#: per-shard pickling and process start-up would eat the win; above it, the
+#: sharded parallel backend for both detection and repair.  Below it, shard
+#: planning, spilling and process start-up would eat the win; above it, the
 #: per-shard work dominates and the pool pays for itself.  Configurable via
 #: the ``REPRO_PARALLEL_AUTO_ROWS`` environment variable (read at import) or
 #: by assigning the module attribute (read at every selection).

@@ -95,7 +95,9 @@ def relations(draw):
 
 def _detection_config(method, storage, kernel):
     if method == "parallel":
-        return DetectionConfig(method=method, storage=storage, kernel=kernel, workers=1)
+        return DetectionConfig(
+            method=method, storage=storage, kernel=kernel, workers=1, shard_count=2
+        )
     return DetectionConfig(method=method, storage=storage, kernel=kernel)
 
 
@@ -103,7 +105,7 @@ def _repair_config(method, storage, kernel):
     if method == "parallel":
         return RepairConfig(
             method=method, storage=storage, kernel=kernel, workers=1,
-            check_consistency=False,
+            shard_count=2, check_consistency=False,
         )
     return RepairConfig(
         method=method, storage=storage, kernel=kernel, check_consistency=False

@@ -73,7 +73,9 @@ def relations(draw):
 
 def _detection_config(method, storage, kernel=None):
     if method == "parallel":
-        return DetectionConfig(method=method, storage=storage, workers=1, kernel=kernel)
+        return DetectionConfig(
+            method=method, storage=storage, workers=1, shard_count=2, kernel=kernel
+        )
     return DetectionConfig(method=method, storage=storage, kernel=kernel)
 
 
@@ -83,6 +85,7 @@ def _repair_config(method, storage, kernel=None):
             method=method,
             storage=storage,
             workers=1,
+            shard_count=2,
             check_consistency=False,
             kernel=kernel,
         )

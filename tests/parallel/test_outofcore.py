@@ -1,29 +1,34 @@
-"""Out-of-core sharding, detection and repair over spilled code columns.
+"""Sharding, detection and repair over spilled code columns.
 
-The spilled pipeline must be observationally identical to the in-memory
-one: :func:`spill_shards` produces the same shard membership as
-:func:`shard_relation`, spilled detection reports the same violations as
-in-memory sharded detection, and spilled repair lands the same changes as
-the serial engines.  On top of that, the spill lifecycle matters: the run
-directory disappears after a successful merge, survives a crash for
-post-mortem, and concurrent runs never share files.
+Every parallel run plans into a spill directory, whatever the input
+storage: a row relation plans exactly like its column store, the numpy
+planner and the pure-Python fallback agree shard for shard, detection over
+a memory-mapped store reports what detection over rows reports, and spilled
+repair lands the same changes as the serial engines.  On top of that, the
+spill lifecycle matters: the run directory disappears after a successful
+merge, an anonymous one disappears after a crash too, a plan under an
+explicit base survives a crash for post-mortem, and concurrent runs never
+share files.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from repro.config import RepairConfig
+from repro.config import DetectionConfig, RepairConfig
 from repro.core.cfd import CFD
 from repro.detection.engine import detect_violations
 from repro.errors import ParallelExecutionError
-from repro.parallel.engine import detect_sharded, detect_sharded_spilled
+from repro.parallel.engine import detect_sharded
 from repro.parallel.repairer import ParallelRepairEngine
 from repro.parallel.sharding import (
     SpilledShardPlan,
+    components,
     shard_relation,
     spill_shards,
 )
@@ -61,39 +66,48 @@ def _workload(rows=120, seed=7):
 
 
 def _membership(plan):
-    """shard_id -> sorted global indices, comparable across plan kinds."""
+    """shard_id -> sorted global indices."""
     return {
         shard.shard_id: sorted(int(index) for index in shard.global_indices())
         for shard in plan.shards
     }
 
 
-def _inmemory_membership(plan):
-    return {
-        shard.shard_id: sorted(shard.global_indices) for shard in plan.shards
-    }
-
-
 class TestSpillShards:
     @pytest.mark.parametrize("shard_count", [1, 2, 3, 4, 7])
     def test_membership_matches_shard_relation(self, tmp_path, shard_count):
-        relation = _workload()
-        inmemory = shard_relation(relation, CFDS, shard_count)
-        spilled = spill_shards(relation, CFDS, shard_count, spill_dir=tmp_path)
-        assert _membership(spilled) == _inmemory_membership(inmemory)
-        assert spilled.component_count == inmemory.component_count
-        assert spilled.sizes() == inmemory.sizes()
-        spilled.release()
+        # A row relation is encoded once, then planned like its column store.
+        store = _workload()
+        rows = Relation(SCHEMA, list(store))
+        with shard_relation(rows, CFDS, shard_count, spill_dir=tmp_path) as from_rows:
+            with spill_shards(store, CFDS, shard_count, spill_dir=tmp_path) as spilled:
+                assert _membership(from_rows) == _membership(spilled)
+                assert from_rows.component_count == spilled.component_count
+                assert from_rows.sizes() == spilled.sizes()
+        assert list(tmp_path.iterdir()) == []
 
     def test_python_fallback_membership(self, tmp_path, monkeypatch):
         import repro.parallel.sharding as sharding
 
-        monkeypatch.setattr(sharding, "_numpy", lambda: None)
         relation = _workload()
-        inmemory = shard_relation(relation, CFDS, 3)
-        spilled = spill_shards(relation, CFDS, 3, spill_dir=tmp_path)
-        assert _membership(spilled) == _inmemory_membership(inmemory)
-        spilled.release()
+        vectorised = {}
+        for shard_count in (1, 2, 3, 4, 7):
+            with spill_shards(relation, CFDS, shard_count, spill_dir=tmp_path) as plan:
+                vectorised[shard_count] = (_membership(plan), plan.component_count)
+        monkeypatch.setattr(sharding, "_numpy", lambda: None)
+        union_find = components(relation, CFDS)
+        for shard_count, (membership, component_count) in vectorised.items():
+            with spill_shards(relation, CFDS, shard_count, spill_dir=tmp_path) as plan:
+                assert _membership(plan) == membership
+                assert plan.component_count == component_count == len(union_find)
+            # Each component lands whole in one shard.
+            owner = {
+                index: shard_id
+                for shard_id, members in membership.items()
+                for index in members
+            }
+            for members in union_find:
+                assert len({owner[index] for index in members}) == 1
 
     def test_shards_reopen_as_equal_relations(self, tmp_path):
         relation = _workload()
@@ -140,25 +154,84 @@ class TestSpilledDetection:
     def test_matches_inmemory_sharded_detection(self, tmp_path):
         relation = _workload()
         store = MmapColumnStore.from_relation(relation, spill_dir=tmp_path)
-        spilled = detect_sharded_spilled(
+        spilled = detect_sharded(
             store, CFDS, shard_count=3, workers=2, spill_dir=str(tmp_path)
         )
-        inmemory = detect_sharded(relation, CFDS, shard_count=3, workers=2)
-        assert list(spilled.report.violations) == list(inmemory.report.violations)
+        rows = detect_sharded(
+            Relation(SCHEMA, list(relation)), CFDS, shard_count=3, workers=2
+        )
+        serial = detect_violations(relation, CFDS, method="indexed")
+        assert list(spilled.report.violations) == list(rows.report.violations)
+        assert list(spilled.report.violations) == list(serial.violations)
         assert len(spilled.report) > 0, "the workload must produce violations"
         store.release()
 
     def test_plan_dir_removed_after_successful_merge(self, tmp_path):
         store = MmapColumnStore.from_relation(_workload(), spill_dir=tmp_path)
         run_dir = store.spill_directory
-        detect_sharded_spilled(
-            store, CFDS, shard_count=2, workers=1, spill_dir=str(tmp_path)
-        )
-        leftovers = [
-            path for path in tmp_path.iterdir() if path != run_dir
-        ]
+        detect_sharded(store, CFDS, shard_count=2, workers=1, spill_dir=str(tmp_path))
+        leftovers = [path for path in tmp_path.iterdir() if path != run_dir]
         assert leftovers == [], "detection must clean up its spill plan"
         store.release()
+
+
+class TestAnonymousSpillBase:
+    """Runs without an explicit spill base plan under the system temp dir."""
+
+    @pytest.fixture
+    def temp_base(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path / "repro-spill"
+
+    @pytest.mark.parametrize("storage", ["rows", "columnar", "mmap"])
+    def test_successful_runs_leave_nothing_behind(self, temp_base, storage):
+        relation = Relation(SCHEMA, list(_workload()))
+        detect_violations(
+            relation,
+            CFDS,
+            config=DetectionConfig(
+                method="parallel", storage=storage, shard_count=3, workers=1
+            ),
+        )
+        result = repair(
+            relation,
+            CFDS,
+            config=RepairConfig(
+                method="parallel",
+                storage=storage,
+                shard_count=3,
+                workers=1,
+                check_consistency=False,
+            ),
+        )
+        assert result.parallel_stats.shard_count == 3
+        del result
+        gc.collect()
+        assert list(temp_base.glob("run-*")) == []
+
+    @pytest.mark.parametrize("storage", ["columnar", "mmap"])
+    def test_worker_crash_leaves_no_plan_behind(self, temp_base, monkeypatch, storage):
+        import repro.parallel.repairer as repairer_module
+
+        def explode(payload):
+            raise RuntimeError("simulated worker crash")
+
+        monkeypatch.setattr(repairer_module, "_repair_shard", explode)
+        with pytest.raises(ParallelExecutionError, match="simulated worker crash"):
+            repair(
+                Relation(SCHEMA, list(_workload())),
+                CFDS,
+                config=RepairConfig(
+                    method="parallel",
+                    storage=storage,
+                    shard_count=3,
+                    workers=1,
+                    check_consistency=False,
+                ),
+            )
+        gc.collect()  # an anonymous mmap store is finalized with its last reference
+        assert list(temp_base.glob("run-*")) == []
 
 
 class TestSpilledRepair:

@@ -9,14 +9,24 @@ from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.datagen.cust import cust_cfds, cust_relation
 from repro.datagen.generator import TaxRecordGenerator
 from repro.errors import ParallelExecutionError
-from repro.parallel.sharding import components, shard_relation
+from repro.parallel.sharding import components as _components
+from repro.parallel.sharding import shard_relation
+from repro.relation.columnar import ColumnStore
+
+
+def components(relation, cfds):
+    return _components(ColumnStore.from_relation(relation), cfds)
+
+
+def indices_of(shard):
+    return [int(index) for index in shard.global_indices()]
 
 
 def shard_of(plan):
     """Map global tuple index -> shard id for every tuple in the plan."""
     owners = {}
     for shard in plan.shards:
-        for global_index in shard.global_indices:
+        for global_index in indices_of(shard):
             assert global_index not in owners, "tuple assigned to two shards"
             owners[global_index] = shard.shard_id
     return owners
@@ -71,48 +81,51 @@ class TestShardPlan:
     def test_invariant_on_cust(self):
         relation, cfds = cust_relation(), cust_cfds()
         for shard_count in (1, 2, 3, 4, 10):
-            plan = shard_relation(relation, cfds, shard_count)
-            assert_invariant(relation, cfds, plan)
+            with shard_relation(relation, cfds, shard_count) as plan:
+                assert_invariant(relation, cfds, plan)
 
     def test_invariant_on_tax(self):
         relation = TaxRecordGenerator(size=400, noise=0.08, seed=3).generate_relation()
         cfds = [zip_state_cfd()]
-        plan = shard_relation(relation, cfds, 4)
-        assert_invariant(relation, cfds, plan)
-        assert len(plan) == 4
-        # Greedy packing keeps the shards roughly balanced.
-        assert max(plan.sizes()) <= 2 * min(plan.sizes()) + max(
-            len(members) for members in components(relation, cfds)
-        )
+        with shard_relation(relation, cfds, 4) as plan:
+            assert_invariant(relation, cfds, plan)
+            assert len(plan) == 4
+            # Greedy packing keeps the shards roughly balanced.
+            assert max(plan.sizes()) <= 2 * min(plan.sizes()) + max(
+                len(members) for members in components(relation, cfds)
+            )
 
     def test_shard_count_larger_than_rows(self, relation_factory):
         relation = relation_factory(["A", "B"], [("a", "1"), ("b", "2")])
         cfd = CFD.build(["A"], ["B"], [["_", "_"]])
-        plan = shard_relation(relation, [cfd], 50)
-        assert len(plan) == 2  # one shard per component, never more
-        assert plan.requested_shard_count == 50
-        assert_invariant(relation, [cfd], plan)
+        with shard_relation(relation, [cfd], 50) as plan:
+            assert len(plan) == 2  # one shard per component, never more
+            assert plan.requested_shard_count == 50
+            assert_invariant(relation, [cfd], plan)
 
     def test_empty_relation_yields_single_empty_plan(self, relation_factory):
-        plan = shard_relation(relation_factory(["A", "B"], []), [], 4)
-        assert len(plan) == 1
-        assert plan.sizes() == (0,)
+        with shard_relation(relation_factory(["A", "B"], []), [], 4) as plan:
+            assert len(plan) == 0
+            assert plan.sizes() == ()
+            assert plan.component_count == 0
 
     def test_rows_keep_relative_order_and_content(self):
         relation, cfds = cust_relation(), cust_cfds()
-        plan = shard_relation(relation, cfds, 3)
-        for shard in plan.shards:
-            assert list(shard.global_indices) == sorted(shard.global_indices)
-            for local, global_index in enumerate(shard.global_indices):
-                assert shard.relation[local] == relation[global_index]
+        with shard_relation(relation, cfds, 3) as plan:
+            for shard in plan.shards:
+                local_rows = plan.open_shard(shard.shard_id)
+                assert indices_of(shard) == sorted(indices_of(shard))
+                for local, global_index in enumerate(indices_of(shard)):
+                    assert local_rows[local] == relation[global_index]
 
     def test_plan_is_deterministic(self):
         relation, cfds = cust_relation(), cust_cfds()
-        first = shard_relation(relation, cfds, 3)
-        second = shard_relation(relation, cfds, 3)
-        assert [s.global_indices for s in first.shards] == [
-            s.global_indices for s in second.shards
-        ]
+        with shard_relation(relation, cfds, 3) as first:
+            with shard_relation(relation, cfds, 3) as second:
+                assert first.plan_dir != second.plan_dir
+                assert [indices_of(s) for s in first.shards] == [
+                    indices_of(s) for s in second.shards
+                ]
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ParallelExecutionError):
@@ -121,5 +134,5 @@ class TestShardPlan:
     def test_summary_is_json_friendly(self):
         import json
 
-        plan = shard_relation(cust_relation(), cust_cfds(), 2)
-        assert json.dumps(plan.summary())
+        with shard_relation(cust_relation(), cust_cfds(), 2) as plan:
+            assert json.dumps(plan.summary())

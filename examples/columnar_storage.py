@@ -1,13 +1,14 @@
 """Demo: the dictionary-encoded columnar storage core (docs/columnar.md).
 
-Builds a tax workload, runs indexed detection over both storage layers,
-shows the byte-identical reports and the code protocol underneath, and
-cross-checks a repair across storages.
+Builds a tax workload, shows the code protocol the engines compute over,
+and cross-checks columnar detection and repair against the row-reading
+oracle backends.
 
 Run with: PYTHONPATH=src python examples/columnar_storage.py
 """
 
 import time
+from collections import Counter
 
 from repro import DetectionConfig, RepairConfig, detect_violations, repair
 from repro.datagen.cfd_catalog import zip_state_cfd
@@ -19,16 +20,6 @@ def main() -> None:
     relation = TaxRecordGenerator(size=20_000, noise=0.05, seed=7).generate_relation()
     cfd = zip_state_cfd(tabsz=200, seed=7)
 
-    reports = {}
-    for storage in ("rows", "columnar"):
-        config = DetectionConfig(method="indexed", storage=storage)
-        start = time.perf_counter()
-        reports[storage] = detect_violations(relation, [cfd], config=config)
-        print(f"indexed detection, storage={storage:8s}: "
-              f"{len(reports[storage])} violations in {time.perf_counter() - start:.4f}s")
-    assert list(reports["rows"].violations) == list(reports["columnar"].violations)
-    print("reports are violation-for-violation identical\n")
-
     # The code protocol the hot layers consume directly.
     store = ColumnStore.from_relation(relation)
     print(f"store: {store!r}")
@@ -37,17 +28,33 @@ def main() -> None:
           f"for {len(store)} rows; first codes {list(zip_codes[:6])}")
     print(f"after touching ZIP only: {store!r}\n")
 
+    # Indexed detection computes over codes; the in-memory oracle scans rows.
+    reports = {}
+    for method in ("indexed", "inmemory"):
+        start = time.perf_counter()
+        reports[method] = detect_violations(
+            store, [cfd], config=DetectionConfig(method=method)
+        )
+        seconds = time.perf_counter() - start
+        print(f"detection, method={method:8s}: "
+              f"{len(reports[method])} violations in {seconds:.4f}s")
+    indexed, oracle = reports["indexed"], reports["inmemory"]
+    assert Counter(indexed.violations) == Counter(oracle.violations)
+    print("the same violations as the oracle\n")
+
+    # The incremental engine repairs over codes; the scan engine over rows.
     repairs = {
-        storage: repair(
+        method: repair(
             relation,
             [cfd],
-            config=RepairConfig(method="incremental", storage=storage, check_consistency=False),
+            config=RepairConfig(method=method, check_consistency=False),
         )
-        for storage in ("rows", "columnar")
+        for method in ("incremental", "scan")
     }
-    assert repairs["rows"].relation.rows == repairs["columnar"].relation.rows
-    print(f"repair: {len(repairs['columnar'].changes)} cell changes, "
-          f"byte-identical across storages, clean={repairs['columnar'].clean}")
+    assert repairs["incremental"].relation.rows == repairs["scan"].relation.rows
+    assert repairs["incremental"].changes == repairs["scan"].changes
+    print(f"repair: {len(repairs['incremental'].changes)} cell changes, "
+          f"byte-identical to the scan oracle, clean={repairs['incremental'].clean}")
 
 
 if __name__ == "__main__":

@@ -27,8 +27,6 @@ from repro.bench.harness import (
     time_parallel_repair,
     time_query_split,
     time_repair,
-    time_storage_detection,
-    time_storage_repair,
 )
 from repro.bench.reporting import format_table
 from repro.kernels import numpy_available
@@ -481,76 +479,6 @@ def parallel_scaling(
 
 
 # ---------------------------------------------------------------------------
-# Ablation (beyond the paper): storage layers
-# ---------------------------------------------------------------------------
-def columnar_ablation(
-    config: Optional[BenchConfig] = None,
-    tabsz: int = 300,
-    verbose: bool = False,
-) -> List[Dict[str, Any]]:
-    """Columnar vs row storage for indexed detection and incremental repair.
-
-    The same workload (the ``[ZIP] → [ST]`` constraint of the repair
-    ablation), the same engines, the only variable being the storage layer
-    the relation lives in — dictionary-encoded code columns against the
-    legacy tuple list.  Detection is timed over a pre-encoded store
-    (encoding happens once at ingestion; see
-    :func:`repro.bench.harness.time_storage_detection`), repair pays its
-    encode inline.  Both storages must produce the identical report and the
-    byte-identical repair — checked outright, like every other ablation.
-    """
-    config = config or default_config()
-    rows: List[Dict[str, Any]] = []
-    for size in config.sz_sweep():
-        workload = build_workload(
-            size=size,
-            noise=config.default_noise,
-            seed=config.seed,
-            num_attrs=2,
-            tabsz=tabsz,
-            num_consts=1.0,
-        )
-        rows_detect_seconds, rows_report = time_storage_detection(workload, "rows")
-        columnar_detect_seconds, columnar_report = time_storage_detection(
-            workload, "columnar"
-        )
-        if list(rows_report.violations) != list(columnar_report.violations):
-            raise AssertionError(
-                f"storage layers disagree on detection at SZ={size}: "
-                f"{rows_report.summary()} vs {columnar_report.summary()}"
-            )
-        rows_repair_seconds, rows_repair = time_storage_repair(workload, "rows")
-        columnar_repair_seconds, columnar_repair = time_storage_repair(
-            workload, "columnar"
-        )
-        if rows_repair.relation.rows != columnar_repair.relation.rows:
-            raise AssertionError(
-                f"storage layers disagree on repair at SZ={size}: "
-                f"{rows_repair.summary()} vs {columnar_repair.summary()}"
-            )
-        rows.append(
-            {
-                "SZ": size,
-                "rows_detect_seconds": rows_detect_seconds,
-                "columnar_detect_seconds": columnar_detect_seconds,
-                "detect_speedup": (
-                    rows_detect_seconds / columnar_detect_seconds
-                    if columnar_detect_seconds
-                    else float("inf")
-                ),
-                "rows_repair_seconds": rows_repair_seconds,
-                "columnar_repair_seconds": columnar_repair_seconds,
-                "repair_speedup": (
-                    rows_repair_seconds / columnar_repair_seconds
-                    if columnar_repair_seconds
-                    else float("inf")
-                ),
-            }
-        )
-    return _emit(rows, "Ablation: columnar vs row storage", verbose)
-
-
-# ---------------------------------------------------------------------------
 # Ablation: numpy vs pure-python kernels
 # ---------------------------------------------------------------------------
 def kernels_ablation(
@@ -884,7 +812,6 @@ ALL_EXPERIMENTS = {
     "repair": repair_ablation,
     "pipeline": pipeline_throughput,
     "parallel": parallel_scaling,
-    "columnar": columnar_ablation,
     "kernels": kernels_ablation,
     "repair_kernels": repair_kernels_ablation,
     "outofcore": outofcore_scaling,

@@ -250,36 +250,6 @@ def time_clean(
     )
 
 
-def time_storage_detection(
-    workload: DetectionWorkload,
-    storage: str,
-    repeats: int = 1,
-) -> Tuple[float, ViolationReport]:
-    """Median wall-clock of indexed detection over one storage layer.
-
-    The relation is materialised in the requested storage *before* the timer
-    starts — encoding happens once at ingestion in the pipeline, exactly as
-    loading is setup for the SQL backend (the paper's data already sits in
-    DB2).  Because :class:`ColumnStore` encodes lazily, the columns the CFDs
-    mention are force-encoded here, so the timer sees what every later pass
-    pays: building the partition maps and running the ``Q^C``/``Q^V``
-    checks, from a cold cache per repeat — never the one-off encode.
-    """
-    if storage == "columnar":
-        store = ColumnStore.from_relation(workload.relation)
-        for cfd in workload.cfds:
-            for attribute in cfd.attributes:
-                store.codes(attribute)
-        relation: Relation = store
-    else:
-        relation = workload.relation
-
-    def run_once() -> ViolationReport:
-        return IndexedDetector(relation).detect(workload.cfds)
-
-    return _median_timed(run_once, repeats)
-
-
 def time_kernel_detection(
     workload: DetectionWorkload,
     kernel: str,
@@ -287,12 +257,15 @@ def time_kernel_detection(
 ) -> Tuple[float, ViolationReport]:
     """Median wall-clock of columnar indexed detection under one kernel.
 
-    The setup contract of :func:`time_storage_detection` — the store is
-    built and the constrained columns force-encoded before the timer, and
-    each repeat runs a cold detector — with the storage fixed to columnar
-    and the *kernel* as the only variable between calls.  Every kernel
-    produces the byte-identical report, so the returned reports can be
-    compared directly.
+    The relation is encoded *before* the timer starts — encoding happens
+    once at ingestion in the pipeline, exactly as loading is setup for the
+    SQL backend (the paper's data already sits in DB2).  Because
+    :class:`ColumnStore` encodes lazily, the columns the CFDs mention are
+    force-encoded here, so the timer sees what every later pass pays:
+    building the partition maps and running the ``Q^C``/``Q^V`` checks, from
+    a cold detector per repeat.  The *kernel* is the only variable between
+    calls; every kernel produces the byte-identical report, so the returned
+    reports can be compared directly.
     """
     store = ColumnStore.from_relation(workload.relation)
     for cfd in workload.cfds:
@@ -344,31 +317,6 @@ def time_kernel_repair(
         return repair(store.copy(), workload.cfds, config=config)
 
     return _median_timed(run_once, repeats)
-
-
-def time_storage_repair(
-    workload: DetectionWorkload,
-    storage: str,
-    method: str = "incremental",
-    max_passes: int = 25,
-    repeats: int = 1,
-) -> Tuple[float, RepairResult]:
-    """Median wall-clock of a full repair run over one storage layer.
-
-    Mirrors :func:`time_repair` (whole fixpoint, consistency pre-check
-    skipped) with the storage pinned through :class:`RepairConfig` — the
-    encode pass is included, since ``repair()`` pays it inline.
-    """
-    config = RepairConfig(
-        method=method,
-        max_passes=max_passes,
-        check_consistency=False,
-        storage=storage,
-    )
-    return _median_timed(
-        lambda: repair(workload.relation, workload.cfds, config=config),
-        repeats,
-    )
 
 
 def time_parallel_detection(

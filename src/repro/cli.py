@@ -87,11 +87,11 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_storage_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--storage",
-        choices=["rows", "columnar", "mmap"],
+        choices=["columnar", "mmap", "rows"],
         help="storage layer for the columnar-capable engines: dictionary-encoded "
-        "columns (default, also via REPRO_STORAGE), the legacy row tuples, or "
-        "memory-mapped spill files for out-of-core workloads; outputs are "
-        "identical either way",
+        "columns (default, also via REPRO_STORAGE) or memory-mapped spill files "
+        "for out-of-core workloads; outputs are identical either way "
+        "(rows: deprecated alias of columnar)",
     )
     parser.add_argument(
         "--spill-dir",

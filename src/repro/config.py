@@ -16,6 +16,7 @@ including ones registered by user code); they are resolved by
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -36,16 +37,19 @@ SQL_FORMS = ("cnf", "dnf")
 #: Query strategies accepted by the SQL backend.
 SQL_STRATEGIES = ("per_cfd", "merged")
 
-#: Storage layers a relation can be held in while an engine works on it:
-#: ``"rows"`` is the legacy list-of-tuples :class:`~repro.relation.relation.Relation`,
-#: ``"columnar"`` the dictionary-encoded
-#: :class:`~repro.relation.columnar.ColumnStore`, and ``"mmap"`` the
-#: disk-backed :class:`~repro.relation.mmap_store.MmapColumnStore`, whose
-#: code columns live in memory-mapped spill files so 1M–10M-row relations
-#: clean within a bounded memory budget.  Every engine produces
-#: byte-identical output on any of them; they differ only in speed and
-#: resident memory.
-STORAGES = ("rows", "columnar", "mmap")
+#: Storage layers the columnar-capable engines compute over: ``"columnar"``
+#: is the dictionary-encoded :class:`~repro.relation.columnar.ColumnStore`,
+#: and ``"mmap"`` the disk-backed
+#: :class:`~repro.relation.mmap_store.MmapColumnStore`, whose code columns
+#: live in memory-mapped spill files so 1M–10M-row relations clean within a
+#: bounded memory budget.  Both produce byte-identical output; they differ
+#: only in resident memory.
+STORAGES = ("columnar", "mmap")
+
+#: Retired storage names and what they resolve to.  ``"rows"`` selected a
+#: row-value engine path that no longer exists; the row-reading oracle
+#: backends (``inmemory``, ``sql``, ``scan``) are the cross-check now.
+DEPRECATED_STORAGES = {"rows": "columnar"}
 
 #: The storage the columnar-capable engines use when nothing pins one.
 DEFAULT_STORAGE = "columnar"
@@ -78,25 +82,45 @@ DEFAULT_ANALYSIS = "warn"
 def storage_from_env(default: str = DEFAULT_STORAGE) -> str:
     """The storage layer named by ``REPRO_STORAGE``, falling back on garbage.
 
-    The environment variable is the cross-checking escape hatch: exporting
-    ``REPRO_STORAGE=rows`` pins every config that did not set ``storage=``
-    explicitly back to the legacy row path.  Read at every resolution (not at
-    import), and forgiving like ``REPRO_PARALLEL_AUTO_ROWS`` — an unknown
-    value keeps the default rather than crashing whatever imported us.
+    Exporting ``REPRO_STORAGE=mmap`` pins every config that did not set
+    ``storage=`` explicitly to the out-of-core layer.  Read at every
+    resolution (not at import), and forgiving like
+    ``REPRO_PARALLEL_AUTO_ROWS`` — an unknown value keeps the default rather
+    than crashing whatever imported us.  A deprecated name resolves as in
+    :func:`resolve_storage`.
     """
     raw = os.environ.get("REPRO_STORAGE")
     if not raw:
         return default
     value = raw.strip().lower()
-    return value if value in STORAGES else default
+    if value in STORAGES or value in DEPRECATED_STORAGES:
+        return resolve_storage(value)
+    return default
 
 
-def validate_storage(storage: Optional[str]) -> None:
+def resolve_storage(storage: Optional[str]) -> Optional[str]:
+    """Validate a storage name, resolving a deprecated one.
+
+    A name in :data:`DEPRECATED_STORAGES` emits a :class:`DeprecationWarning`
+    and returns its replacement.  The warning is raised from one place, so
+    Python's default filter shows it once per process however many configs
+    name the alias.  Unknown names raise :class:`~repro.errors.ConfigError`.
+    """
+    replacement = DEPRECATED_STORAGES.get(storage)
+    if replacement is not None:
+        warnings.warn(
+            f"storage={storage!r} is deprecated and resolves to "
+            f"{replacement!r}: the engines compute over dictionary codes only",
+            DeprecationWarning,
+            stacklevel=1,
+        )
+        return replacement
     if storage is not None and storage not in STORAGES:
         raise ConfigError(
             f"unknown storage {storage!r}; expected one of "
             f"{', '.join(map(repr, STORAGES))}"
         )
+    return storage
 
 
 def kernel_from_env(default: str = DEFAULT_KERNEL) -> str:
@@ -227,12 +251,12 @@ class DetectionConfig:
     storage:
         Storage layer the columnar-capable backends (indexed, parallel) hold
         the relation in: ``"columnar"`` (dictionary-encoded
-        :class:`~repro.relation.columnar.ColumnStore`), ``"mmap"`` (the
+        :class:`~repro.relation.columnar.ColumnStore`) or ``"mmap"`` (the
         disk-backed :class:`~repro.relation.mmap_store.MmapColumnStore` for
-        out-of-core workloads) or ``"rows"`` (the legacy tuple list).
-        ``None`` (default) defers to the ``REPRO_STORAGE`` environment
-        variable, then to ``"columnar"``.  Outputs are byte-identical every
-        way; ``"rows"`` exists for cross-checking the storage layer itself.
+        out-of-core workloads).  ``None`` (default) defers to the
+        ``REPRO_STORAGE`` environment variable, then to ``"columnar"``.
+        Outputs are byte-identical either way.  ``"rows"`` is a deprecated
+        alias of ``"columnar"`` (see :func:`resolve_storage`).
     spill_dir:
         Base directory for the ``"mmap"`` storage's spill files (per-run
         subdirectories are created inside it).  ``None`` (default) defers to
@@ -284,7 +308,7 @@ class DetectionConfig:
     analysis: Optional[str] = None
 
     def __post_init__(self) -> None:
-        validate_storage(self.storage)
+        object.__setattr__(self, "storage", resolve_storage(self.storage))
         validate_kernel(self.kernel)
         validate_analysis(self.analysis)
         _validate_memory_budget(self.memory_budget_mb)
@@ -436,7 +460,7 @@ class RepairConfig:
     analysis: Optional[str] = None
 
     def __post_init__(self) -> None:
-        validate_storage(self.storage)
+        object.__setattr__(self, "storage", resolve_storage(self.storage))
         validate_kernel(self.kernel)
         validate_analysis(self.analysis)
         _validate_memory_budget(self.memory_budget_mb)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config import storage_from_env
+from repro.config import resolve_storage, storage_from_env
 from repro.core.cfd import CFD
 from repro.core.tableau import PatternTuple
 from repro.core.violations import (
@@ -56,7 +56,9 @@ def find_violations_indexed(
     Semantically identical to
     :func:`repro.core.satisfaction.find_all_violations`; pass a
     :class:`PartitionIndexCache` built for the *same* relation to share
-    partition maps across calls.
+    partition maps across calls.  Both checks run over dictionary codes: a
+    relation that is not a :class:`ColumnStore` is encoded once, by the
+    cache.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> sorted(find_violations_indexed(cust_relation(), cust_cfds()).violating_indices())
@@ -73,7 +75,7 @@ def find_violations_indexed(
         )
     report = ViolationReport()
     for cfd in cfds:
-        report.extend(_cfd_violations(relation, cfd, cache))
+        report.extend(_cfd_violations(cache.store, cfd, cache))
     return report
 
 
@@ -152,13 +154,12 @@ def detect_stream(
     is ``O(N x |attrs(cfds)|)`` rather than ``O(N x |schema|)``, and the
     source (a CSV reader, a DB cursor) is read exactly once.
 
-    ``storage`` picks the layer the retained projection lives in (defaults to
-    ``REPRO_STORAGE``, then ``"columnar"``).  On columnar storage each batch
-    is dictionary-encoded as it arrives and the indexes ingest the *codes* of
-    the new rows (:meth:`PartitionIndex.add_encoded`), so a raw row is
-    touched exactly once — projected, encoded, dropped — instead of being
-    re-hashed by every index.  ``storage="mmap"`` additionally spills the
-    encoded projection to memory-mapped files under ``spill_dir``
+    Each batch is dictionary-encoded as it arrives and the indexes ingest
+    the *codes* of the new rows (:meth:`PartitionIndex.add_encoded`), so a
+    raw row is touched exactly once — projected, encoded, dropped — instead
+    of being re-hashed by every index.  ``storage`` picks where the encoded
+    projection lives (defaults to ``REPRO_STORAGE``, then ``"columnar"``):
+    ``storage="mmap"`` spills it to memory-mapped files under ``spill_dir``
     (:class:`~repro.relation.mmap_store.MmapColumnStore`), so even the
     retained code columns stay out of the Python heap.
 
@@ -175,8 +176,7 @@ def detect_stream(
         return ViolationReport()
     if chunk_size <= 0:
         raise DetectionError(f"chunk_size must be positive, got {chunk_size}")
-    if storage is None:
-        storage = storage_from_env()
+    storage = storage_from_env() if storage is None else resolve_storage(storage)
 
     # Projection: keep only the attributes some CFD constrains.
     needed = [name for name in schema.names if any(name in cfd.attributes for cfd in cfds)]
@@ -184,15 +184,12 @@ def detect_stream(
         schema.validate_attributes(cfd.attributes)
     slim_schema = schema.project(needed)
     positions = schema.positions(needed)
-    columnar = storage in ("columnar", "mmap")
     if storage == "mmap":
         from repro.relation.mmap_store import MmapColumnStore
 
-        slim: Relation = MmapColumnStore(slim_schema, spill_dir=spill_dir)
-    elif columnar:
-        slim = ColumnStore(slim_schema)
+        slim: ColumnStore = MmapColumnStore(slim_schema, spill_dir=spill_dir)
     else:
-        slim = Relation(slim_schema)
+        slim = ColumnStore(slim_schema)
 
     # One index per distinct @-free LHS attribute tuple across all patterns,
     # grown batch-by-batch alongside the projected relation.
@@ -209,10 +206,7 @@ def detect_stream(
         start = len(slim)
         slim.extend(batch)
         for index in indexes.values():
-            if columnar:
-                index.add_encoded(slim, start, len(slim))
-            else:
-                index.add_tuples(batch)
+            index.add_encoded(slim, start, len(slim))
         batch.clear()
 
     with use_kernel(kernel):
@@ -253,14 +247,14 @@ _lhs_free = lhs_free_attributes
 
 
 def _cfd_violations(
-    relation: Relation, cfd: CFD, cache: PartitionIndexCache
+    store: ColumnStore, cfd: CFD, cache: PartitionIndexCache
 ) -> Iterator[Violation]:
     for pattern_index, pattern in enumerate(cfd.tableau):
-        yield from _pattern_violations(relation, cfd, pattern_index, pattern, cache)
+        yield from _pattern_violations(store, cfd, pattern_index, pattern, cache)
 
 
 def _pattern_violations(
-    relation: Relation,
+    relation: ColumnStore,
     cfd: CFD,
     pattern_index: int,
     pattern: PatternTuple,
@@ -271,121 +265,81 @@ def _pattern_violations(
     Don't-care (``@``) LHS cells are excluded from the partition attributes —
     matching the oracle, which groups by ``X_free`` only — so wildcard cells
     remain part of the grouping key and constants filter partitions.
+
+    Both checks run over dictionary codes: an expected constant encodes to
+    at most one code (None means no cell ever held the value, so every
+    matching tuple violates), and RHS agreement is cardinality of code
+    projections (codes biject onto values).  Values are decoded only when a
+    violation is emitted, and the per-group scans are the active kernel's
+    (see :mod:`repro.kernels`).
     """
     lhs_free = _lhs_free(cfd, pattern)
     cells = [pattern.lhs_cell(attr) for attr in lhs_free]
-
-    constant_rhs = [
-        (attr, relation.schema.position(attr), pattern.rhs_cell(attr))
+    rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
+    constants = [
+        (attr, pattern.rhs_cell(attr).value)
         for attr in cfd.rhs
         if pattern.rhs_cell(attr).is_constant
     ]
-    rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
-
-    if isinstance(relation, ColumnStore):
-        # Columnar fast path: both checks run over dictionary codes — an
-        # expected constant encodes to at most one code (None means no cell
-        # ever held the value, so every matching tuple violates), and RHS
-        # agreement is cardinality of code projections (codes biject onto
-        # values).  Values are decoded only when a violation is emitted, and
-        # the per-group scans are the active kernel's (see repro.kernels).
-        const_checks = [
-            (attr, relation.codes(attr), relation.encode(attr, cell.value), cell.value)
-            for attr, _position, cell in constant_rhs
-        ]
-        rhs_columns = relation.project_codes(rhs_free)
-        kernel = active_kernel()
-        index: Optional[PartitionIndex] = None
-        if (
-            kernel.fused_variable_scan
-            and lhs_free
-            and rhs_free
-            and not const_checks
-        ):
-            # Wildcard or mixed constant/wildcard pattern on an array
-            # kernel: the fused Q^V scan (one sort + one reduction over the
-            # whole window, with constant LHS cells applied as a row mask
-            # before the group-by) beats grouping through a partition index
-            # — unless an index already exists, in which case reusing it is
-            # cheaper still.
-            index = cache.peek(lhs_free)
-            if index is None:
-                mask: List[Tuple[Any, int]] = []
-                for attr, cell in zip(lhs_free, cells):
-                    if not cell.is_constant:
-                        continue
-                    code = relation.encode(attr, cell.value)
-                    if code is None:
-                        # No cell ever held the constant: nothing matches
-                        # this pattern, so it cannot be violated.
-                        return
-                    mask.append((relation.codes(attr), code))
-                lhs_columns = [relation.codes(attr) for attr in lhs_free]
-                for key_codes, members in kernel.variable_violation_groups(
-                    lhs_columns, rhs_columns, 0, len(relation), mask=mask or None
-                ):
-                    yield VariableViolation(
-                        cfd_name=cfd.name,
-                        pattern_index=pattern_index,
-                        tuple_indices=tuple(members),
-                        attributes=lhs_free,
-                        group_key=tuple(
-                            relation.decode(attr, code)
-                            for attr, code in zip(lhs_free, key_codes)
-                        ),
-                    )
-                return
+    const_checks = [
+        (attr, relation.codes(attr), relation.encode(attr, value), value)
+        for attr, value in constants
+    ]
+    rhs_columns = relation.project_codes(rhs_free)
+    kernel = active_kernel()
+    index: Optional[PartitionIndex] = None
+    if kernel.fused_variable_scan and lhs_free and rhs_free and not const_checks:
+        # Wildcard or mixed constant/wildcard pattern on an array kernel:
+        # the fused Q^V scan (one sort + one reduction over the whole
+        # window, with constant LHS cells applied as a row mask before the
+        # group-by) beats grouping through a partition index — unless an
+        # index already exists, in which case reusing it is cheaper still.
+        index = cache.peek(lhs_free)
         if index is None:
-            index = cache.get(lhs_free)
-        for key, indices in index.matching(cells):
-            if const_checks:
-                mismatches = [
-                    kernel.constant_mismatches(column, indices, expected_code)
-                    for _attr, column, expected_code, _expected in const_checks
-                ]
-                yield from constant_code_violations(
-                    relation, cfd.name, pattern_index, const_checks, mismatches
-                )
-            if rhs_free and len(indices) > 1 and kernel.codes_disagree(rhs_columns, indices):
+            mask: List[Tuple[Any, int]] = []
+            for attr, cell in zip(lhs_free, cells):
+                if not cell.is_constant:
+                    continue
+                code = relation.encode(attr, cell.value)
+                if code is None:
+                    # No cell ever held the constant: nothing matches
+                    # this pattern, so it cannot be violated.
+                    return
+                mask.append((relation.codes(attr), code))
+            lhs_columns = [relation.codes(attr) for attr in lhs_free]
+            for key_codes, members in kernel.variable_violation_groups(
+                lhs_columns, rhs_columns, 0, len(relation), mask=mask or None
+            ):
                 yield VariableViolation(
                     cfd_name=cfd.name,
                     pattern_index=pattern_index,
-                    tuple_indices=tuple(indices),
+                    tuple_indices=tuple(members),
                     attributes=lhs_free,
-                    group_key=tuple(key),
+                    group_key=tuple(
+                        relation.decode(attr, code)
+                        for attr, code in zip(lhs_free, key_codes)
+                    ),
                 )
-        return
-
-    rhs_positions = relation.schema.positions(rhs_free) if rhs_free else ()
-    index = cache.get(lhs_free)
+            return
+    if index is None:
+        index = cache.get(lhs_free)
     for key, indices in index.matching(cells):
-        # Q^C semantics: each matching tuple must honour the constant RHS cells.
-        for tuple_index in indices if constant_rhs else ():
-            row = relation[tuple_index]
-            for attr, position, cell in constant_rhs:
-                if row[position] != cell.value:
-                    yield ConstantViolation(
-                        cfd_name=cfd.name,
-                        pattern_index=pattern_index,
-                        tuple_indices=(tuple_index,),
-                        attribute=attr,
-                        expected=cell.value,
-                        actual=row[position],
-                    )
-        # Q^V semantics: a matching partition must agree on the free RHS.
-        if rhs_free and len(indices) > 1:
-            rhs_values = {
-                tuple(relation[tuple_index][position] for position in rhs_positions)
-                for tuple_index in indices
-            }
-            if len(rhs_values) > 1:
-                yield VariableViolation(
-                    cfd_name=cfd.name,
-                    pattern_index=pattern_index,
-                    tuple_indices=tuple(indices),
-                    attributes=lhs_free,
-                    group_key=tuple(key),
-                )
+        if const_checks:
+            mismatches = [
+                kernel.constant_mismatches(column, indices, expected_code)
+                for _attr, column, expected_code, _expected in const_checks
+            ]
+            yield from constant_code_violations(
+                relation, cfd.name, pattern_index, const_checks, mismatches
+            )
+        if rhs_free and len(indices) > 1 and kernel.codes_disagree(rhs_columns, indices):
+            yield VariableViolation(
+                cfd_name=cfd.name,
+                pattern_index=pattern_index,
+                tuple_indices=tuple(indices),
+                attributes=lhs_free,
+                group_key=tuple(key),
+            )
 
 
 def constant_code_violations(

@@ -17,9 +17,11 @@ single pass, after which
 
 :class:`PartitionIndexCache` keeps the most recently used indexes (LRU) so a
 batch of CFDs sharing LHS attribute sets builds each partition map exactly
-once.  Ingestion is chunked (:meth:`PartitionIndex.add_tuples`), so an index
-can be grown batch-by-batch while streaming a relation that is never fully
-materialised (see :func:`repro.detection.indexed.detect_stream`).
+once.  Grouping always runs over the dictionary codes of a
+:class:`~repro.relation.columnar.ColumnStore` (a plain relation is encoded
+once on entry), and ingestion is chunked (:meth:`PartitionIndex.add_encoded`),
+so an index can be grown batch-by-batch while streaming a relation that is
+never fully materialised (see :func:`repro.detection.indexed.detect_stream`).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class PartitionIndex:
     The grouping key of a tuple is its projection onto ``attributes`` (in the
     given order).  Within each partition, indices are kept in ingestion order,
     which for a relation fed front-to-back is ascending tuple-index order —
-    the same order the in-memory oracle reports.
+    the same order the in-memory oracle reports.  Keys are value tuples,
+    decoded once per partition from the codes the grouping runs over.
 
     >>> from repro.relation.schema import Schema
     >>> from repro.relation.relation import Relation
@@ -79,18 +82,14 @@ class PartitionIndex:
     def from_relation(cls, relation: Relation, attributes: Sequence[str]) -> PartitionIndex:
         """Build an index over ``relation`` in one pass.
 
-        A :class:`~repro.relation.columnar.ColumnStore` is ingested through
-        :meth:`add_encoded` — the grouping runs over integer codes instead of
-        hashing a value tuple per row.  Batch-by-batch construction (for
-        sources not materialised as a :class:`Relation`) goes through
-        :meth:`add_tuples` / :meth:`add_encoded` directly, as
-        :func:`repro.detection.indexed.detect_stream` does.
+        The grouping runs over integer codes through :meth:`add_encoded`; a
+        relation that is not a :class:`~repro.relation.columnar.ColumnStore`
+        is encoded first.  Batch-by-batch construction (for sources not
+        materialised as a :class:`Relation`) calls :meth:`add_encoded`
+        directly, as :func:`repro.detection.indexed.detect_stream` does.
         """
         index = cls(relation.schema, attributes)
-        if isinstance(relation, ColumnStore):
-            index.add_encoded(relation)
-        else:
-            index.add_tuples(relation)
+        index.add_encoded(_encoded(relation))
         return index
 
     def add_encoded(
@@ -98,13 +97,12 @@ class PartitionIndex:
     ) -> int:
         """Ingest rows ``[start, stop)`` of an encoded store; return the next free index.
 
-        The columnar counterpart of :meth:`add_tuples`: the grouping pass runs
-        over dictionary codes (:meth:`ColumnStore.group_indices`) and each
-        partition key is decoded to values once per *partition*, not once per
-        row — so the resulting map is indistinguishable from row ingestion
-        (same keys, same members, same first-occurrence order), it just never
-        hashes a value tuple per tuple.  Batches must be contiguous with what
-        was already ingested, exactly like sequential :meth:`add_tuples` calls.
+        The grouping pass runs over dictionary codes
+        (:meth:`ColumnStore.group_indices`) and each partition key is decoded
+        to values once per *partition*, not once per row — same keys, same
+        members and same first-occurrence order as grouping the values
+        directly, without hashing a value tuple per tuple.  Batches must be
+        contiguous with what was already ingested.
         """
         start = self._next_index if start is None else start
         if start != self._next_index:
@@ -123,35 +121,6 @@ class PartitionIndex:
         self._tuple_count += max(0, stop - start)
         self._next_index = stop
         return stop
-
-    def add_tuples(self, rows: Iterable[Row], start_index: Optional[int] = None) -> int:
-        """Ingest a batch of positional rows; return the next free index.
-
-        Tuple indices are assigned sequentially, continuing from the previous
-        batch unless ``start_index`` pins them explicitly (useful when only a
-        slice of a larger relation flows through this index).  ``start_index``
-        must not overlap indices already ingested — rewinding would silently
-        duplicate entries inside partitions.
-        """
-        if start_index is not None and start_index < self._next_index:
-            raise DetectionError(
-                f"start_index {start_index} overlaps already-ingested indices "
-                f"(next free index is {self._next_index})"
-            )
-        index = self._next_index if start_index is None else start_index
-        positions = self._positions
-        groups = self._groups
-        for row in rows:
-            key = tuple(row[position] for position in positions)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [index]
-            else:
-                group.append(index)
-            index += 1
-            self._tuple_count += 1
-        self._next_index = index
-        return index
 
     def reindex_tuple(self, tuple_index: int, old_row: Row, new_row: Row) -> bool:
         """Move one tuple between partitions after a cell change (in place).
@@ -279,12 +248,17 @@ class PartitionIndexCache:
     it is alive; after mutating the relation either call :meth:`clear` (drop
     everything) or :meth:`apply_update` (delta-maintain the cached indexes in
     place, the repair engine's path).
+
+    Indexes are built over :attr:`store`: the relation itself when it is a
+    :class:`~repro.relation.columnar.ColumnStore`, else an encoded copy made
+    once here (and again by :meth:`clear`).
     """
 
     def __init__(self, relation: Relation, maxsize: int = 32) -> None:
         if maxsize <= 0:
             raise DetectionError(f"cache maxsize must be positive, got {maxsize}")
         self._relation = relation
+        self._store = _encoded(relation)
         self._maxsize = maxsize
         self._indexes: "OrderedDict[Tuple[str, ...], PartitionIndex]" = OrderedDict()
         self._hits = 0
@@ -323,7 +297,7 @@ class PartitionIndexCache:
             self._indexes.move_to_end(key)
             return index
         self._misses += 1
-        index = PartitionIndex.from_relation(self._relation, key)
+        index = PartitionIndex.from_relation(self._store, key)
         self.seed(index)
         return index
 
@@ -364,6 +338,8 @@ class PartitionIndexCache:
     def clear(self) -> None:
         """Drop every cached index (required after mutating the relation)."""
         self._indexes.clear()
+        if self._store is not self._relation:
+            self._store = _encoded(self._relation)
         self._expected_version = self._relation.version
 
     def apply_update(self, tuple_index: int, attribute: str, old_row: Row) -> int:
@@ -391,6 +367,9 @@ class PartitionIndexCache:
             )
         self._expected_version = self._relation.version
         new_row = self._relation[tuple_index]
+        if self._store is not self._relation:
+            position = self._relation.schema.position(attribute)
+            self._store.update(tuple_index, attribute, new_row[position])
         updated = 0
         for attributes, index in self._indexes.items():
             if attribute in attributes:
@@ -402,6 +381,11 @@ class PartitionIndexCache:
     @property
     def relation(self) -> Relation:
         return self._relation
+
+    @property
+    def store(self) -> ColumnStore:
+        """The encoded relation the indexes group (the relation itself if encoded)."""
+        return self._store
 
     @property
     def maxsize(self) -> int:
@@ -430,6 +414,12 @@ class PartitionIndexCache:
         )
 
 
+def _encoded(relation: Relation) -> ColumnStore:
+    if isinstance(relation, ColumnStore):
+        return relation
+    return ColumnStore.from_relation(relation)
+
+
 class CodePartitionIndex:
     """An array-backed partition map over a :class:`ColumnStore`'s code columns.
 
@@ -453,7 +443,7 @@ class CodePartitionIndex:
     ``fused_repair_scan`` (numpy is importable then); construction raises
     :class:`~repro.errors.DetectionError` in the astronomical case where the
     composite key cannot fit ``int64``, and the repair state falls back to
-    the dict-backed reference path.
+    the dict-indexed path.
     """
 
     #: Dictionary-growth headroom baked into the composite strides: repairs

@@ -30,7 +30,7 @@ import sqlite3
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from repro.config import validate_storage
+from repro.config import resolve_storage
 from repro.errors import ReproError
 from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
@@ -45,7 +45,7 @@ def _relation_class(storage: Optional[str]) -> type:
     unknown name fails with the same :class:`~repro.errors.ConfigError`
     everywhere a storage is named.
     """
-    validate_storage(storage)
+    storage = resolve_storage(storage)
     if storage == "columnar":
         return ColumnStore
     if storage == "mmap":
@@ -81,7 +81,7 @@ class RowSource(abc.ABC):
         (:class:`~repro.relation.mmap_store.MmapColumnStore` under
         ``spill_dir``, flushing every ``chunk_rows`` rows) so the full
         relation is never held as Python rows — the out-of-core ingestion
-        path.  ``None``/``"rows"`` keeps the tuple-list layout.
+        path.  ``None`` keeps the tuple-list layout.
         """
         if storage == "mmap":
             relation: Relation = MmapColumnStore(
@@ -126,7 +126,7 @@ class RelationSource(RowSource):
         # before mutating (repair works on a copy), so handing back the
         # original keeps ingestion free.  An explicit storage request that
         # does not match converts (never mutating the original).
-        validate_storage(storage)
+        storage = resolve_storage(storage)
         if storage is None:
             return self._relation
         if storage == "mmap":
@@ -135,13 +135,9 @@ class RelationSource(RowSource):
             return MmapColumnStore.from_relation(
                 self._relation, spill_dir=spill_dir, chunk_rows=chunk_rows
             )
-        if storage == "columnar":
-            if isinstance(self._relation, ColumnStore):
-                return self._relation
-            return ColumnStore.from_relation(self._relation)
         if isinstance(self._relation, ColumnStore):
-            return Relation.from_validated_rows(self._relation.schema, self._relation)
-        return self._relation
+            return self._relation
+        return ColumnStore.from_relation(self._relation)
 
     def describe(self) -> str:
         return f"relation {self._relation.schema.name!r} ({len(self._relation)} rows)"

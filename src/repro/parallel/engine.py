@@ -1,15 +1,17 @@
 """Sharded parallel violation detection (the ``method="parallel"`` backend).
 
-The relation is split by :func:`repro.parallel.sharding.spill_shards` into
-shards closed under equivalence-class sharing and spilled to disk.  Each
-shard is detected independently with the partition-indexed backend over its
-memory-mapped code files — in a ``concurrent.futures`` process pool when one
-can start, serially in-process otherwise — and the workers' reports, already
-translated to global tuple indices, are merged in the scan oracle's
-canonical order.  By the sharding invariant (no violation spans two shards)
-the merged report is violation-for-violation identical to a serial run; the
-Hypothesis properties in ``tests/parallel/test_parallel_properties.py`` pin
-that down across random shard and worker counts.
+The relation is split by :func:`repro.parallel.sharding.plan_shards` into
+shards closed under equivalence-class sharing and, when there are at least
+two, spilled to disk (a single shard is detected in-process and spills
+nothing).  Each spilled shard is detected independently with the
+partition-indexed backend over its memory-mapped code files — in a
+``concurrent.futures`` process pool when one can start, serially in-process
+otherwise — and the workers' reports, already translated to global tuple
+indices, are merged in the scan oracle's canonical order.  By the sharding
+invariant (no violation spans two shards) the merged report is
+violation-for-violation identical to a serial run; the Hypothesis
+properties in ``tests/parallel/test_parallel_properties.py`` pin that down
+across random shard and worker counts.
 
 This module registers the backend, so importing it (or anything that calls
 :func:`repro.registry.detector_names`) makes ``method="parallel"`` available
@@ -27,9 +29,16 @@ from repro.config import DetectionConfig
 from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
 from repro.detection.indexed import find_violations_indexed
-from repro.parallel.executor import default_workers, resolve_workers, run_tasks
+from repro.parallel.executor import (
+    SERIAL,
+    default_workers,
+    resolve_workers,
+    run_tasks,
+)
 from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
+    ShardLayout,
     SpilledShardPlan,
+    plan_shards,
     shard_relation,
     spill_shards,
 )
@@ -74,7 +83,7 @@ class ParallelStats:
     @classmethod
     def of_run(
         cls,
-        plan: SpilledShardPlan,
+        plan: Union[ShardLayout, SpilledShardPlan],
         mode: str,
         workers: Optional[int],
         seconds: Sequence[float],
@@ -86,8 +95,8 @@ class ParallelStats:
             shard_count=len(plan),
             component_count=plan.component_count,
             timings=tuple(
-                ShardTiming(shard_id=shard.shard_id, rows=shard.length, seconds=spent)
-                for shard, spent in zip(plan.shards, seconds)
+                ShardTiming(shard_id=shard_id, rows=rows, seconds=spent)
+                for shard_id, (rows, spent) in enumerate(zip(plan.sizes(), seconds))
             ),
         )
 
@@ -146,9 +155,10 @@ def detect_sharded(
 
     ``shard_count`` defaults to the worker count (one shard per worker keeps
     every process busy without over-splitting); ``workers`` defaults to the
-    CPU count.  The shard plan is spilled under the base resolved from
-    ``spill_dir`` and removed when the run ends; only a failed run under an
-    explicit base keeps it, for post-mortem inspection.
+    CPU count.  With at least two shards the plan is spilled under the base
+    resolved from ``spill_dir`` and removed when the run ends; only a failed
+    run under an explicit base keeps it, for post-mortem inspection.  A
+    single shard is detected in-process and spills nothing.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> run = detect_sharded(cust_relation(), cust_cfds(), shard_count=3, workers=1)
@@ -158,19 +168,25 @@ def detect_sharded(
     if isinstance(cfds, CFD):
         cfds = [cfds]
     cfds = list(cfds)
-    with spill_shards(
-        relation, cfds, resolve_shard_count(shard_count, workers), spill_dir
-    ) as plan:
-        payloads = [(plan, shard.shard_id, cfds) for shard in plan.shards]
-        outcomes, mode = run_tasks(_detect_shard, payloads, workers=workers)
-    merged = [
-        violation for violations, _seconds in outcomes for violation in violations
-    ]
+    layout = plan_shards(relation, cfds, resolve_shard_count(shard_count, workers))
+    if len(layout) < 2:
+        start = time.perf_counter()
+        merged = list(find_violations_indexed(layout.store, cfds))
+        seconds = [time.perf_counter() - start] if len(layout) else []
+        stats = ParallelStats.of_run(layout, SERIAL, workers, seconds)
+    else:
+        with layout.spill(spill_dir) as plan:
+            del layout  # the member arrays are on disk now; free them
+            payloads = [(plan, shard.shard_id, cfds) for shard in plan.shards]
+            outcomes, mode = run_tasks(_detect_shard, payloads, workers=workers)
+        merged = [
+            violation for violations, _seconds in outcomes for violation in violations
+        ]
+        stats = ParallelStats.of_run(
+            plan, mode, workers, [spent for _violations, spent in outcomes]
+        )
     return ParallelDetectionRun(
-        report=ViolationReport(canonical_order(merged, cfds)),
-        stats=ParallelStats.of_run(
-            plan, mode, workers, [seconds for _violations, seconds in outcomes]
-        ),
+        report=ViolationReport(canonical_order(merged, cfds)), stats=stats
     )
 
 

@@ -3,14 +3,15 @@
 Unlike the other repair backends — which are *detection engines* driven one
 cell change at a time by the greedy loop in
 :mod:`repro.repair.heuristic` — the parallel backend is **self-driving**: it
-implements the optional ``run(cost_model)`` protocol hook, spilling the
+implements the optional ``run(cost_model)`` protocol hook, splitting the
 relation into class-closed shards with
-:func:`repro.parallel.sharding.spill_shards` and running the *entire*
-incremental repair fixpoint per shard in a process pool.  Each worker maps
-its shard's code files, repairs them, and writes the resulting cell changes
-— already translated to global tuple indices — to a delta log in the shard
-directory; the parent replays the logs onto the working relation and
-re-verifies the merged result.
+:func:`repro.parallel.sharding.plan_shards`, spilling them, and running the
+*entire* incremental repair fixpoint per shard in a process pool (a single
+shard is repaired in-process by the serial engine and spills nothing).
+Each worker maps its shard's code files, repairs them, and writes the
+resulting cell changes — already translated to global tuple indices — to a
+delta log in the shard directory; the parent replays the logs onto the
+working relation and re-verifies the merged result.
 
 Because per-shard repair decisions (pattern constants, plurality targets,
 deterministic fresh values) are pure functions of the shard's data, and the
@@ -41,6 +42,7 @@ from repro.parallel.executor import SERIAL, run_tasks
 from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
     SpilledShard,
     SpilledShardPlan,
+    plan_shards,
     shard_relation,
     spill_shards,
 )
@@ -141,10 +143,8 @@ class ParallelRepairEngine:
     def _inner_config(self, cost_model: CostModel) -> RepairConfig:
         """The per-shard configuration: serial incremental, no re-checks.
 
-        The storage and kernel choices ride along, so shards (which arrive
-        as memory-mapped column stores) are repaired columnar in their
-        workers, a pinned kernel is honoured inside each worker process, and
-        ``storage="rows"`` cross-checking repairs rows in the workers too.
+        The storage and kernel choices ride along, so a pinned kernel is
+        honoured inside each worker process.
 
         Because each worker runs the stock incremental engine on a columnar
         shard, it adopts the *batched* fixpoint automatically whenever the
@@ -165,75 +165,82 @@ class ParallelRepairEngine:
     def run(self, cost_model: CostModel) -> RepairResult:
         cfds = self._cfds
         work = self.relation
+        layout = plan_shards(
+            work,
+            cfds,
+            resolve_shard_count(self._config.shard_count, self._config.workers),
+        )
+        if len(layout) < 2:
+            # A single component (or a single-shard request): the pool would
+            # only add overhead, so run the serial incremental engine as-is,
+            # without spilling anything.
+            result = repair(work, cfds, config=self._inner_config(cost_model))
+            self.stats = ParallelStats.of_run(layout, SERIAL, self._config.workers, [])
+            result.parallel_stats = self.stats
+            return result
         changes: List[CellChange] = []
         pass_counts: List[int] = []
         seconds: List[float] = []
         passes = 0
         all_clean = True
-        mode = SERIAL
-        with self.plan() as plan:
-            if len(plan) > 1:
-                payloads = [
-                    (
-                        plan,
-                        shard.shard_id,
-                        cfds,
-                        self._inner_config(_localize_cost_model(cost_model, shard)),
-                    )
-                    for shard in plan.shards
-                ]
-                outcomes, mode = run_tasks(
-                    _repair_shard, payloads, workers=self._config.workers
+        with layout.spill(self._config.spill_dir) as plan:
+            del layout  # the member arrays are on disk now; free them
+            payloads = [
+                (
+                    plan,
+                    shard.shard_id,
+                    cfds,
+                    self._inner_config(_localize_cost_model(cost_model, shard)),
                 )
-                for shard, outcome in zip(plan.shards, outcomes):
-                    change_count, clean, shard_passes, shard_counts, spent = outcome
-                    if change_count:
-                        path = Path(shard.directory) / "changes.pkl"
-                        with open(path, "rb") as handle:
-                            logged: List[CellChange] = pickle.load(handle)
-                        for change in logged:
-                            work.update(
-                                change.tuple_index, change.attribute, change.new_value
-                            )
-                        changes.extend(logged)
-                    for position, count in enumerate(shard_counts):
-                        if position < len(pass_counts):
-                            pass_counts[position] += count
-                        else:
-                            pass_counts.append(count)
-                    passes = max(passes, shard_passes)
-                    all_clean = all_clean and clean
-                    seconds.append(spent)
-
-        if len(plan) <= 1:
-            # A single component (or a single-shard request): the pool would
-            # only add overhead, so run the serial incremental engine as-is.
-            result = repair(work, cfds, config=self._inner_config(cost_model))
-        else:
-            result = RepairResult(
-                relation=work,
-                changes=changes,
-                clean=all_clean,
-                passes=passes,
-                pass_violation_counts=pass_counts,
+                for shard in plan.shards
+            ]
+            outcomes, mode = run_tasks(
+                _repair_shard, payloads, workers=self._config.workers
             )
-            if (
-                all_clean
-                and _repairs_may_cross_shards(cfds)
-                and not find_violations_indexed(work, cfds).is_clean()
-            ):
-                # Cross-shard residue: repairs moved tuples into equivalence
-                # classes owned by other shards (RHS/LHS attribute overlap).
-                # Finish serially from the merged state; changes stay global.
-                reconcile = repair(work, cfds, config=self._inner_config(cost_model))
-                result = RepairResult(
-                    relation=reconcile.relation,
-                    changes=changes + list(reconcile.changes),
-                    clean=reconcile.clean,
-                    passes=passes + reconcile.passes,
-                    pass_violation_counts=pass_counts
-                    + list(reconcile.pass_violation_counts),
-                )
+            for shard, outcome in zip(plan.shards, outcomes):
+                change_count, clean, shard_passes, shard_counts, spent = outcome
+                if change_count:
+                    path = Path(shard.directory) / "changes.pkl"
+                    with open(path, "rb") as handle:
+                        logged: List[CellChange] = pickle.load(handle)
+                    for change in logged:
+                        work.update(
+                            change.tuple_index, change.attribute, change.new_value
+                        )
+                    changes.extend(logged)
+                for position, count in enumerate(shard_counts):
+                    if position < len(pass_counts):
+                        pass_counts[position] += count
+                    else:
+                        pass_counts.append(count)
+                passes = max(passes, shard_passes)
+                all_clean = all_clean and clean
+                seconds.append(spent)
+
+        result = RepairResult(
+            relation=work,
+            changes=changes,
+            clean=all_clean,
+            passes=passes,
+            pass_violation_counts=pass_counts,
+        )
+        if (
+            all_clean
+            and _repairs_may_cross_shards(cfds)
+            and not find_violations_indexed(work, cfds).is_clean()
+        ):
+            # Cross-shard residue: repairs moved tuples into equivalence
+            # classes owned by other shards (RHS/LHS attribute overlap).
+            # Finish serially from the merged state; changes stay global.
+            reconcile = repair(work, cfds, config=self._inner_config(cost_model))
+            result = RepairResult(
+                relation=reconcile.relation,
+                changes=changes + list(reconcile.changes),
+                clean=reconcile.clean,
+                passes=passes + reconcile.passes,
+                pass_violation_counts=pass_counts
+                + list(reconcile.pass_violation_counts),
+            )
         self.stats = ParallelStats.of_run(plan, mode, self._config.workers, seconds)
         result.parallel_stats = self.stats
         return result

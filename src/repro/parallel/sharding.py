@@ -8,8 +8,9 @@ under *any* pattern of the workload can therefore never co-violate, and the
 relation can be split into sub-relations that are detected (and repaired)
 independently.
 
-:func:`spill_shards` (also bound as :func:`shard_relation`) computes that
-split and writes it to disk:
+:func:`plan_shards` computes that split in memory (a :class:`ShardLayout`)
+and :meth:`ShardLayout.spill` writes it to disk; :func:`spill_shards` (also
+bound as :func:`shard_relation`) does both:
 
 1. For every pattern tuple of every CFD, take its ``@``-free LHS attribute
    set and label the relation's tuples by their code projection onto it
@@ -364,21 +365,100 @@ def _shard_members(
     return members, len(unique_roots)
 
 
-def spill_shards(
-    relation: Relation,
-    cfds: Sequence[CFD],
-    shard_count: int,
-    spill_dir: Optional[Union[str, Path]] = None,
-) -> SpilledShardPlan:
-    """Split ``relation`` into at most ``shard_count`` class-closed shards on disk.
+@dataclass(frozen=True)
+class ShardLayout:
+    """Which rows each shard holds, computed before anything touches disk.
+
+    The parallel engines look at the layout first: with fewer than two
+    shards there is nothing to distribute, so they run in-process and never
+    create a plan directory.
+    """
+
+    #: The encoded relation the layout indexes into.
+    store: ColumnStore
+    #: Ascending tuple indices of each shard.
+    members: Tuple[Any, ...]
+    #: Components available to the planner (upper bound on useful shards).
+    component_count: int
+    #: Shard count that was requested (the layout may hold fewer, never more).
+    requested_shard_count: int
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def sizes(self) -> Tuple[int, ...]:
+        return tuple(len(indices) for indices in self.members)
+
+    def spill(self, spill_dir: Optional[Union[str, Path]] = None) -> SpilledShardPlan:
+        """Write every shard's full-width code columns under a new plan dir.
+
+        The plan directory goes under the spill base resolved from
+        ``spill_dir`` (see :func:`repro.relation.mmap_store.resolve_spill_base`);
+        the caller owns it — use the plan as a context manager, or call
+        :meth:`SpilledShardPlan.release`.
+        """
+        store = self.store
+        schema = store.schema
+        base, explicit = resolve_spill_base(spill_dir)
+        plan_dir = create_run_dir(base)
+        np_module = _numpy()
+        shards: List[SpilledShard] = []
+        try:
+            dictionaries = [list(store.dictionary(name)) for name in schema.names]
+            with open(plan_dir / "dictionaries.pkl", "wb") as handle:
+                pickle.dump(dictionaries, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            columns = [store.codes(name) for name in schema.names]
+            if np_module is not None:
+                columns = [
+                    np_module.asarray(column, dtype=np_module.intc)
+                    for column in columns
+                ]
+            for shard_id, indices in enumerate(self.members):
+                shard_dir = plan_dir / f"shard{shard_id}"
+                shard_dir.mkdir()
+                if np_module is not None:
+                    indices.astype(np_module.int64).tofile(
+                        str(shard_dir / "indices.bin")
+                    )
+                    for position, column in enumerate(columns):
+                        column[indices].tofile(str(shard_dir / f"col{position}.0.bin"))
+                else:
+                    (shard_dir / "indices.bin").write_bytes(
+                        array("q", indices).tobytes()
+                    )
+                    for position, column in enumerate(columns):
+                        gathered = array("i", (column[index] for index in indices))
+                        (shard_dir / f"col{position}.0.bin").write_bytes(
+                            gathered.tobytes()
+                        )
+                shards.append(
+                    SpilledShard(
+                        shard_id=shard_id, directory=str(shard_dir), length=len(indices)
+                    )
+                )
+        except BaseException:
+            if not explicit:
+                shutil.rmtree(str(plan_dir), ignore_errors=True)
+            raise
+        return SpilledShardPlan(
+            schema=schema,
+            shards=tuple(shards),
+            component_count=self.component_count,
+            requested_shard_count=self.requested_shard_count,
+            plan_dir=str(plan_dir),
+            explicit=explicit,
+        )
+
+
+def plan_shards(
+    relation: Relation, cfds: Sequence[CFD], shard_count: int
+) -> ShardLayout:
+    """Split ``relation`` into at most ``shard_count`` class-closed shards.
 
     A relation that is not a :class:`ColumnStore` is dictionary-encoded once
     first.  ``shard_count`` larger than the number of components (or than
     the number of rows) simply yields fewer shards; an empty relation yields
-    none.  The plan directory goes under the spill base resolved from
-    ``spill_dir`` (see :func:`repro.relation.mmap_store.resolve_spill_base`);
-    the caller owns it — use the plan as a context manager, or call
-    :meth:`SpilledShardPlan.release`.
+    none.  Nothing is written; see :meth:`ShardLayout.spill`.
     """
     if shard_count < 1:
         raise ParallelExecutionError(
@@ -386,52 +466,27 @@ def spill_shards(
         )
     if not isinstance(relation, ColumnStore):
         relation = ColumnStore.from_relation(relation)
-    schema = relation.schema
-    base, explicit = resolve_spill_base(spill_dir)
-    plan_dir = create_run_dir(base)
-    np_module = _numpy()
-    shards: List[SpilledShard] = []
-    try:
-        members, component_count = _shard_members(
-            relation, cfds, shard_count, np_module
-        )
-        dictionaries = [list(relation.dictionary(name)) for name in schema.names]
-        with open(plan_dir / "dictionaries.pkl", "wb") as handle:
-            pickle.dump(dictionaries, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        columns = [relation.codes(name) for name in schema.names]
-        if np_module is not None:
-            columns = [
-                np_module.asarray(column, dtype=np_module.intc) for column in columns
-            ]
-        for shard_id, indices in enumerate(members):
-            shard_dir = plan_dir / f"shard{shard_id}"
-            shard_dir.mkdir()
-            if np_module is not None:
-                indices.astype(np_module.int64).tofile(str(shard_dir / "indices.bin"))
-                for position, column in enumerate(columns):
-                    column[indices].tofile(str(shard_dir / f"col{position}.0.bin"))
-            else:
-                (shard_dir / "indices.bin").write_bytes(array("q", indices).tobytes())
-                for position, column in enumerate(columns):
-                    gathered = array("i", (column[index] for index in indices))
-                    (shard_dir / f"col{position}.0.bin").write_bytes(gathered.tobytes())
-            shards.append(
-                SpilledShard(
-                    shard_id=shard_id, directory=str(shard_dir), length=len(indices)
-                )
-            )
-    except BaseException:
-        if not explicit:
-            shutil.rmtree(str(plan_dir), ignore_errors=True)
-        raise
-    return SpilledShardPlan(
-        schema=schema,
-        shards=tuple(shards),
+    members, component_count = _shard_members(relation, cfds, shard_count, _numpy())
+    return ShardLayout(
+        store=relation,
+        members=tuple(members),
         component_count=component_count,
         requested_shard_count=shard_count,
-        plan_dir=str(plan_dir),
-        explicit=explicit,
     )
+
+
+def spill_shards(
+    relation: Relation,
+    cfds: Sequence[CFD],
+    shard_count: int,
+    spill_dir: Optional[Union[str, Path]] = None,
+) -> SpilledShardPlan:
+    """Split ``relation`` into class-closed shards and write them to disk.
+
+    :func:`plan_shards` followed by :meth:`ShardLayout.spill`; the caller
+    owns the returned plan.
+    """
+    return plan_shards(relation, cfds, shard_count).spill(spill_dir)
 
 
 #: An alias of :func:`spill_shards`, kept for existing callers.

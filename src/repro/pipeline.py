@@ -294,21 +294,14 @@ class Cleaner:
 
         detect_name, _ = resolve_detector(self.detection.method, relation, cfds)
         repair_name, _ = resolve_repairer(self.repair.method, relation, cfds)
-        # Encode once, up front — but only when some resolved stage will
-        # actually work columnar (a capable backend *and* that stage's
-        # config asking for it); then detection, every repair round and the
-        # audit share one encoded relation instead of re-encoding per stage.
-        # A stage asking for "mmap" escalates the shared target to the
-        # spilled backing (an MmapColumnStore satisfies "columnar" requests
-        # unchanged — see apply_storage).
-        detect_columnar = (
-            detect_name in COLUMNAR_DETECTORS
-            and detect_storage in ("columnar", "mmap")
-        )
-        repair_columnar = (
-            repair_name in COLUMNAR_REPAIRERS
-            and repair_storage in ("columnar", "mmap")
-        )
+        # Encode once, up front — but only when some resolved stage runs a
+        # columnar-capable backend; then detection, every repair round and
+        # the audit share one encoded relation instead of re-encoding per
+        # stage.  A stage asking for "mmap" escalates the shared target to
+        # the spilled backing (an MmapColumnStore satisfies "columnar"
+        # requests unchanged — see apply_storage).
+        detect_columnar = detect_name in COLUMNAR_DETECTORS
+        repair_columnar = repair_name in COLUMNAR_REPAIRERS
         target = "columnar"
         if (detect_columnar and detect_storage == "mmap") or (
             repair_columnar and repair_storage == "mmap"

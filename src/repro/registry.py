@@ -104,10 +104,10 @@ def apply_storage(
 
     ``storage`` is an *effective* storage name
     (:attr:`repro.config.DetectionConfig.effective_storage`).  Columnar-
-    capable backends get the requested layer — ``REPRO_STORAGE=rows``
-    genuinely pins the legacy path for cross-checking, and ``"mmap"``
-    spills the code columns to memory-mapped files under ``spill_dir``
-    (``memory_budget_mb`` sizes the ingestion chunks).  A
+    capable backends compute over codes only, so they always get a
+    :class:`~repro.relation.columnar.ColumnStore`: ``"mmap"`` spills the
+    code columns to memory-mapped files under ``spill_dir``
+    (``memory_budget_mb`` sizes the ingestion chunks), and a
     :class:`~repro.relation.mmap_store.MmapColumnStore` passes a
     ``"columnar"`` request through unchanged — it *is* a column store, and
     decoding it back into memory would defeat the out-of-core point.
@@ -118,24 +118,22 @@ def apply_storage(
     (callers that must not share state copy afterwards, as
     :func:`repro.repair.heuristic.repair` does).
     """
-    if columnar_capable:
-        if storage == "columnar" and not isinstance(relation, ColumnStore):
-            return ColumnStore.from_relation(relation)
-        if storage == "mmap" and not isinstance(relation, MmapColumnStore):
-            return MmapColumnStore.from_relation(
-                relation,
-                spill_dir=spill_dir,
-                chunk_rows=(
-                    chunk_rows_for_budget(memory_budget_mb, len(relation.schema))
-                    if memory_budget_mb is not None
-                    else None
-                ),
-            )
-        if storage == "rows" and isinstance(relation, ColumnStore):
+    if not columnar_capable:
+        if isinstance(relation, ColumnStore):
             return Relation.from_validated_rows(relation.schema, relation)
         return relation
-    if isinstance(relation, ColumnStore):
-        return Relation.from_validated_rows(relation.schema, relation)
+    if storage == "mmap" and not isinstance(relation, MmapColumnStore):
+        return MmapColumnStore.from_relation(
+            relation,
+            spill_dir=spill_dir,
+            chunk_rows=(
+                chunk_rows_for_budget(memory_budget_mb, len(relation.schema))
+                if memory_budget_mb is not None
+                else None
+            ),
+        )
+    if not isinstance(relation, ColumnStore):
+        return ColumnStore.from_relation(relation)
     return relation
 
 

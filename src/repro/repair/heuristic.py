@@ -239,10 +239,10 @@ def repair(
     if config.check_consistency and cfds and not is_consistent(cfds):
         raise InconsistentCFDsError("the CFD set is inconsistent; no repair exists")
     cost_model = config.cost_model or CostModel()
-    # The columnar-capable engines work over the configured storage layer;
-    # when apply_storage converts it already built a fresh object, otherwise
-    # copy — either way the caller's relation is never mutated.  The repaired
-    # relation comes back in that storage; its rows are identical either way.
+    # The columnar-capable engines work over a column store (the configured
+    # columnar or mmap layer), the scan oracle over rows; when apply_storage
+    # converts it already built a fresh object, otherwise copy — either way
+    # the caller's relation is never mutated.
     converted = apply_storage(
         relation,
         config.effective_storage,

@@ -12,33 +12,33 @@ only affect
 * within such a pattern, the tuples of the changed tuple's *old* and *new*
   equivalence classes under the pattern's LHS partition.
 
-:class:`RepairState` exploits exactly that, through one of two execution
-modes picked at construction:
+:class:`RepairState` exploits exactly that.  It computes over the dictionary
+codes of a :class:`~repro.relation.columnar.ColumnStore` (a plain relation
+is encoded once on entry), through one of two index structures picked at
+construction:
 
-* the **reference path** (rows storage, or the python kernel) ingests the
-  relation once into the dict-backed
-  :class:`~repro.detection.partition_index.PartitionIndex` maps of PR 1 and
-  maintains them under :meth:`RepairState.apply_change` by moving the
+* the **dict path** (the python kernel, or a composite key too wide for
+  ``int64``) keeps the dict-backed
+  :class:`~repro.detection.partition_index.PartitionIndex` maps, moves a
   changed tuple between equivalence classes
-  (:meth:`PartitionIndex.reindex_tuple`) and re-evaluating only the old and
-  new classes of the changed tuple;
-* the **batched path** (a :class:`~repro.relation.columnar.ColumnStore`
-  under a kernel advertising ``fused_repair_scan``) replaces the dict
-  indexes with the array-backed
+  (:meth:`PartitionIndex.reindex_tuple`) and re-evaluates each dirty class
+  with the kernel's ``Q^C``/``Q^V`` code checks;
+* the **batched path** (a kernel advertising ``fused_repair_scan``) keeps
+  the array-backed
   :class:`~repro.detection.partition_index.CodePartitionIndex` and resolves
   the *entire dirty class set* of a change batch with one
-  ``evaluate_classes`` kernel call per pattern
-  (:meth:`RepairState.apply_changes`) — gather the affected members into
-  one array, reduce, materialise only what reports.
+  ``evaluate_classes`` kernel call per pattern — gather the affected members
+  into one array, reduce, materialise only what reports.
 
-Both modes produce byte-identical reports: the python reference kernel
-defines the semantics, and evaluating every dirtied class once at the
-post-batch state yields exactly what change-by-change re-evaluation yields
-(a later change that could alter a class's verdict necessarily re-dirties
-that class).  Reports are emitted in the *canonical order* — the order the
-scan oracle produces — so the greedy repair heuristic makes identical
-decisions no matter which detection engine (or mode) feeds it.  See
-``docs/repair.md`` for the complexity analysis.
+Both paths apply a change batch the same way
+(:meth:`RepairState.apply_changes`) and produce byte-identical reports: the
+python reference kernel defines the semantics, and evaluating every dirtied
+class once at the post-batch state yields exactly what change-by-change
+re-evaluation yields (a later change that could alter a class's verdict
+necessarily re-dirties that class).  Reports are emitted in the *canonical
+order* — the order the scan oracle produces — so the greedy repair
+heuristic makes identical decisions no matter which detection engine (or
+mode) feeds it.  See ``docs/repair.md`` for the complexity analysis.
 """
 
 from __future__ import annotations
@@ -110,11 +110,10 @@ class _PatternSpec:
     lhs_positions: Tuple[int, ...]
     #: LHS pattern cells aligned with ``lhs_free``.
     cells: Tuple[PatternValue, ...]
-    #: ``(attribute, schema position, expected constant)`` per constant RHS cell.
-    constant_rhs: Tuple[Tuple[str, int, Any], ...]
+    #: ``(attribute, expected constant)`` per constant RHS cell.
+    constant_rhs: Tuple[Tuple[str, Any], ...]
     #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
     rhs_free: Tuple[str, ...]
-    rhs_positions: Tuple[int, ...]
 
     def key_matches(self, key: Tuple[Any, ...]) -> bool:
         """Whether a partition key matches this pattern's LHS constants."""
@@ -129,7 +128,7 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
             lhs_free = tuple(attr for attr in cfd.lhs if not pattern.lhs_cell(attr).is_dontcare)
             rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
             constant_rhs = tuple(
-                (attr, schema.position(attr), pattern.rhs_cell(attr).value)
+                (attr, pattern.rhs_cell(attr).value)
                 for attr in cfd.rhs
                 if pattern.rhs_cell(attr).is_constant
             )
@@ -143,7 +142,6 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
                     cells=tuple(pattern.lhs_cell(attr) for attr in lhs_free),
                     constant_rhs=constant_rhs,
                     rhs_free=rhs_free,
-                    rhs_positions=schema.positions(rhs_free) if rhs_free else (),
                 )
             )
     return specs
@@ -165,7 +163,9 @@ class RepairState:
 
     The state owns ``relation`` operationally: every mutation must flow
     through :meth:`apply_change` or :meth:`apply_changes`, or the maintained
-    report goes stale.
+    report goes stale.  A ``relation`` that is not a
+    :class:`~repro.relation.columnar.ColumnStore` is encoded once here, and
+    every cell change is written to both.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> state = RepairState(cust_relation(), cust_cfds())
@@ -182,6 +182,11 @@ class RepairState:
         cache_size: Optional[int] = None,
     ) -> None:
         self._relation = relation
+        self._encoded = (
+            relation
+            if isinstance(relation, ColumnStore)
+            else ColumnStore.from_relation(relation)
+        )
         self._cfds = list(cfds)
         self._specs = _build_specs(relation, self._cfds)
 
@@ -197,7 +202,7 @@ class RepairState:
         # ever widens the auto-sized cache.
         auto_size = max(32, len(distinct_lhs))
         self._cache = PartitionIndexCache(
-            relation, maxsize=max(auto_size, cache_size or 0)
+            self._encoded, maxsize=max(auto_size, cache_size or 0)
         )
 
         # spec_id -> partition key -> violations of that pattern in that class.
@@ -208,21 +213,21 @@ class RepairState:
         # _const_checks.
         self._const_cache: Dict[int, Tuple[Tuple[int, ...], List[Tuple[str, Any, Optional[int], Any]]]] = {}
 
-        # The batched path needs both columnar codes and a kernel whose batch
-        # primitives actually win (fused_repair_scan); anything else — rows
-        # storage, the python reference kernel — takes the dict-indexed path.
-        self._batched = isinstance(relation, ColumnStore) and bool(
-            getattr(active_kernel(), "fused_repair_scan", False)
-        )
+        # The batched path needs a kernel whose batch primitives actually win
+        # (fused_repair_scan); the python reference kernel takes the
+        # dict-indexed path.
+        self._batched = bool(getattr(active_kernel(), "fused_repair_scan", False))
         self._code_indexes: Dict[Tuple[str, ...], CodePartitionIndex] = {}
         if self._batched:
             try:
                 for lhs_free in distinct_lhs:
-                    self._code_indexes[lhs_free] = CodePartitionIndex(relation, lhs_free)
+                    self._code_indexes[lhs_free] = CodePartitionIndex(
+                        self._encoded, lhs_free
+                    )
             except DetectionError:
                 # Composite-key overflow (astronomically wide dictionaries):
                 # the array index cannot represent the partition, so run the
-                # dict-backed reference path instead.
+                # dict-indexed path instead.
                 self._batched = False
                 self._code_indexes.clear()
 
@@ -257,8 +262,7 @@ class RepairState:
         members and decode their keys.
         """
         kernel = active_kernel()
-        store = self._relation
-        assert isinstance(store, ColumnStore)
+        store = self._encoded
         for spec in self._specs:
             spec_store = self._store[spec.spec_id]
             index = self._code_indexes[spec.lhs_free]
@@ -371,71 +375,48 @@ class RepairState:
         mentioning ``attribute`` are re-evaluated — over only the tuple's old
         and new classes.
         """
-        if self._batched:
-            return self.apply_changes([(tuple_index, attribute, new_value)]) > 0
-        self._check_synchronized()
-        position = self._relation.schema.position(attribute)
-        old_row = self._relation[tuple_index]
-        if old_row[position] == new_value:
-            return False
-        self._relation.update(tuple_index, attribute, new_value)
-        new_row = self._relation[tuple_index]
-        self._cache.apply_update(tuple_index, attribute, old_row)
-        self._expected_version = self._relation.version
-        self._changes_applied += 1
-
-        for spec in self._specs_by_attr.get(attribute, ()):
-            self._patterns_reevaluated += 1
-            old_key = tuple(old_row[p] for p in spec.lhs_positions)
-            new_key = tuple(new_row[p] for p in spec.lhs_positions)
-            # When the change touched an RHS-only attribute the two keys
-            # coincide and a single class is re-checked.
-            self._reevaluate(spec, old_key)
-            if new_key != old_key:
-                self._reevaluate(spec, new_key)
-        return True
+        return self.apply_changes([(tuple_index, attribute, new_value)]) > 0
 
     def apply_changes(self, changes: Sequence[Tuple[int, str, Any]]) -> int:
         """Apply a batch of cell changes and repair the state in one delta.
 
         Semantically identical to calling :meth:`apply_change` per entry, in
         order (no-op entries included); returns how many entries actually
-        changed a cell.  On the batched path the whole batch costs three
-        bulk steps instead of per-change work: the cell updates themselves
-        (collecting each change's old/new partition keys as the dirty set),
-        **one scatter per touched partition index** re-placing the moved
-        tuples, and **one ``evaluate_classes`` kernel call per dirty
-        pattern** over all of its dirty classes at once.  Evaluating each
-        dirtied class once against the final state is exactly equivalent to
-        the sequential delta: any intermediate change that could alter a
-        class's verdict also dirties that class.
+        changed a cell.  The whole batch costs three bulk steps instead of
+        per-change work: the cell updates themselves (collecting each
+        change's old/new partition keys as the dirty set), the index
+        maintenance, and one re-evaluation per dirty (pattern, class) pair —
+        on the batched path **one scatter per touched partition index** and
+        **one ``evaluate_classes`` kernel call per dirty pattern**.
+        Evaluating each dirtied class once against the final state is exactly
+        equivalent to the sequential delta: any intermediate change that
+        could alter a class's verdict also dirties that class.
         """
-        if not self._batched:
-            applied = 0
-            for tuple_index, attribute, new_value in changes:
-                if self.apply_change(tuple_index, attribute, new_value):
-                    applied += 1
-            return applied
         self._check_synchronized()
-        relation = self._relation
-        schema = relation.schema
+        encoded = self._encoded
+        schema = encoded.schema
         # Evolving row snapshots: each change's old/new keys are computed
-        # against the rows as they stand mid-batch, mirroring the sequential
-        # path (a tuple changed twice dirties its intermediate class too).
+        # against the rows as they stand mid-batch (a tuple changed twice
+        # dirties its intermediate class too).
         rows_now: Dict[int, List[Any]] = {}
         changed_attrs: Dict[int, Set[str]] = {}
         dirty: Dict[int, Dict[Tuple[Any, ...], None]] = {}
         applied = 0
         for tuple_index, attribute, new_value in changes:
-            position = schema.position(attribute)
+            if encoded.codes(attribute)[tuple_index] == encoded.encode(
+                attribute, new_value
+            ):
+                continue
             row = rows_now.get(tuple_index)
             if row is None:
-                row = list(relation[tuple_index])
-            if row[position] == new_value:
-                continue
+                row = list(encoded[tuple_index])
             old_row = tuple(row)
-            relation.update(tuple_index, attribute, new_value)
-            row[position] = new_value
+            encoded.update(tuple_index, attribute, new_value)
+            if encoded is not self._relation:
+                self._relation.update(tuple_index, attribute, new_value)
+            if not self._batched:
+                self._cache.apply_update(tuple_index, attribute, old_row)
+            row[schema.position(attribute)] = new_value
             rows_now[tuple_index] = row
             changed_attrs.setdefault(tuple_index, set()).add(attribute)
             applied += 1
@@ -447,7 +428,7 @@ class RepairState:
         if not applied:
             return 0
         self._changes_applied += applied
-        self._expected_version = relation.version
+        self._expected_version = self._relation.version
         for lhs_free, index in self._code_indexes.items():
             if not lhs_free:
                 continue
@@ -460,14 +441,18 @@ class RepairState:
                 index.apply_moves(moved)
         for spec in self._specs:
             keys = dirty.get(spec.spec_id)
-            if keys:
+            if not keys:
+                continue
+            if self._batched:
                 self._reevaluate_batched(spec, list(keys))
+            else:
+                for key in keys:
+                    self._reevaluate(spec, key)
         return applied
 
     def _reevaluate_batched(self, spec: _PatternSpec, keys: List[Tuple[Any, ...]]) -> None:
         """Recompute one pattern over its dirty classes — one kernel call."""
-        store = self._relation
-        assert isinstance(store, ColumnStore)
+        store = self._encoded
         spec_store = self._store[spec.spec_id]
         index = self._code_indexes[spec.lhs_free]
         live: List[Tuple[Tuple[Any, ...], int]] = []
@@ -546,21 +531,20 @@ class RepairState:
         absent at one evaluation can be interned by a later fix — so the
         encode is not stable across the whole run; but it *is* stable while
         the constant attributes' dictionary versions stand still, which is
-        virtually every evaluation.  Columnar storage only.
+        virtually every evaluation.
         """
         if not spec.constant_rhs:
             return []
-        store = self._relation
-        assert isinstance(store, ColumnStore)
+        store = self._encoded
         versions = tuple(
-            store.dictionary_version(attr) for attr, _position, _expected in spec.constant_rhs
+            store.dictionary_version(attr) for attr, _expected in spec.constant_rhs
         )
         cached = self._const_cache.get(spec.spec_id)
         if cached is not None and cached[0] == versions:
             return cached[1]
         checks = [
             (attr, store.codes(attr), store.encode(attr, expected), expected)
-            for attr, _position, expected in spec.constant_rhs
+            for attr, expected in spec.constant_rhs
         ]
         self._const_cache[spec.spec_id] = (versions, checks)
         return checks
@@ -576,13 +560,11 @@ class RepairState:
     ) -> List[Violation]:
         """Materialise one reported class's violations from kernel output.
 
-        Emission matches the reference :meth:`_evaluate` exactly: ``Q^C``
-        violations tuple-major through the shared
-        :func:`~repro.detection.indexed.constant_code_violations` helper,
-        then the single ``Q^V`` violation over the full member list.
+        Both paths emit through here: ``Q^C`` violations tuple-major through
+        the shared :func:`~repro.detection.indexed.constant_code_violations`
+        helper, then the single ``Q^V`` violation over the full member list.
         """
-        store = self._relation
-        assert isinstance(store, ColumnStore)
+        store = self._encoded
         violations: List[Violation] = []
         if checks:
             violations.extend(
@@ -607,68 +589,25 @@ class RepairState:
     ) -> List[Violation]:
         """One pattern's violations over one equivalence class (assumed matching).
 
-        On a :class:`~repro.relation.columnar.ColumnStore` both checks run
-        over dictionary codes, mirroring the indexed detection backend:
-        expected constants come pre-encoded from the version-keyed
+        The dict path's per-class check, mirroring the indexed detection
+        backend: expected constants come pre-encoded from the version-keyed
         :meth:`_const_checks` cache, RHS agreement is code-projection
         cardinality through the active kernel, and values decode only into
-        emitted violations (via the shared
-        :func:`~repro.detection.indexed.constant_code_violations` emission
-        helper, which also serves indexed detection and the batched path).
+        emitted violations.
         """
-        relation = self._relation
-        violations: List[Violation] = []
-        store = relation if isinstance(relation, ColumnStore) else None
-        if spec.constant_rhs:
-            if store is not None:
-                kernel = active_kernel()
-                checks = self._const_checks(spec)
-                mismatches = [
-                    kernel.constant_mismatches(column, indices, expected_code)
-                    for _attr, column, expected_code, _expected in checks
-                ]
-                violations.extend(
-                    constant_code_violations(
-                        store, spec.cfd.name, spec.pattern_index, checks, mismatches
-                    )
-                )
-            else:
-                for tuple_index in indices:
-                    row = relation[tuple_index]
-                    for attr, position, expected in spec.constant_rhs:
-                        if row[position] != expected:
-                            violations.append(
-                                ConstantViolation(
-                                    cfd_name=spec.cfd.name,
-                                    pattern_index=spec.pattern_index,
-                                    tuple_indices=(tuple_index,),
-                                    attribute=attr,
-                                    expected=expected,
-                                    actual=row[position],
-                                )
-                            )
-        if spec.rhs_free and len(indices) > 1:
-            if store is not None:
-                disagree = active_kernel().codes_disagree(
-                    store.project_codes(spec.rhs_free), indices
-                )
-            else:
-                rhs_values = {
-                    tuple(relation[tuple_index][position] for position in spec.rhs_positions)
-                    for tuple_index in indices
-                }
-                disagree = len(rhs_values) > 1
-            if disagree:
-                violations.append(
-                    VariableViolation(
-                        cfd_name=spec.cfd.name,
-                        pattern_index=spec.pattern_index,
-                        tuple_indices=tuple(indices),
-                        attributes=spec.lhs_free,
-                        group_key=key,
-                    )
-                )
-        return violations
+        kernel = active_kernel()
+        checks = self._const_checks(spec)
+        mismatches = [
+            kernel.constant_mismatches(column, indices, expected_code)
+            for _attr, column, expected_code, _expected in checks
+        ]
+        rhs_columns = self._encoded.project_codes(spec.rhs_free)
+        disagree = (
+            len(indices) > 1
+            and bool(rhs_columns)
+            and kernel.codes_disagree(rhs_columns, indices)
+        )
+        return self._class_violations(spec, checks, key, indices, disagree, mismatches)
 
     def __repr__(self) -> str:
         return (

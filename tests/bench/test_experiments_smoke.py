@@ -87,7 +87,7 @@ class TestDrivers:
     def test_registry_contains_every_figure(self):
         assert set(ALL_EXPERIMENTS) == {
             "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f", "merged",
-            "backends", "repair", "pipeline", "parallel", "columnar", "kernels",
+            "backends", "repair", "pipeline", "parallel", "kernels",
             "repair_kernels", "outofcore", "analysis",
         }
 

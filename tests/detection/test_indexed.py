@@ -117,6 +117,15 @@ class TestIndexedDetector:
         assert after == find_violations(cust, cfd_phi2).violating_indices()
         assert after != before
 
+    def test_mutation_without_invalidate_raises(self, cust, cfd_phi2):
+        # The detector computes over an encoded copy of the plain relation;
+        # a mutation of the relation itself must still be caught.
+        detector = IndexedDetector(cust)
+        detector.detect([cfd_phi2])
+        cust.update(0, "CT", "MH")
+        with pytest.raises(DetectionError):
+            detector.detect([cfd_phi2])
+
 
 class TestDetectStream:
     def test_stream_matches_oracle_with_small_chunks(self, cust, cust_constraints):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.pattern import DONTCARE, WILDCARD, PatternValue
 from repro.detection.partition_index import PartitionIndex, PartitionIndexCache
 from repro.errors import DetectionError
+from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
@@ -40,32 +41,29 @@ class TestPartitionIndex:
         assert index.tuple_count == len(rel)
 
     def test_batched_add_tuples_equals_one_shot(self, rel):
-        one_shot = PartitionIndex.from_relation(rel, ("A", "B"))
+        store = ColumnStore.from_relation(rel)
+        one_shot = PartitionIndex.from_relation(store, ("A", "B"))
         for batch_size in (1, 2, 3, 100):
             batched = PartitionIndex(rel.schema, ("A", "B"))
-            for start in range(0, len(rel), batch_size):
-                batched.add_tuples(rel.rows[start:start + batch_size])
+            for start in range(0, len(store), batch_size):
+                batched.add_encoded(store, start, min(start + batch_size, len(store)))
             assert dict(batched.partitions()) == dict(one_shot.partitions())
             assert batched.tuple_count == one_shot.tuple_count
 
     def test_add_tuples_continues_indices_across_batches(self, rel):
+        store = ColumnStore.from_relation(rel)
         index = PartitionIndex(rel.schema, ("A",))
-        next_index = index.add_tuples(rel.rows[:2])
+        next_index = index.add_encoded(store, 0, 2)
         assert next_index == 2
-        assert index.add_tuples(rel.rows[2:]) == 4
+        assert index.add_encoded(store, 2, len(store)) == 4
         assert index.get(("a1",)) == (0, 1, 3)
 
-    def test_add_tuples_start_index_override(self, rel):
-        index = PartitionIndex(rel.schema, ("A",))
-        index.add_tuples(rel.rows[2:], start_index=2)
-        assert index.get(("a1",)) == (3,)
-        assert index.get(("a2",)) == (2,)
-
     def test_add_tuples_rejects_overlapping_start_index(self, rel):
+        store = ColumnStore.from_relation(rel)
         index = PartitionIndex(rel.schema, ("A",))
-        index.add_tuples(rel.rows[:2])
+        index.add_encoded(store, 0, 2)
         with pytest.raises(DetectionError):
-            index.add_tuples(rel.rows[:2], start_index=0)
+            index.add_encoded(store, 0, 2)
 
     def test_empty_attribute_tuple_gives_single_partition(self, rel):
         index = PartitionIndex.from_relation(rel, ())
@@ -134,7 +132,7 @@ class TestPartitionIndexCache:
     def test_seed_rejects_index_not_covering_the_relation(self, rel):
         cache = PartitionIndexCache(rel)
         partial = PartitionIndex(rel.schema, ("C",))
-        partial.add_tuples(rel.rows[:2])
+        partial.add_encoded(cache.store, 0, 2)
         with pytest.raises(DetectionError):
             cache.seed(partial)
 
@@ -150,7 +148,7 @@ class TestPartitionIndexCache:
 
 
 class TestColumnarIngestion:
-    """add_encoded must be indistinguishable from add_tuples row ingestion."""
+    """Grouping over codes must be indistinguishable from grouping values."""
 
     def _store(self, rel):
         from repro.relation.columnar import ColumnStore

@@ -1,12 +1,12 @@
 """Property-based equivalence of the python and numpy kernel layers.
 
-The kernel×storage×method grid: for random relations and CFD sets, every
-columnar-capable detection method and repair engine must produce the
-byte-identical violation sequence / repair under ``kernel="python"`` and
-``kernel="numpy"``, on both storage layers.  Together with
-``test_storage_agreement.py`` (rows vs columnar per storage) this pins the
-full lattice — any single acceleration that drifts from the pure-Python
-reference semantics fails here first.
+The kernel×method grid: for random relations and CFD sets (adversarial
+shapes included, see :mod:`strategies`), every columnar-capable detection
+method and repair engine must produce the byte-identical violation sequence
+/ repair under ``kernel="python"`` and ``kernel="numpy"``.  Together with
+``test_storage_agreement.py`` (mmap vs columnar, both against the row
+oracles) this pins the full lattice — any single acceleration that drifts
+from the pure-Python reference semantics fails here first.
 
 The numpy side runs with the small-input fallback disabled
 (:data:`repro.kernels.numpy_kernels.SMALL_INPUT_THRESHOLD` forced to 0), so
@@ -23,21 +23,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import DetectionConfig, RepairConfig
-from repro.core.cfd import CFD
 from repro.detection.engine import detect_violations
 from repro.detection.indexed import detect_stream
 from repro.errors import RepairError
 from repro.kernels import numpy_available
 from repro.reasoning.consistency import is_consistent
-from repro.relation.relation import Relation
-from repro.relation.schema import Schema
 from repro.repair.heuristic import repair
-
-ATTRIBUTES = ("A", "B", "C", "D")
-VALUES = ("v0", "v1", "v2")
-
-row = st.tuples(*(st.sampled_from(VALUES) for _ in ATTRIBUTES))
-cell = st.one_of(st.sampled_from(VALUES), st.just("_"))
+from tests.integration.strategies import cfds, relations
 
 #: The detection methods whose hot loops go through the kernel layer, plus
 #: the oracle as an extra reference point.  The parallel backend runs with
@@ -47,8 +39,6 @@ DETECTION_METHODS = ("inmemory", "indexed", "parallel")
 
 #: The repair engines whose detection layer is kernel-capable.
 REPAIR_METHODS = ("indexed", "incremental", "parallel")
-
-STORAGES = ("rows", "columnar")
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the numpy kernel needs the [fast] extra"
@@ -72,44 +62,19 @@ def force_vectorised():
         numpy_kernels.SMALL_INPUT_THRESHOLD = previous
 
 
-@st.composite
-def cfds(draw):
-    n_lhs = draw(st.integers(min_value=1, max_value=2))
-    lhs = list(draw(st.permutations(ATTRIBUTES)))[:n_lhs]
-    remaining = [attr for attr in ATTRIBUTES if attr not in lhs]
-    n_rhs = draw(st.integers(min_value=1, max_value=2))
-    rhs = remaining[:n_rhs]
-    patterns = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        pattern = {attr: draw(cell) for attr in lhs}
-        pattern.update({attr: draw(cell) for attr in rhs})
-        patterns.append(pattern)
-    return CFD.build(lhs, rhs, patterns)
-
-
-@st.composite
-def relations(draw):
-    rows = draw(st.lists(row, min_size=0, max_size=8))
-    return Relation(Schema("r", ATTRIBUTES), rows)
-
-
-def _detection_config(method, storage, kernel):
+def _detection_config(method, kernel):
     if method == "parallel":
-        return DetectionConfig(
-            method=method, storage=storage, kernel=kernel, workers=1, shard_count=2
-        )
-    return DetectionConfig(method=method, storage=storage, kernel=kernel)
+        return DetectionConfig(method=method, kernel=kernel, workers=1, shard_count=2)
+    return DetectionConfig(method=method, kernel=kernel)
 
 
-def _repair_config(method, storage, kernel):
+def _repair_config(method, kernel):
     if method == "parallel":
         return RepairConfig(
-            method=method, storage=storage, kernel=kernel, workers=1,
+            method=method, kernel=kernel, workers=1,
             shard_count=2, check_consistency=False,
         )
-    return RepairConfig(
-        method=method, storage=storage, kernel=kernel, check_consistency=False
-    )
+    return RepairConfig(method=method, kernel=kernel, check_consistency=False)
 
 
 @requires_numpy
@@ -117,20 +82,14 @@ def _repair_config(method, storage, kernel):
 @given(relations(), st.lists(cfds(), min_size=1, max_size=3))
 def test_detection_agrees_across_kernels(relation, cfd_list):
     for method in DETECTION_METHODS:
-        for storage in STORAGES:
-            python_report = detect_violations(
-                relation, cfd_list, config=_detection_config(method, storage, "python")
+        python_report = detect_violations(
+            relation, cfd_list, config=_detection_config(method, "python")
+        )
+        with force_vectorised():
+            numpy_report = detect_violations(
+                relation, cfd_list, config=_detection_config(method, "numpy")
             )
-            with force_vectorised():
-                numpy_report = detect_violations(
-                    relation,
-                    cfd_list,
-                    config=_detection_config(method, storage, "numpy"),
-                )
-            assert list(python_report.violations) == list(numpy_report.violations), (
-                method,
-                storage,
-            )
+        assert list(python_report.violations) == list(numpy_report.violations), method
 
 
 @requires_numpy
@@ -140,39 +99,28 @@ def test_repair_agrees_across_kernels(relation, cfd_list):
     if not is_consistent(cfd_list):
         return
     for method in REPAIR_METHODS:
-        for storage in STORAGES:
-            outcomes = {}
-            for kernel in ("python", "numpy"):
-                try:
-                    if kernel == "numpy":
-                        with force_vectorised():
-                            outcomes[kernel] = repair(
-                                relation,
-                                cfd_list,
-                                config=_repair_config(method, storage, kernel),
-                            )
-                    else:
+        outcomes = {}
+        for kernel in ("python", "numpy"):
+            try:
+                if kernel == "numpy":
+                    with force_vectorised():
                         outcomes[kernel] = repair(
-                            relation,
-                            cfd_list,
-                            config=_repair_config(method, storage, kernel),
+                            relation, cfd_list, config=_repair_config(method, kernel)
                         )
-                except RepairError:
-                    outcomes[kernel] = "no-progress"
-            python_result, numpy_result = outcomes["python"], outcomes["numpy"]
-            if python_result == "no-progress" or numpy_result == "no-progress":
-                assert python_result == numpy_result, (method, storage)
-                continue
-            assert python_result.relation.rows == numpy_result.relation.rows, (
-                method,
-                storage,
-            )
-            assert python_result.changes == numpy_result.changes, (method, storage)
-            assert python_result.clean == numpy_result.clean, (method, storage)
-            assert python_result.total_cost == numpy_result.total_cost, (
-                method,
-                storage,
-            )
+                else:
+                    outcomes[kernel] = repair(
+                        relation, cfd_list, config=_repair_config(method, kernel)
+                    )
+            except RepairError:
+                outcomes[kernel] = "no-progress"
+        python_result, numpy_result = outcomes["python"], outcomes["numpy"]
+        if python_result == "no-progress" or numpy_result == "no-progress":
+            assert python_result == numpy_result, method
+            continue
+        assert python_result.relation.rows == numpy_result.relation.rows, method
+        assert python_result.changes == numpy_result.changes, method
+        assert python_result.clean == numpy_result.clean, method
+        assert python_result.total_cost == numpy_result.total_cost, method
 
 
 @requires_numpy
@@ -212,14 +160,14 @@ def test_batched_repair_path_is_active():
         reference = RepairState(store.copy(), cust_cfds())
         assert not reference.batched  # no fused_repair_scan on the reference
     with use_kernel("numpy"):
-        assert not RepairState(rows, cust_cfds()).batched  # rows storage
+        assert RepairState(rows, cust_cfds()).batched  # a plain relation is encoded
     assert list(batched.report().violations) == list(reference.report().violations)
 
     results = {}
     for kernel in ("python", "numpy"):
         with force_vectorised():
             results[kernel] = repair(
-                rows, cust_cfds(), config=_repair_config("incremental", "columnar", kernel)
+                rows, cust_cfds(), config=_repair_config("incremental", kernel)
             )
     assert results["python"].changes == results["numpy"].changes
     assert results["python"].relation.rows == results["numpy"].relation.rows
@@ -237,11 +185,9 @@ def test_auto_kernel_repair_degrades_gracefully():
     from repro.datagen.cust import cust_cfds, cust_relation
 
     rows = cust_relation()
-    auto = repair(
-        rows, cust_cfds(), config=_repair_config("incremental", "columnar", "auto")
-    )
+    auto = repair(rows, cust_cfds(), config=_repair_config("incremental", "auto"))
     reference = repair(
-        rows, cust_cfds(), config=_repair_config("incremental", "columnar", "python")
+        rows, cust_cfds(), config=_repair_config("incremental", "python")
     )
     assert auto.changes == reference.changes
     assert auto.relation.rows == reference.relation.rows

@@ -120,8 +120,8 @@ def test_detector_uses_fused_path_for_mixed_patterns():
 
     End-to-end guard for the fused-path gate in ``detection/indexed.py``:
     a pattern with one constant and one wildcard LHS cell must produce the
-    same violations whether it runs fused over code columns (columnar +
-    numpy) or through the row-by-row reference.
+    same violations whether it runs fused over code columns (numpy) or
+    through the python reference kernel.
     """
     from repro.config import DetectionConfig
     from repro.core.cfd import CFD
@@ -138,7 +138,7 @@ def test_detector_uses_fused_path_for_mixed_patterns():
     relation = Relation(schema, rows)
     cfd = CFD.build(["A", "B"], ["C"], [["_", "b1", "_"]], name="mixed")
     reference = detect_violations(
-        relation, [cfd], config=DetectionConfig(method="indexed", storage="rows")
+        relation, [cfd], config=DetectionConfig(method="indexed", kernel="python")
     )
     fused = detect_violations(
         relation,

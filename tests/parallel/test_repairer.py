@@ -11,11 +11,13 @@ from repro.core.satisfaction import find_all_violations
 from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.datagen.cust import cust_cfds, cust_relation
 from repro.datagen.generator import TaxRecordGenerator
+from repro.detection.engine import detect_violations
 from repro.errors import ReproError
-from repro.parallel import executor
+from repro.parallel import executor, sharding
 from repro.pipeline import Cleaner, DetectionConfig
 from repro.repair.cost import CostModel
 from repro.repair.heuristic import repair
+from repro.repair.incremental import canonical_order
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,49 @@ class TestParallelRepair:
         assert find_all_violations(parallel.relation, [phi_a, phi_b]).is_clean()
         incremental = repair(relation, [phi_a, phi_b], method="incremental")
         assert parallel.relation == incremental.relation
+
+
+class TestSingleShardSpillsNothing:
+    """With fewer than two shards there is nothing to distribute or spill."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_plan_dirs(self, monkeypatch):
+        def refuse(base):
+            raise AssertionError("a single-shard run must not create a plan dir")
+
+        monkeypatch.setattr(sharding, "create_run_dir", refuse)
+
+    @pytest.mark.parametrize("shape", ["one-shard", "one-component"])
+    def test_matches_the_serial_engines(self, tax, tax_cfds, relation_factory, shape):
+        if shape == "one-shard":
+            relation, cfds, shard_count = tax, tax_cfds, 1
+        else:
+            # Every tuple shares A, so [A] -> [B] joins them into one component.
+            relation = relation_factory(
+                ["A", "B"], [("a", f"b{index % 3}") for index in range(12)]
+            )
+            cfds, shard_count = [CFD.build(["A"], ["B"], [["_", "_"]])], 2
+        report = detect_violations(
+            relation,
+            cfds,
+            config=DetectionConfig(
+                method="parallel", shard_count=shard_count, workers=2
+            ),
+        )
+        serial_report = detect_violations(relation, cfds, method="indexed")
+        assert list(report.violations) == canonical_order(serial_report, cfds)
+
+        result = repair(
+            relation,
+            cfds,
+            config=RepairConfig(method="parallel", shard_count=shard_count, workers=2),
+        )
+        serial = repair(relation, cfds, method="incremental")
+        assert result.relation.rows == serial.relation.rows
+        assert result.changes == serial.changes
+        assert result.total_cost == serial.total_cost
+        assert result.parallel_stats.shard_count == 1
+        assert result.parallel_stats.mode == executor.SERIAL
 
 
 class TestAutoEscalation:

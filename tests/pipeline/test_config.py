@@ -1,9 +1,14 @@
 """DetectionConfig / RepairConfig: validation and defaults."""
 
+import warnings
+
 import pytest
 
-from repro.config import AUTO, DetectionConfig, RepairConfig
+from repro.config import AUTO, STORAGES, DetectionConfig, RepairConfig
+from repro.datagen.cfd_catalog import zip_state_cfd
+from repro.datagen.generator import TaxRecordGenerator
 from repro.errors import ConfigError
+from repro.pipeline import clean
 from repro.repair.cost import CostModel
 
 
@@ -87,3 +92,46 @@ class TestRepairConfig:
         config = RepairConfig()
         assert config.with_method("scan").method == "scan"
         assert config.method == AUTO
+
+
+class TestRowsStorageAlias:
+    """``storage="rows"`` is a deprecated alias of ``"columnar"``."""
+
+    def test_storages_and_unknown_names(self):
+        assert STORAGES == ("columnar", "mmap")
+        with pytest.raises(ConfigError):
+            DetectionConfig(storage="bogus")
+
+    def test_explicit_alias_warns_and_resolves(self):
+        for config_class in (DetectionConfig, RepairConfig):
+            with pytest.warns(DeprecationWarning, match="rows"):
+                config = config_class(storage="rows")
+            assert config.storage == "columnar"
+
+    def test_environment_alias_warns_and_resolves(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORAGE", "rows")
+        with pytest.warns(DeprecationWarning, match="rows"):
+            assert DetectionConfig().effective_storage == "columnar"
+
+    @pytest.mark.parametrize("via", ["config", "environment"])
+    def test_alias_warns_once_and_cleans_like_columnar(self, via, monkeypatch):
+        relation = TaxRecordGenerator(size=300, noise=0.05, seed=3).generate_relation()
+        cfds = [zip_state_cfd()]
+        expected = clean(relation, cfds)
+        configs = {}
+        if via == "environment":
+            monkeypatch.setenv("REPRO_STORAGE", "rows")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            if via == "config":
+                configs = {
+                    "detection": DetectionConfig(storage="rows"),
+                    "repair": RepairConfig(storage="rows"),
+                }
+            result = clean(relation, cfds, **configs)
+        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert len(deprecations) == 1
+        assert result.relation.rows == expected.relation.rows
+        assert result.changes == expected.changes
+        assert result.total_cost == expected.total_cost
+        assert result.backends == expected.backends

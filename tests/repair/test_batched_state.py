@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RepairConfig
 from repro.datagen.cust import cust_cfds, cust_relation
+from repro.detection.partition_index import CodePartitionIndex
 from repro.errors import DetectionError
 from repro.kernels import numpy_available, use_kernel
 from repro.relation.columnar import ColumnStore
+from repro.repair.heuristic import repair
 from repro.repair.incremental import RepairState
 
 pytestmark = pytest.mark.skipif(
@@ -119,3 +122,25 @@ def test_reference_mode_apply_changes_loops_apply_change(store):
             reference.apply_change(*change)
     assert applied == EFFECTIVE
     assert list(state.report().violations) == list(reference.report().violations)
+
+
+def test_int64_overflow_falls_back_to_the_dict_path(store, monkeypatch):
+    """Forced composite-key overflow: same repair through the dict path.
+
+    With the stride headroom at 2**40 every two-attribute LHS (the cust
+    rules have one) overflows int64, so the batched state cannot be built.
+    """
+    monkeypatch.setattr(CodePartitionIndex, "HEADROOM", 2**40)
+    with use_kernel("numpy"):
+        assert RepairState(store, cust_cfds()).batched is False
+    results = {
+        kernel: repair(
+            cust_relation(),
+            cust_cfds(),
+            config=RepairConfig(method="incremental", kernel=kernel),
+        )
+        for kernel in ("numpy", "python")
+    }
+    assert results["numpy"].relation.rows == results["python"].relation.rows
+    assert results["numpy"].changes == results["python"].changes
+    assert results["numpy"].total_cost == results["python"].total_cost

@@ -25,7 +25,6 @@ evaluation depends on:
   detect → repair → verify loop over any row source.
 * ``repro.registry`` — named, pluggable detection/repair backends
   (``@register_detector`` / ``@register_repairer``, ``method="auto"``).
-* ``repro.discovery`` — FD / constant-CFD discovery (the paper's future work).
 * ``repro.datagen`` — the ``cust`` running example and the tax-records
   generator used in the experimental study.
 * ``repro.bench`` — the experiment harness that regenerates Figure 9.

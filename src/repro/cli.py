@@ -8,7 +8,6 @@ The CLI turns the library into a small standalone data-cleaning tool::
     python -m repro clean    --data tax.csv --cfds tax.cfd --repair-method parallel --workers 4
     python -m repro generate --dataset tax --size 10000 --output tax.csv --rules tax.cfd
     python -m repro bench    backends --scale 0.1
-    python -m repro discover --data customers.csv --min-support 5 --output mined.cfd
     python -m repro lint     --cfds rules.cfd --json
     python -m repro lint     --cfds rules.cfd --optimize minimal.cfd
     python -m repro check    --cfds rules.cfd
@@ -39,7 +38,6 @@ from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.datagen.cust import cust_cfds, cust_relation
 from repro.datagen.generator import TaxRecordGenerator
 from repro.detection.engine import detect_violations
-from repro.discovery.cfd_discovery import discover_constant_cfds
 from repro.errors import ReproError
 from repro.io.json_format import cfds_from_json, cfds_to_json
 from repro.io.sources import CSVSource, RowSource, SQLiteSource
@@ -374,27 +372,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(argv)
 
 
-def cmd_discover(args: argparse.Namespace) -> int:
-    relation = load_relation_csv(args.data)
-    attributes = args.attributes.split(",") if args.attributes else None
-    cfds = discover_constant_cfds(
-        relation,
-        min_support=args.min_support,
-        min_confidence=args.min_confidence,
-        max_lhs_size=args.max_lhs,
-        attributes=attributes,
-    )
-    print(f"Discovered {len(cfds)} constant CFDs "
-          f"({sum(len(cfd.tableau) for cfd in cfds)} patterns) from {len(relation)} tuples.")
-    rendered = cfds_to_json(cfds) if args.json else format_cfds(cfds)
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
-        print(f"Wrote {args.output}.")
-    else:
-        print(rendered)
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     cfds = load_cfds(args.cfds)
     schema = None
@@ -564,16 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(handler=cmd_bench)
 
-    discover = subparsers.add_parser("discover", help="mine constant CFDs from a CSV file")
-    discover.add_argument("--data", required=True)
-    discover.add_argument("--min-support", type=int, default=5)
-    discover.add_argument("--min-confidence", type=float, default=1.0)
-    discover.add_argument("--max-lhs", type=int, default=2)
-    discover.add_argument("--attributes", help="comma-separated attribute subset to profile")
-    discover.add_argument("--output", help="write the mined rules to this path")
-    discover.add_argument("--json", action="store_true", help="emit JSON instead of the text format")
-    discover.set_defaults(handler=cmd_discover)
-
     lint = subparsers.add_parser(
         "lint",
         help="statically analyse a rule file: consistency (with a "
@@ -631,10 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

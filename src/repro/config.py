@@ -409,12 +409,6 @@ class RepairConfig:
         set has no repair at all).
     cost_model:
         The value-modification cost model; defaults to unit weights.
-    cache_size:
-        Lower bound on the partition-index cache width of the incremental
-        engine; ``None`` (default) sizes the cache to the workload.  The
-        engine only ever *widens* the auto size — a cache smaller than the
-        number of distinct LHS sets would evict live indexes and corrupt
-        the maintained state, so smaller values are ignored.
     workers, shard_count:
         Parallel-only knobs (``method="parallel"``, or ``"auto"``, which may
         escalate to it): worker processes repairing shards concurrently and
@@ -450,7 +444,6 @@ class RepairConfig:
     max_passes: int = 25
     check_consistency: bool = True
     cost_model: Optional[CostModel] = None
-    cache_size: Optional[int] = None
     workers: Optional[int] = None
     shard_count: Optional[int] = None
     storage: Optional[str] = None
@@ -466,8 +459,6 @@ class RepairConfig:
         _validate_memory_budget(self.memory_budget_mb)
         if self.max_passes < 1:
             raise ConfigError(f"max_passes must be at least 1, got {self.max_passes}")
-        if self.cache_size is not None and self.cache_size < 1:
-            raise ConfigError(f"cache_size must be at least 1, got {self.cache_size}")
         _validate_parallel_knobs(self.method, self.workers, self.shard_count)
 
     def with_method(self, method: str) -> RepairConfig:

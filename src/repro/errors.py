@@ -65,9 +65,5 @@ class ParallelExecutionError(ReproError):
     """Sharded parallel execution failed (bad shard/worker counts, a worker crashed)."""
 
 
-class DiscoveryError(ReproError):
-    """CFD/FD discovery was asked to do something unsupported."""
-
-
 class ParseError(ReproError):
     """A CFD specification (text or JSON) could not be parsed."""

@@ -157,7 +157,6 @@ class ParallelRepairEngine:
             max_passes=self._config.max_passes,
             check_consistency=False,  # repair() already checked, once
             cost_model=cost_model,
-            cache_size=self._config.cache_size,
             storage=self._config.storage,
             kernel=self._config.kernel,
         )

@@ -159,7 +159,7 @@ class _IncrementalEngine:
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig) -> None:
         self.relation = relation
-        self._state = RepairState(relation, cfds, cache_size=config.cache_size)
+        self._state = RepairState(relation, cfds)
 
     def report(self) -> ViolationReport:
         return self._state.report()

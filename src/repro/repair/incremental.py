@@ -175,12 +175,7 @@ class RepairState:
     [0, 1, 2, 3]
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        cfds: Sequence[CFD],
-        cache_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, relation: Relation, cfds: Sequence[CFD]) -> None:
         self._relation = relation
         self._encoded = (
             relation
@@ -197,12 +192,10 @@ class RepairState:
                 self._specs_by_attr.setdefault(attr, []).append(spec)
 
         distinct_lhs = {spec.lhs_free for spec in self._specs}
-        # cache_size (RepairConfig.cache_size) below the number of distinct
-        # LHS sets would evict live indexes and stale the store, so it only
-        # ever widens the auto-sized cache.
-        auto_size = max(32, len(distinct_lhs))
+        # A cache narrower than the distinct LHS sets would evict live
+        # indexes and stale the store.
         self._cache = PartitionIndexCache(
-            self._encoded, maxsize=max(auto_size, cache_size or 0)
+            self._encoded, maxsize=max(32, len(distinct_lhs))
         )
 
         # spec_id -> partition key -> violations of that pattern in that class.

@@ -85,6 +85,18 @@ class TestDetectCommand:
         code = main(["detect", "--data", "missing.csv", "--cfds", workspace["rules"]])
         assert code == 2
 
+    def test_spill_dir_under_a_regular_file_returns_2(self, workspace, capsys):
+        # Exit 1 means "not clean"; an I/O failure is a usage/IO error (2)
+        # reported on one line, not a traceback.
+        blocker = workspace["dir"] / "blocker"
+        blocker.write_text("")
+        code = main([
+            "clean", "--data", workspace["data"], "--cfds", workspace["rules"],
+            "--storage", "mmap", "--spill-dir", str(blocker / "spill"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRepairCommand:
     def test_repair_writes_clean_csv(self, workspace, capsys):
@@ -221,32 +233,6 @@ class TestBenchCommand:
     def test_bench_rejects_unknown_experiments(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "does-not-exist"])
-
-
-class TestDiscoverCommand:
-    def test_discover_prints_rules(self, workspace, capsys):
-        code = main([
-            "discover", "--data", workspace["data"], "--min-support", "2", "--max-lhs", "1",
-        ])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "Discovered" in output
-
-    def test_discover_writes_rule_file(self, workspace, capsys):
-        mined = workspace["dir"] / "mined.cfd"
-        main([
-            "discover", "--data", workspace["data"], "--min-support", "2",
-            "--max-lhs", "1", "--output", str(mined),
-        ])
-        assert load_cfds(str(mined))
-
-    def test_discover_json_output(self, workspace, capsys):
-        mined = workspace["dir"] / "mined.json"
-        main([
-            "discover", "--data", workspace["data"], "--min-support", "2",
-            "--max-lhs", "1", "--output", str(mined), "--json",
-        ])
-        assert json.loads(mined.read_text())["cfds"]
 
 
 class TestCheckAndShowCommands:

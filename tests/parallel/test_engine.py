@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.config import DetectionConfig
@@ -22,6 +26,33 @@ def _boom(payload):
 
 def _double(payload):
     return payload * 2
+
+
+class _BrokenPool:
+    """A ``ProcessPoolExecutor`` stand-in that fails at one point.
+
+    ``init``: the constructor raises (no semaphores).  ``submit``: the second
+    submission raises, after one future is pending.  ``result``: every future
+    resolves to ``BrokenProcessPool`` (workers died before running).
+    """
+
+    def __init__(self, failure, max_workers):
+        if failure == "init":
+            raise OSError("sem_open blocked by the sandbox")
+        self._failure = failure
+        self._submitted = 0
+
+    def submit(self, task, payload):
+        self._submitted += 1
+        future = Future()
+        if self._failure == "submit" and self._submitted > 1:
+            raise RuntimeError("cannot start worker processes")
+        if self._failure == "result":
+            future.set_exception(BrokenProcessPool("worker died on start-up"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestExecutor:
@@ -51,11 +82,11 @@ class TestExecutor:
         with pytest.raises(ParallelExecutionError):
             executor.run_tasks(_boom, [1, 2], workers=1)
 
-    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise OSError("sem_open blocked by the sandbox")
-
-        monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+    @pytest.mark.parametrize("failure", ["init", "submit", "result"])
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch, failure):
+        monkeypatch.setattr(
+            executor, "ProcessPoolExecutor", functools.partial(_BrokenPool, failure)
+        )
         results, mode = executor.run_tasks(_double, [1, 2, 3], workers=4)
         assert results == [2, 4, 6]
         assert mode == executor.SERIAL

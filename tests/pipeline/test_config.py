@@ -80,10 +80,6 @@ class TestRepairConfig:
         with pytest.raises(ConfigError):
             RepairConfig(max_passes=0)
 
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            RepairConfig(cache_size=0)
-
     def test_cost_model_carried(self):
         model = CostModel(tuple_weights={0: 2.0})
         assert RepairConfig(cost_model=model).cost_model is model

@@ -73,15 +73,16 @@ class RowSource(abc.ABC):
     ) -> Relation:
         """Materialise the source into a relation.
 
-        ``storage="columnar"`` dictionary-encodes the rows as they stream in
-        (:class:`~repro.relation.columnar.ColumnStore`) — encoding at
-        ingestion is what lets every later detection and repair pass run
-        over integer codes.  ``storage="mmap"`` streams the codes straight
-        into memory-mapped spill files
+        Every storage ingests through :meth:`Relation.extend`, a validated
+        block at a time with no per-row ``insert``.  ``storage="columnar"``
+        keeps the rows pending in a
+        :class:`~repro.relation.columnar.ColumnStore`, encoded per column on
+        first use.  ``storage="mmap"`` interns each block into code buffers
+        flushed to memory-mapped spill files every ``chunk_rows`` rows
         (:class:`~repro.relation.mmap_store.MmapColumnStore` under
-        ``spill_dir``, flushing every ``chunk_rows`` rows) so the full
-        relation is never held as Python rows — the out-of-core ingestion
-        path.  ``None`` keeps the tuple-list layout.
+        ``spill_dir``); a memory budget bounds one in-flight block plus
+        ``chunk_rows`` buffered codes per column.  ``None`` keeps the
+        tuple-list layout.
         """
         if storage == "mmap":
             relation: Relation = MmapColumnStore(
@@ -206,6 +207,7 @@ class CSVSource(RowSource):
 
     def __iter__(self) -> Iterator[Row]:
         schema = self.schema
+        width = len(schema)
         parse = self._explicit_schema is not None
         with open(self._path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -218,10 +220,10 @@ class CSVSource(RowSource):
                     f"schema attributes {schema.names}"
                 )
             for line_number, row in enumerate(reader, start=2):
-                if len(row) != len(schema):
+                if len(row) != width:
                     raise ReproError(
                         f"{self._path}: row {line_number} has {len(row)} fields, "
-                        f"expected {len(schema)}"
+                        f"expected {width}"
                     )
                 if parse:
                     yield tuple(

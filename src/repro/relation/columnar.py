@@ -46,6 +46,7 @@ still wins.
 from __future__ import annotations
 
 from array import array
+from itertools import count, filterfalse
 from operator import itemgetter
 from typing import (
     Any,
@@ -62,7 +63,7 @@ from typing import (
 
 from repro.errors import SchemaError
 from repro.kernels import active_kernel
-from repro.relation.relation import Relation, Row
+from repro.relation.relation import INGEST_BLOCK_ROWS, Relation, Row
 from repro.relation.schema import Schema
 
 
@@ -127,11 +128,8 @@ class ColumnStore(Relation):
     def _ensure_encoded(self, position: int) -> array:
         """The code column at ``position``, encoding it on first demand.
 
-        Three C-level passes over the column: ``dict.fromkeys`` discovers the
-        dictionary in first-occurrence order (the same order incremental
-        interning would assign), a comprehension builds the code map, and a
-        mapped ``array`` fill writes the codes.  Encoding never changes
-        observable content, so the mutation version is untouched.
+        Encoding never changes observable content, so the mutation version
+        is untouched.
         """
         codes = self._codes[position]
         if codes is not None:
@@ -139,11 +137,8 @@ class ColumnStore(Relation):
         raw = self._raw[position]
         if raw is None:
             raw = list(map(itemgetter(position), self._pending))
-        values = list(dict.fromkeys(raw))
-        value_map = {value: code for code, value in enumerate(values)}
-        codes = array("i", map(value_map.__getitem__, raw))
-        self._values[position] = values
-        self._value_maps[position] = value_map
+        codes = array("i")
+        self._intern_columns([(position, raw, codes)])
         self._codes[position] = codes
         self._raw[position] = None
         return codes
@@ -226,12 +221,6 @@ class ColumnStore(Relation):
         )
 
     # ------------------------------------------------------------------ mutation
-    def insert(self, row: Union[Row, Sequence[Any], Mapping[str, Any]]) -> int:
-        """Insert a row given positionally or as a mapping; return its index."""
-        self._append_validated(self._coerce(row))
-        self._version += 1
-        return self._length - 1
-
     def update(self, index: int, attribute: str, value: Any) -> None:
         """Set ``attribute`` of the row at ``index`` to ``value`` (a code swap)."""
         position = self._schema.position(attribute)
@@ -271,21 +260,60 @@ class ColumnStore(Relation):
         self._version += 1
         return row
 
-    def _append_validated(self, values: Row) -> None:
+    def _extend_validated(self, block: List[Row]) -> None:
+        """Store a validated block: pending while no column is split out.
+
+        After a split the other pending columns are split out too, so the
+        rows are not kept twice, and each block is stored column-wise.
+        """
+        unsplit: List[Any] = [None] * len(self._schema)
+        if self._length == 0 and self._codes == unsplit:
+            self._pending, self._raw = [], list(unsplit)
         if self._pending is not None:
-            # The pending block keeps serving the columns not yet split out;
-            # split-out columns get their cell directly (their pending copy
-            # is stale and never read).
-            self._pending.append(tuple(values))
-        for position, value in enumerate(values):
-            codes = self._codes[position]
-            if codes is not None:
-                codes.append(self._intern(position, value))
-                continue
-            raw = self._raw[position]
-            if raw is not None:
-                raw.append(value)
-        self._length += 1
+            if self._raw == unsplit and self._codes == unsplit:
+                self._pending.extend(block)
+                self._length += len(block)
+                return
+            for position in range(len(unsplit)):
+                if self._codes[position] is None:
+                    self._extract_raw(position)
+            self._pending = None
+        columns = list(zip(*block))
+        self._intern_columns(
+            [
+                (position, column, codes)
+                for position, (column, codes) in enumerate(zip(columns, self._codes))
+                if codes is not None
+            ]
+        )
+        for column, codes, raw in zip(columns, self._codes, self._raw):
+            if codes is None:
+                raw.extend(column)
+        self._length += len(block)
+
+    def _intern_columns(self, jobs: List[Tuple[int, Sequence[Any], array]]) -> None:
+        """Append the codes of each ``(position, column, out)`` job to ``out``.
+
+        All or nothing: ``dict.fromkeys`` hashes every cell of every column
+        first, so an unhashable cell raises before any dictionary or ``out``
+        changes.  Then, in C-level passes, the values a dictionary lacks get
+        the next codes in first-occurrence order, as per-cell interning
+        would assign them.
+        """
+        fresh = [
+            list(filterfalse(self._value_maps[p].__contains__, dict.fromkeys(column)))
+            for p, column, _ in jobs
+        ]
+        for (position, column, out), new in zip(jobs, fresh):
+            value_map = self._value_maps[position]
+            value_map.update(zip(new, count(len(self._values[position]))))
+            self._values[position].extend(new)
+            # fromlist over block-sized lists: growing ``out`` item by item
+            # from an iterator costs more peak RSS, and a whole column must
+            # not become one transient list.
+            for start in range(0, len(column), INGEST_BLOCK_ROWS):
+                block = column[start : start + INGEST_BLOCK_ROWS]
+                out.fromlist(list(map(value_map.__getitem__, block)))
 
     # ------------------------------------------------------------------ access
     def value(self, index: int, attribute: str) -> Any:
@@ -531,16 +559,12 @@ class ColumnStore(Relation):
         """
         store = cls(schema)
         materialised = list(rows)
-        if not materialised:
-            return store
-        if len(materialised[0]) != len(schema):
+        if materialised and len(materialised[0]) != len(schema):
             raise SchemaError(
                 f"validated rows have {len(materialised[0])} values but schema "
                 f"{schema.name!r} has {len(schema)} attributes"
             )
-        store._pending = materialised
-        store._raw = [None] * len(schema)
-        store._length = len(materialised)
+        store._extend_validated(materialised)
         return store
 
     @classmethod

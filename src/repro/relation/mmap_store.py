@@ -7,8 +7,9 @@ directory* and accessed through memory maps — ``numpy.memmap`` when the
 ``memoryview("i")`` otherwise.  The dictionaries (value ↔ code) stay in
 memory: they grow with the number of *distinct* values, not with the number
 of rows, so a 10M-row relation costs the process its dictionaries plus one
-ingestion chunk of Python objects — the O(rows) payload lives in the page
-cache, where the OS can evict it under memory pressure.
+ingestion block of Python rows and one chunk of buffered codes — the
+O(rows) payload lives in the page cache, where the OS can evict it under
+memory pressure.
 
 Differences from the in-memory parent, none of them observable through the
 :class:`~repro.relation.relation.Relation` API:
@@ -17,9 +18,10 @@ Differences from the in-memory parent, none of them observable through the
   column is a mapped code array from the first row on (an empty relation
   holds empty ``array('i')`` placeholders, since a zero-length file cannot
   be mapped);
-* **chunked ingestion** — :meth:`extend` interns rows into small in-memory
-  buffers and flushes them to the column files every ``chunk_rows`` rows,
-  so the full relation is never materialised as Python rows;
+* **block-wise ingestion** — :meth:`extend` interns each column of a
+  validated block into small code buffers and flushes them to the column
+  files every ``chunk_rows`` rows, so the full relation is never
+  materialised as Python rows;
 * **append = grow + remap** — inserts append bytes to the same column file
   and remap it (the file only ever grows, so any older, shorter map other
   code still holds stays valid);
@@ -63,7 +65,6 @@ from typing import (
     Union,
 )
 
-from repro.errors import SchemaError
 from repro.kernels import numpy_available
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation, Row
@@ -78,10 +79,10 @@ SPILL_ENV = "REPRO_SPILL_DIR"
 #: resident cost of building an arbitrarily large store.
 DEFAULT_CHUNK_ROWS = 65_536
 
-#: Rough resident bytes per cell while a chunk of Python-object rows is in
-#: flight (the row tuple, its cells, and the interning buffer entry).  Used
-#: by :func:`chunk_rows_for_budget` to turn a memory budget into a chunk
-#: size; deliberately pessimistic so the budget holds for string-heavy data.
+#: Bytes per cell that :func:`chunk_rows_for_budget` charges each buffered
+#: row.  Ingestion holds one in-flight block of Python rows plus at most
+#: ``chunk_rows`` buffered 4-byte codes per column; charging a buffered cell
+#: like a Python-object cell is pessimistic, so the budget covers the block.
 INGEST_BYTES_PER_CELL = 96
 
 _CODE_ITEMSIZE = array("i").itemsize
@@ -161,8 +162,9 @@ def spill_run(spill_dir: Optional[Union[str, Path]] = None) -> Iterator[Path]:
 def chunk_rows_for_budget(memory_budget_mb: Optional[int], width: int) -> int:
     """The ingestion chunk size that keeps a memory budget, given row width.
 
-    The budget models the transient cost of one in-flight chunk of
-    Python-object rows at :data:`INGEST_BYTES_PER_CELL` per cell; the
+    A budget bounds the transient memory of ingestion: one in-flight block
+    of Python rows plus at most ``chunk_rows`` buffered codes per column.
+    Each buffered row is charged :data:`INGEST_BYTES_PER_CELL` per cell; the
     result is clamped to ``[1_024, 1_048_576]`` so a tiny budget still
     makes progress and a huge one does not defeat the point of chunking.
     ``None`` keeps :data:`DEFAULT_CHUNK_ROWS`.
@@ -237,6 +239,7 @@ class MmapColumnStore(ColumnStore):
         "_dir",
         "_gens",
         "_chunk_rows",
+        "_buffers",
         "_finalizer",
         "__weakref__",
     )
@@ -262,6 +265,8 @@ class MmapColumnStore(ColumnStore):
         self._dir = create_run_dir(base)
         self._gens = [0] * width
         self._chunk_rows = max(1, int(chunk_rows)) if chunk_rows else DEFAULT_CHUNK_ROWS
+        #: Per column, the codes interned since the last flush.
+        self._buffers = [array("i") for _ in range(width)]
         # Anonymous temp runs are garbage; explicit bases are user-managed
         # and must survive a crash (release() removes them on success).
         self._finalizer = (
@@ -288,9 +293,11 @@ class MmapColumnStore(ColumnStore):
                 self._column_path(position), self._length
             )
 
-    def _flush(self, buffers: List[array]) -> None:
+    def _flush(self) -> None:
         """Append the buffered codes to the column files and clear the buffers."""
-        for position, buffer in enumerate(buffers):
+        if not len(self._buffers[0]):
+            return
+        for position, buffer in enumerate(self._buffers):
             with open(self._column_path(position), "ab") as handle:
                 handle.write(buffer.tobytes())
             del buffer[:]
@@ -311,53 +318,25 @@ class MmapColumnStore(ColumnStore):
 
     # ------------------------------------------------------------------ ingestion
     def extend(self, rows: Iterable[Union[Row, Mapping[str, Any]]]) -> None:
-        """Insert several rows through the chunked spill path.
+        """Insert several rows through the block path, then flush and remap.
 
-        One version bump per row, matching :meth:`Relation.extend`'s
-        insert-per-row accounting, but the rows are interned in chunks of
-        ``chunk_rows`` so ingestion memory is bounded regardless of input
-        size.
+        Remapping only here keeps the maps unread while the files grow.  It
+        also runs when a bad row stops the extend, so earlier rows are kept.
         """
-        self._version += self._ingest(rows, coerce=True)
-
-    def _ingest(self, rows: Iterable[Any], coerce: bool) -> int:
-        width = len(self._schema)
-        buffers = [array("i") for _ in range(width)]
-        buffered = 0
-        count = 0
-        limit = self._chunk_rows
-        intern = self._intern
-        for row in rows:
-            if coerce:
-                values = self._coerce(row)
-            else:
-                values = tuple(row)
-                if len(values) != width:
-                    raise SchemaError(
-                        f"validated rows have {len(values)} values but schema "
-                        f"{self._schema.name!r} has {width} attributes"
-                    )
-            for position in range(width):
-                buffers[position].append(intern(position, values[position]))
-            buffered += 1
-            count += 1
-            if buffered >= limit:
-                self._flush(buffers)
-                buffered = 0
-        if buffered:
-            self._flush(buffers)
-        if count:
-            self._length += count
+        try:
+            super().extend(rows)
+        finally:
+            self._flush()
             self._remap()
-        return count
 
-    def _append_validated(self, values: Row) -> None:
-        # The single-insert path: append one code per column and remap.
-        for position, value in enumerate(values):
-            with open(self._column_path(position), "ab") as handle:
-                handle.write(array("i", (self._intern(position, value),)).tobytes())
-        self._length += 1
-        self._remap()
+    def _extend_validated(self, block: List[Row]) -> None:
+        # Flush first, so the buffers hold at most chunk_rows codes, or one
+        # block when chunk_rows is smaller.  Interning is all or nothing, so
+        # a failed block leaves every buffer at the same length.
+        if len(self._buffers[0]) + len(block) > self._chunk_rows:
+            self._flush()
+        self._intern_columns(list(zip(itertools.count(), zip(*block), self._buffers)))
+        self._length += len(block)
 
     # ------------------------------------------------------------------ mutation
     # update() is inherited unchanged: the maps are writable, so the
@@ -467,9 +446,14 @@ class MmapColumnStore(ColumnStore):
         spill_dir: Optional[Union[str, Path]] = None,
         chunk_rows: Optional[int] = None,
     ) -> MmapColumnStore:
-        """Adopt positional rows already validated for ``schema`` (chunked)."""
-        store = cls(schema, spill_dir=spill_dir, chunk_rows=chunk_rows)
-        store._ingest(rows, coerce=False)
+        """Adopt positional rows for ``schema``, starting at version 0.
+
+        Unlike :meth:`Relation.from_validated_rows`, the rows are validated
+        again: they take the block path of :meth:`extend`, whose checks cost
+        little next to the encoding, and which flushes and remaps the files.
+        """
+        store = cls(schema, rows, spill_dir=spill_dir, chunk_rows=chunk_rows)
+        store._version = 0
         return store
 
     @classmethod
@@ -480,19 +464,22 @@ class MmapColumnStore(ColumnStore):
         spill_dir: Optional[Union[str, Path]] = None,
         chunk_rows: Optional[int] = None,
     ) -> MmapColumnStore:
-        """Mapped view of an existing relation (rows trusted, no re-coercion).
+        """Mapped copy of an existing relation.
 
-        An encoded :class:`ColumnStore` transfers column-wise — its code
-        arrays are written to the spill files directly and its dictionaries
-        copied — so conversion never round-trips through Python rows.
+        Row relations go through :meth:`from_validated_rows`, so their rows
+        are validated again on the way in.  An encoded :class:`ColumnStore`
+        transfers column-wise — its code arrays are written to the spill
+        files directly and its dictionaries copied — so conversion never
+        round-trips through Python rows.
         """
         if isinstance(relation, MmapColumnStore):
             return relation.copy()
+        if not isinstance(relation, ColumnStore):
+            return cls.from_validated_rows(
+                relation.schema, relation, spill_dir=spill_dir, chunk_rows=chunk_rows
+            )
         store = cls(relation.schema, spill_dir=spill_dir, chunk_rows=chunk_rows)
-        if isinstance(relation, ColumnStore):
-            store._adopt_columnar(relation)
-            return store
-        store._ingest(relation, coerce=False)
+        store._adopt_columnar(relation)
         return store
 
     def _adopt_columnar(self, source: ColumnStore) -> None:
@@ -548,6 +535,7 @@ class MmapColumnStore(ColumnStore):
             max(1, int(chunk_rows)) if chunk_rows else DEFAULT_CHUNK_ROWS
         )
         store._finalizer = None
+        store._buffers = [array("i") for _ in range(width)]
         store._codes = [
             _map_codes(store._column_path(position), length)
             for position in range(width)

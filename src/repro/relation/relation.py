@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Mapping as MappingABC
+from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -30,6 +31,10 @@ from repro.errors import SchemaError
 from repro.relation.schema import Schema
 
 Row = Tuple[Any, ...]
+
+#: Rows :meth:`Relation.extend` validates and stores per step: small enough
+#: to keep one in-flight block cheap, large enough to amortise each step.
+INGEST_BLOCK_ROWS = 1_024
 
 
 class _RowView(MappingABC):
@@ -85,8 +90,7 @@ class Relation:
         self._rows: List[Row] = []
         self._version = 0
         if rows is not None:
-            for row in rows:
-                self.insert(row)
+            self.extend(rows)
 
     # ------------------------------------------------------------------ basics
     @property
@@ -132,14 +136,42 @@ class Relation:
     # ------------------------------------------------------------------ mutation
     def insert(self, row: Union[Row, Sequence[Any], Mapping[str, Any]]) -> int:
         """Insert a row given positionally or as a mapping; return its index."""
-        self._rows.append(self._coerce(row))
-        self._version += 1
-        return len(self._rows) - 1
+        self.extend((row,))
+        return len(self) - 1
 
     def extend(self, rows: Iterable[Union[Row, Mapping[str, Any]]]) -> None:
-        """Insert several rows."""
-        for row in rows:
-            self.insert(row)
+        """Insert several rows, validated and stored a block at a time.
+
+        As with row-by-row inserts, the version goes up by one per row and a
+        bad row raises the same error after every row before it is stored.
+        A positional tuple of the right width needs no other check unless
+        the schema has a finite domain; every other row goes through
+        :meth:`_coerce`.
+        """
+        width = len(self._schema)
+        trusted = not any(attribute.has_finite_domain for attribute in self._schema)
+        iterator = iter(rows)
+        while True:
+            block: List[Row] = []
+            error: Optional[Exception] = None
+            try:
+                for row in islice(iterator, INGEST_BLOCK_ROWS):
+                    if not (trusted and type(row) is tuple and len(row) == width):
+                        row = self._coerce(row)
+                    block.append(row)
+            except Exception as exc:  # a bad row or a failing source
+                error = exc
+            if block:
+                self._extend_validated(block)
+                self._version += len(block)
+            if error is not None:
+                raise error
+            if len(block) < INGEST_BLOCK_ROWS:
+                return
+
+    def _extend_validated(self, block: List[Row]) -> None:
+        """Store a block of validated rows: the one storage hook of ingestion."""
+        self._rows.extend(block)
 
     def update(self, index: int, attribute: str, value: Any) -> None:
         """Set ``attribute`` of the row at ``index`` to ``value`` in place."""
@@ -164,7 +196,7 @@ class Relation:
         return row
 
     def _coerce(self, row: Union[Row, Sequence[Any], Mapping[str, Any]]) -> Row:
-        if isinstance(row, Mapping):
+        if isinstance(row, MappingABC):
             missing = [name for name in self._schema.names if name not in row]
             if missing:
                 raise SchemaError(f"row is missing attributes {missing} for schema {self._schema.name!r}")
@@ -267,9 +299,10 @@ class Relation:
     def from_validated_rows(cls, schema: Schema, rows: Iterable[Row]) -> Relation:
         """Build a relation from positional rows already validated for ``schema``.
 
-        Skips the per-row coercion of :meth:`insert` — the fast path for
-        moving tuples between same-schema relations (copying, projection,
-        sharding), where re-validating every cell is pure overhead.  Rows
+        For moving tuples between same-schema relations (copying, sharding).
+        Ingestion need not use it for speed: for a schema without finite
+        domains, :meth:`extend` costs one type and width test per positional
+        tuple.  Rows
         from untrusted sources belong in :meth:`insert`/:meth:`extend`.
         """
         relation = cls(schema)
@@ -297,42 +330,25 @@ class Relation:
     def from_csv(cls, schema: Schema, path: Union[str, Path]) -> Relation:
         """Load a relation from a CSV file whose header matches ``schema``.
 
-        Cells are parsed through the schema's attribute types and checked
-        against any finite domains, then the whole file is adopted through
-        the :meth:`from_validated_rows` fast path — re-validating every cell
-        a second time through :meth:`insert` is pure overhead once
-        :meth:`~repro.relation.attribute.Attribute.parse` has run.
+        Cells are parsed through the schema's attribute types, then
+        :meth:`extend` checks the row widths and any finite domains.
         """
         attributes = schema.attributes
-        width = len(attributes)
-        finite = [
-            (position, attribute)
-            for position, attribute in enumerate(attributes)
-            if attribute.has_finite_domain
-        ]
-        rows: List[Row] = []
+        relation = cls(schema)
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header is None:
-                return cls(schema)
-            if tuple(header) != schema.names:
+            if header is not None and tuple(header) != schema.names:
                 raise SchemaError(
                     f"CSV header {tuple(header)} does not match schema attributes {schema.names}"
                 )
-            for cells in reader:
-                parsed = tuple(
+            relation.extend(
+                tuple(
                     attribute.parse(cell) for attribute, cell in zip(attributes, cells)
                 )
-                if len(parsed) != width:
-                    raise SchemaError(
-                        f"row has {len(parsed)} values but schema {schema.name!r} "
-                        f"has {width} attributes"
-                    )
-                for position, attribute in finite:
-                    attribute.check(parsed[position])
-                rows.append(parsed)
-        return cls.from_validated_rows(schema, rows)
+                for cells in reader
+            )
+        return relation
 
     @classmethod
     def from_dicts(cls, schema: Schema, rows: Iterable[Mapping[str, Any]]) -> Relation:

@@ -4,13 +4,12 @@ The repair loop is a fixpoint that re-checks satisfaction after every pass.
 The seed implementation re-ran the pure-Python scan oracle from scratch each
 time — ``O(passes x |Σ| x |I| x TABSZ)`` — while a repair pass only changes a
 handful of cells.  The incremental engine (``repro.repair.incremental``)
-ingests the relation once into the PR 1 partition indexes and maintains the
+ingests the relation once into partition indexes and maintains the
 violation state under each cell change, touching only the changed tuple's old
 and new equivalence classes of the patterns that mention the changed
-attribute; the ``indexed`` engine sits in between (full re-detection per
-check, but over freshly built partition maps).  See ``docs/repair.md``.
+attribute.  See ``docs/repair.md``.
 
-This ablation times all three engines on the paper's tax-records workload
+This ablation times both engines on the paper's tax-records workload
 (Section 5 knobs: 10K tuples, 5% noise, the ``[ZIP] → [ST]`` constraint) and
 asserts the headline claims outright: the incremental engine beats the
 scan-driven loop, and every engine reaches the *identical* repaired relation
@@ -58,17 +57,6 @@ def test_incremental_repair_tax(benchmark, tax_workload):
         lambda: repair(
             tax_workload.relation, tax_workload.cfds,
             check_consistency=False, method="incremental",
-        ),
-        rounds=3, iterations=1,
-    )
-
-
-@pytest.mark.benchmark(group="ablation-repair-tax")
-def test_indexed_repair_tax(benchmark, tax_workload):
-    benchmark.pedantic(
-        lambda: repair(
-            tax_workload.relation, tax_workload.cfds,
-            check_consistency=False, method="indexed",
         ),
         rounds=3, iterations=1,
     )

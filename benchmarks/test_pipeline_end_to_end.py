@@ -8,7 +8,7 @@ constraint:
 * the cleaned relation is violation-free under the *oracle* backend (the
   reference semantics vouch for the result, whatever backends did the work);
 * the cleaned relation is byte-identical whether the repair loop is driven
-  by ``indexed``, ``incremental`` or ``auto`` (which must resolve to
+  by ``scan``, ``incremental`` or ``auto`` (which must resolve to
   ``incremental`` at this size);
 * the full pipeline is timed so end-to-end cleaning throughput lands in the
   perf trajectory next to the per-stage series.
@@ -63,7 +63,7 @@ def test_cleaner_output_is_oracle_clean_and_method_independent(tax_workload):
     assert select_repair_method(tax_workload.relation, tax_workload.cfds) == "incremental"
     results = {
         method: _clean_with(tax_workload, method)
-        for method in ("indexed", "incremental", "auto")
+        for method in ("scan", "incremental", "auto")
     }
     baseline = results["incremental"]
     # The oracle backend vouches the cleaned relation is violation-free.

@@ -449,7 +449,7 @@ def check_parallel_hazards(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             ),
             check="parallel-hazards",
             cfd=name,
-            hint="such a rule serialises the sharded engine; prefer "
-            'method="indexed"/"incremental" for this rule set',
+            hint="such a rule serialises the sharded engine; prefer detection "
+            'method="indexed" and repair method="incremental" for this rule set',
             witness={"pattern_row": row_index},
         )

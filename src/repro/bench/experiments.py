@@ -290,14 +290,14 @@ def repair_ablation(
     tabsz: int = 200,
     verbose: bool = False,
 ) -> List[Dict[str, Any]]:
-    """Incremental vs indexed vs scan-driven repair over the SZ sweep.
+    """Incremental vs scan-driven repair over the SZ sweep.
 
     Section 6 makes repair the expensive half of the pipeline; this ablation
     quantifies what delta-maintained violation state buys the repair loop
-    against full re-detection per pass (both the scan oracle — the seed
-    behaviour — and a from-scratch partition-index rebuild).  The workload is
-    the ``[ZIP] → [ST]`` constraint of the NOISE experiment (Figure 9(f))
-    with a ``tabsz``-pattern sample so the scan series stays tolerable.
+    against full re-detection per pass through the scan oracle (the seed
+    behaviour).  The workload is the ``[ZIP] → [ST]`` constraint of the NOISE
+    experiment (Figure 9(f)) with a ``tabsz``-pattern sample so the scan
+    series stays tolerable.
     Every method must reach the identical repaired relation — checked
     outright, the same way ``backend_ablation`` cross-checks detection.
     """
@@ -313,22 +313,16 @@ def repair_ablation(
             num_consts=1.0,
         )
         incremental_seconds, incremental_result = time_repair(workload, "incremental")
-        indexed_seconds, indexed_result = time_repair(workload, "indexed")
         scan_seconds, scan_result = time_repair(workload, "scan")
-        if not (
-            incremental_result.relation == scan_result.relation
-            and indexed_result.relation == scan_result.relation
-        ):
+        if incremental_result.relation != scan_result.relation:
             raise AssertionError(
                 f"repair engines disagree on SZ={size}: "
-                f"{incremental_result.summary()} vs {indexed_result.summary()} "
-                f"vs {scan_result.summary()}"
+                f"{incremental_result.summary()} vs {scan_result.summary()}"
             )
         rows.append(
             {
                 "SZ": size,
                 "incremental_seconds": incremental_seconds,
-                "indexed_seconds": indexed_seconds,
                 "scan_seconds": scan_seconds,
                 "changes": len(incremental_result.changes),
                 "passes": incremental_result.passes,
@@ -339,7 +333,7 @@ def repair_ablation(
                 ),
             }
         )
-    return _emit(rows, "Ablation: incremental vs indexed vs scan repair", verbose)
+    return _emit(rows, "Ablation: incremental vs scan repair", verbose)
 
 
 # ---------------------------------------------------------------------------

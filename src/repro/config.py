@@ -397,10 +397,10 @@ class RepairConfig:
     Parameters
     ----------
     method:
-        Name of a registered repair engine (``"scan"``, ``"indexed"``,
-        ``"incremental"``, or anything registered via
+        Name of a registered repair engine (``"scan"``, ``"incremental"``,
+        ``"parallel"``, or anything registered via
         :func:`repro.registry.register_repairer`), or ``"auto"`` (default) to
-        let the registry pick from the relation size and CFD count.  Every
+        let the registry pick from the relation size.  Every
         engine produces the identical repair; they differ only in speed.
     max_passes:
         Budget of detect-fix passes before the loop gives up.

@@ -68,11 +68,11 @@ class PartitionIndex:
     2
     """
 
-    __slots__ = ("_attributes", "_positions", "_groups", "_next_index", "_tuple_count")
+    __slots__ = ("_attributes", "_groups", "_next_index", "_tuple_count")
 
     def __init__(self, schema: Schema, attributes: Sequence[str]) -> None:
         self._attributes: Tuple[str, ...] = tuple(attributes)
-        self._positions: Tuple[int, ...] = schema.positions(self._attributes)
+        schema.positions(self._attributes)  # rejects unknown attributes up front
         self._groups: Dict[Row, List[int]] = {}
         self._next_index = 0
         self._tuple_count = 0
@@ -121,41 +121,6 @@ class PartitionIndex:
         self._tuple_count += max(0, stop - start)
         self._next_index = stop
         return stop
-
-    def reindex_tuple(self, tuple_index: int, old_row: Row, new_row: Row) -> bool:
-        """Move one tuple between partitions after a cell change (in place).
-
-        ``old_row`` is the tuple's full positional row *before* the change and
-        ``new_row`` the row after it.  When the change does not touch this
-        index's attributes the call is a no-op (returns ``False``); otherwise
-        the tuple's index is removed from its old equivalence class (dropping
-        the class when it empties) and inserted into the new one, keeping each
-        class sorted in ascending tuple-index order — the order ingestion
-        produces and detection reports.  This is the hook that lets the repair
-        engine maintain indexes across cell modifications instead of
-        rebuilding them (:mod:`repro.repair.incremental`).
-        """
-        positions = self._positions
-        old_key = tuple(old_row[position] for position in positions)
-        new_key = tuple(new_row[position] for position in positions)
-        if old_key == new_key:
-            return False
-        group = self._groups.get(old_key)
-        slot = bisect_left(group, tuple_index) if group is not None else 0
-        if group is None or slot >= len(group) or group[slot] != tuple_index:
-            raise DetectionError(
-                f"tuple {tuple_index} is not in the partition of {old_key!r}; "
-                "reindex_tuple must be given the row exactly as it was ingested"
-            )
-        group.pop(slot)
-        if not group:
-            del self._groups[old_key]
-        target = self._groups.get(new_key)
-        if target is None:
-            self._groups[new_key] = [tuple_index]
-        else:
-            insort(target, tuple_index)
-        return True
 
     # ------------------------------------------------------------------ basics
     @property
@@ -245,9 +210,8 @@ class PartitionIndexCache:
     attribute tuple; the cache builds each on first use and serves repeats —
     including across separate :meth:`~repro.detection.indexed.IndexedDetector.detect`
     calls — from memory.  The cache assumes the relation does not change while
-    it is alive; after mutating the relation either call :meth:`clear` (drop
-    everything) or :meth:`apply_update` (delta-maintain the cached indexes in
-    place, the repair engine's path).
+    it is alive; after mutating the relation call :meth:`clear` to drop
+    everything.
 
     Indexes are built over :attr:`store`: the relation itself when it is a
     :class:`~repro.relation.columnar.ColumnStore`, else an encoded copy made
@@ -266,7 +230,7 @@ class PartitionIndexCache:
         self._expected_version = relation.version
 
     def _check_synchronized(self) -> None:
-        """Raise when the relation mutated outside :meth:`apply_update`.
+        """Raise when the relation mutated since the cache last synchronised.
 
         Inserts and deletes shift or extend the tuple-index space, and raw
         updates move tuples between equivalence classes behind the cached
@@ -277,8 +241,8 @@ class PartitionIndexCache:
             raise DetectionError(
                 "the relation was mutated while partition indexes were live "
                 f"(version {self._relation.version}, indexes built at "
-                f"{self._expected_version}); route cell updates through "
-                "apply_update, or call clear() to rebuild from scratch"
+                f"{self._expected_version}); call clear() to rebuild from "
+                "scratch"
             )
 
     # ------------------------------------------------------------------ access
@@ -287,7 +251,7 @@ class PartitionIndexCache:
 
         Raises :class:`~repro.errors.DetectionError` when the relation was
         mutated since the cache last synchronised with it (see
-        :meth:`apply_update` / :meth:`clear`).
+        :meth:`clear`).
         """
         self._check_synchronized()
         key = tuple(attributes)
@@ -342,41 +306,6 @@ class PartitionIndexCache:
             self._store = _encoded(self._relation)
         self._expected_version = self._relation.version
 
-    def apply_update(self, tuple_index: int, attribute: str, old_row: Row) -> int:
-        """Delta-maintain the cached indexes after one cell of the relation changed.
-
-        Call *after* ``relation.update(tuple_index, attribute, ...)``, passing
-        the row as it was *before* the change.  Only the indexes whose
-        attribute tuple mentions ``attribute`` are touched (the others cannot
-        be affected by the change); each moves the tuple between its
-        equivalence classes via :meth:`PartitionIndex.reindex_tuple` instead
-        of being rebuilt — on a :class:`~repro.relation.columnar.ColumnStore`
-        the cell change itself was a single code swap.  Returns the number of
-        indexes updated.
-
-        This is the *only* sanctioned mutation path while indexes are live:
-        it must follow exactly one ``update`` call (anything else — a second
-        update, an insert, a delete — raises instead of maintaining a lie).
-        """
-        if self._relation.version != self._expected_version + 1:
-            raise DetectionError(
-                "apply_update must follow exactly one relation.update call "
-                f"(relation version {self._relation.version}, cache expected "
-                f"{self._expected_version + 1}); for inserts, deletes or "
-                "batched updates rebuild via clear()"
-            )
-        self._expected_version = self._relation.version
-        new_row = self._relation[tuple_index]
-        if self._store is not self._relation:
-            position = self._relation.schema.position(attribute)
-            self._store.update(tuple_index, attribute, new_row[position])
-        updated = 0
-        for attributes, index in self._indexes.items():
-            if attribute in attributes:
-                index.reindex_tuple(tuple_index, old_row, new_row)
-                updated += 1
-        return updated
-
     # ------------------------------------------------------------------ introspection
     @property
     def relation(self) -> Relation:
@@ -423,8 +352,8 @@ def _encoded(relation: Relation) -> ColumnStore:
 class CodePartitionIndex:
     """An array-backed partition map over a :class:`ColumnStore`'s code columns.
 
-    The repair engine's batched counterpart of :class:`PartitionIndex`: where
-    the dict index materialises one python list per equivalence class (10K+
+    The repair engine's counterpart of :class:`PartitionIndex`: where the
+    dict index materialises one python list per equivalence class (10K+
     list allocations on a 50K relation, the dominant cost of building a
     :class:`~repro.repair.incremental.RepairState`), this one keeps the whole
     partition in three arrays — a stable sort order over a fused composite
@@ -439,11 +368,10 @@ class CodePartitionIndex:
     order), members ascending within each class — exactly the flat form the
     kernels' ``partition_classes``/``evaluate_classes`` primitives speak.
 
-    Only ever constructed when the active kernel advertises
-    ``fused_repair_scan`` (numpy is importable then); construction raises
-    :class:`~repro.errors.DetectionError` in the astronomical case where the
-    composite key cannot fit ``int64``, and the repair state falls back to
-    the dict-indexed path.
+    Only ever constructed under the numpy kernel (numpy is importable then);
+    construction raises :class:`~repro.errors.DetectionError` in the
+    astronomical case where the composite key cannot fit ``int64``, and the
+    repair state takes :class:`PyCodePartitionIndex` for that LHS instead.
     """
 
     #: Dictionary-growth headroom baked into the composite strides: repairs
@@ -492,8 +420,8 @@ class CodePartitionIndex:
             if stride > (2**62) // capacity:
                 raise DetectionError(
                     "composite partition key over "
-                    f"{self._attributes} would overflow int64; use the "
-                    "dict-backed PartitionIndex instead"
+                    f"{self._attributes} would overflow int64; use "
+                    "PyCodePartitionIndex instead"
                 )
             stride *= capacity
         self._capacities = tuple(reversed(capacities))
@@ -660,4 +588,129 @@ class CodePartitionIndex:
         return (
             f"CodePartitionIndex({list(self._attributes)}, "
             f"{self.class_count} classes over {len(self._store)} tuples)"
+        )
+
+
+class PyCodePartitionIndex:
+    """The pure-python twin of :class:`CodePartitionIndex`.
+
+    Same methods, same ordering contract (classes ascending by code-key
+    tuple, members ascending), so :class:`~repro.repair.incremental.RepairState`
+    runs one algorithm over either.  The partition is a dict from code key to
+    its ascending member list (one ``group_codes`` pass) plus the sorted key
+    list; python ints never overflow, so there is no composite key and no
+    headroom to outgrow.  It
+    serves the python kernel, and any LHS whose composite key would not fit
+    ``int64`` under the numpy kernel.
+    """
+
+    __slots__ = ("_attributes", "_columns", "_groups", "_keys", "_row_keys", "_flat")
+
+    def __init__(self, store: ColumnStore, attributes: Sequence[str]) -> None:
+        from repro.kernels.python_kernels import PYTHON_KERNEL
+
+        self._attributes: Tuple[str, ...] = tuple(attributes)
+        self._columns = store.project_codes(self._attributes)
+        length = len(store)
+        if self._columns:
+            sizes = [store.dictionary_size(attr) for attr in self._attributes]
+            groups = dict(PYTHON_KERNEL.group_codes(self._columns, 0, length, sizes))
+        else:
+            groups = {(): list(range(length))} if length else {}
+        self._groups: Dict[Tuple[int, ...], List[int]] = groups
+        self._keys: List[Tuple[int, ...]] = sorted(groups)
+        row_keys: List[Tuple[int, ...]] = [()] * length
+        for key, members in groups.items():
+            for member in members:
+                row_keys[member] = key
+        self._row_keys = row_keys
+        #: The flat ``(order, offsets)`` form, built on demand until a move.
+        self._flat: Optional[Tuple[List[int], List[int]]] = None
+
+    # ------------------------------------------------------------------ queries
+    @property
+    def attributes(self) -> Tuple[str, ...]:
+        return self._attributes
+
+    @property
+    def class_count(self) -> int:
+        return len(self._keys)
+
+    def class_table(self) -> Tuple[List[int], List[int]]:
+        """``(order, offsets)`` over every class, the kernels' flat form."""
+        if self._flat is None:
+            self._flat = self.gather(range(len(self._keys)))
+        return self._flat
+
+    def members_at(self, position: int) -> List[int]:
+        """The member tuple indices of class ``position``, ascending."""
+        return list(self._groups[self._keys[position]])
+
+    def key_codes_at(self, position: int) -> Tuple[int, ...]:
+        """The code-key tuple of class ``position``."""
+        return self._keys[position]
+
+    def find(self, key_codes: Sequence[Optional[int]]) -> int:
+        """The class position of a code key, or ``-1`` when no row holds it."""
+        key = tuple(key_codes)
+        if key not in self._groups:
+            return -1
+        return bisect_left(self._keys, key)
+
+    def matching_positions(self, constants: Sequence[Tuple[int, int]]) -> List[int]:
+        """Class positions whose key honours ``(attribute offset, code)`` pins."""
+        pins = dict(constants)
+        width = len(self._attributes)
+        if len(constants) == len(pins) == width:
+            # Every attribute pinned: one lookup instead of a scan over keys.
+            position = self.find(tuple(pins[offset] for offset in range(width)))
+            return [position] if position >= 0 else []
+        return [
+            position
+            for position, key in enumerate(self._keys)
+            if all(key[offset] == code for offset, code in constants)
+        ]
+
+    def gather(self, positions: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """``(indices, offsets)`` concatenating the given classes' members."""
+        indices: List[int] = []
+        offsets: List[int] = []
+        for position in positions:
+            offsets.append(len(indices))
+            indices.extend(self._groups[self._keys[position]])
+        return indices, offsets
+
+    # ------------------------------------------------------------------ the delta
+    def apply_moves(self, tuple_indices: Iterable[int]) -> None:
+        """Re-place a batch of tuples after their cells changed.
+
+        Call after the store's cells were updated in place.  Each tuple whose
+        code key changed leaves its old class (dropping the class when it
+        empties) and joins its new one, keeping members and keys sorted.
+        """
+        groups = self._groups
+        keys = self._keys
+        for tuple_index in sorted(set(tuple_indices)):
+            old_key = self._row_keys[tuple_index]
+            new_key = tuple(column[tuple_index] for column in self._columns)
+            if new_key == old_key:
+                continue
+            self._flat = None
+            self._row_keys[tuple_index] = new_key
+            members = groups[old_key]
+            members.pop(bisect_left(members, tuple_index))
+            if not members:
+                del groups[old_key]
+                keys.pop(bisect_left(keys, old_key))
+            target = groups.get(new_key)
+            if target is None:
+                groups[new_key] = [tuple_index]
+                insort(keys, new_key)
+            else:
+                insort(target, tuple_index)
+
+    def __repr__(self) -> str:
+        return (
+            f"PyCodePartitionIndex({list(self._attributes)}, "
+            f"{self.class_count} classes over {len(self._row_keys)} tuples)"
         )

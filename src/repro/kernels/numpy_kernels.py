@@ -134,12 +134,6 @@ class NumpyKernel:
     #: wildcard pattern it beats building a partition index first.
     fused_variable_scan = True
 
-    #: The repair-side batch primitives run as one gather + ``reduceat``
-    #: pass over all dirty classes at once, so the incremental repair state
-    #: should drive its fixpoint through them (and through the array-backed
-    #: partition index) instead of the per-class dict walk.
-    fused_repair_scan = True
-
     def group_codes(
         self,
         columns: Sequence[CodeColumn],

@@ -46,14 +46,6 @@ class PythonKernel:
     #: disagreement reduction set this to ``True``.
     fused_variable_scan = False
 
-    #: Whether the repair-side batch primitives (:meth:`partition_classes`,
-    #: :meth:`evaluate_classes`) beat the per-class dict walk of the
-    #: incremental repair state.  For the reference kernel they do not (they
-    #: *are* that walk, re-expressed), so :class:`RepairState` keeps its
-    #: dict-backed partition indexes; array kernels that turn the walk into
-    #: one gather + ``reduceat`` pass set this to ``True``.
-    fused_repair_scan = False
-
     def group_codes(
         self,
         columns: Sequence[CodeColumn],

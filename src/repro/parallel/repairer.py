@@ -146,11 +146,10 @@ class ParallelRepairEngine:
         The storage and kernel choices ride along, so a pinned kernel is
         honoured inside each worker process.
 
-        Because each worker runs the stock incremental engine on a columnar
-        shard, it adopts the *batched* fixpoint automatically whenever the
-        active kernel advertises ``fused_repair_scan`` — the per-shard
-        re-evaluation, partition-delta and candidate-pricing hot loops all go
-        through the fused kernels with no parallel-specific wiring here.
+        Each worker runs the stock incremental engine on a columnar shard, so
+        the per-shard re-evaluation, partition-delta and candidate-pricing
+        hot loops go through the configured kernel with no
+        parallel-specific wiring here.
         """
         return RepairConfig(
             method="incremental",

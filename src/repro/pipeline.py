@@ -84,7 +84,9 @@ class CleaningResult:
     rounds: int = 0
     #: Wall-clock seconds per stage: ingest, detect, repair, verify.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Backend names the registry resolved, e.g. ``{"detect": "indexed", ...}``.
+    #: Backend names the registry resolved, e.g. ``{"detect": "indexed", ...}``;
+    #: ``"kernel"`` is the detection stage's kernel, ``"repair_kernel"`` the
+    #: repair stage's.
     backends: Dict[str, str] = field(default_factory=dict)
     #: Human-readable description of the ingested source.
     source: str = ""
@@ -328,6 +330,7 @@ class Cleaner:
             "verify": self.verify_method,
             "storage": storage_name,
             "kernel": resolve_kernel_name(self.detection.effective_kernel),
+            "repair_kernel": resolve_kernel_name(self.repair.effective_kernel),
         }
 
         start = time.perf_counter()

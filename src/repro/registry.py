@@ -52,10 +52,8 @@ _DETECTORS: Dict[str, Callable] = {}
 _REPAIRERS: Dict[str, Callable] = {}
 _ANALYSIS_CHECKS: Dict[str, Callable] = {}
 
-#: Workload size (rows x pattern tuples) below which full re-scans win.
-#: Detection: the in-memory oracle beats building partition maps on tiny
-#: inputs.  Repair: rebuilding indexes per pass is fine on tiny inputs, the
-#: delta-maintained state only pays off once the product grows past this.
+#: Detection workload size (rows x pattern tuples) below which the in-memory
+#: oracle's full scans beat building partition maps.
 AUTO_CELL_THRESHOLD = 50_000
 
 def _parallel_threshold_from_env(default: int = 150_000) -> int:
@@ -90,7 +88,7 @@ COLUMNAR_DETECTORS = frozenset({"indexed", "parallel"})
 
 #: Built-in repair engines whose detection layer is columnar-capable.  The
 #: scan engine is the row-semantics correctness baseline and stays on rows.
-COLUMNAR_REPAIRERS = frozenset({"indexed", "incremental", "parallel"})
+COLUMNAR_REPAIRERS = frozenset({"incremental", "parallel"})
 
 
 def apply_storage(
@@ -310,16 +308,13 @@ def select_detection_method(relation: Relation, cfds: Sequence[CFD]) -> str:
 def select_repair_method(relation: Relation, cfds: Sequence[CFD]) -> str:
     """The engine ``method="auto"`` resolves to for this repair workload.
 
-    Small products re-detect from scratch cheaply (over partition indexes);
-    large ones amortise the one-off ingest of the delta-maintained
-    incremental state across passes; past
+    The delta-maintained incremental state is at least as fast as full
+    re-detection even on tiny inputs; past
     :data:`PARALLEL_AUTO_ROW_THRESHOLD` rows whole equivalence classes are
     repaired concurrently in a process pool.
     """
     if len(relation) > PARALLEL_AUTO_ROW_THRESHOLD:
         return "parallel"
-    if _workload_cells(relation, cfds) <= AUTO_CELL_THRESHOLD:
-        return "indexed"
     return "incremental"
 
 

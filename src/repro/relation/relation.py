@@ -106,8 +106,8 @@ class Relation:
         incremental repair state) snapshot this counter and refuse to serve
         reads once it moves without them — a deleted or inserted tuple shifts
         or extends the index space, so a stale index would silently return
-        wrong answers.  See :meth:`repro.detection.partition_index.PartitionIndexCache.apply_update`
-        for the sanctioned way to mutate under a live index.
+        wrong answers.  See :meth:`repro.repair.incremental.RepairState.apply_changes`
+        for the sanctioned way to mutate under a live repair state.
         """
         return self._version
 

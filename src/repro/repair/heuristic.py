@@ -25,8 +25,6 @@ re-checked is pluggable (``method``):
   change via :class:`repro.repair.incremental.RepairState` — the relation is
   ingested once into partition indexes and every pass reads the maintained
   report, so a pass costs work proportional to the cells it changed;
-* ``"indexed"`` re-runs the partition-indexed detector from scratch on every
-  check (full re-detection, but over indexes);
 * ``"scan"`` re-runs the pure-Python scan oracle from scratch on every check —
   the seed behaviour, kept as the correctness baseline;
 * ``"parallel"`` (registered by :mod:`repro.parallel.repairer`) is
@@ -35,7 +33,7 @@ re-checked is pluggable (``method``):
   whole fixpoint to it — it shards the relation by LHS equivalence classes
   and runs the incremental engine per shard in a process pool.
 
-All three methods feed the greedy policy the same violations in the same
+Every method feeds the greedy policy the same violations in the same
 canonical order (:func:`repro.repair.incremental.canonical_order`), so they
 produce *identical* repairs; ``benchmarks/test_ablation_repair_incremental.py``
 asserts both the agreement and the speedup.  The heuristic does not guarantee
@@ -54,7 +52,6 @@ from repro.config import RepairConfig
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
 from repro.core.violations import ConstantViolation, VariableViolation, ViolationReport
-from repro.detection.indexed import find_violations_indexed
 from repro.errors import ConfigError, InconsistentCFDsError, RegistryError, RepairError
 from repro.kernels import active_kernel, use_kernel
 from repro.reasoning.consistency import is_consistent
@@ -67,7 +64,7 @@ from repro.repair.incremental import RepairState, canonical_order
 #: The built-in engines (the ``"auto"`` selector is not an engine).  Kept
 #: for backward compatibility; the authoritative list is
 #: ``repro.registry.repairer_names()``.
-REPAIR_METHODS = ("scan", "indexed", "incremental")
+REPAIR_METHODS = ("scan", "incremental")
 
 
 @dataclass(frozen=True)
@@ -136,24 +133,6 @@ class _ScanEngine:
         self.relation.update(tuple_index, attribute, new_value)
 
 
-class _IndexedEngine:
-    """Full re-detection through the partition-index backend, rebuilt per check."""
-
-    def __init__(self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig) -> None:
-        self.relation = relation
-        self._cfds = cfds
-
-    def report(self) -> ViolationReport:
-        # The relation mutates between checks, so each detection starts from
-        # a fresh cache — that full rebuild is exactly what the incremental
-        # engine avoids.
-        report = find_violations_indexed(self.relation, self._cfds)
-        return ViolationReport(canonical_order(report, self._cfds))
-
-    def update(self, tuple_index: int, attribute: str, new_value: Any) -> None:
-        self.relation.update(tuple_index, attribute, new_value)
-
-
 class _IncrementalEngine:
     """Delta-maintained violation state (:class:`RepairState`)."""
 
@@ -170,15 +149,14 @@ class _IncrementalEngine:
     def update_many(self, changes: Sequence[Tuple[int, str, Any]]) -> None:
         """Apply one violation's cell changes as a single delta batch.
 
-        On the batched repair path this is where the per-violation fan-out
-        collapses: the state re-evaluates each dirty (pattern, class) pair
+        This is where the per-violation fan-out collapses: the state
+        re-evaluates each dirty (pattern, class) pair
         once per *batch* instead of once per cell.
         """
         self._state.apply_changes(changes)
 
 
 register_repairer("scan")(_ScanEngine)
-register_repairer("indexed")(_IndexedEngine)
 register_repairer("incremental")(_IncrementalEngine)
 
 

@@ -14,37 +14,30 @@ only affect
 
 :class:`RepairState` exploits exactly that.  It computes over the dictionary
 codes of a :class:`~repro.relation.columnar.ColumnStore` (a plain relation
-is encoded once on entry), through one of two index structures picked at
-construction:
+is encoded once on entry) with one batched algorithm: one partition index
+per distinct LHS, and the *entire dirty class set* of a change batch
+resolved with one ``evaluate_classes`` kernel call per pattern — gather the
+affected members, reduce, materialise only what reports.  The only thing
+the kernel chooses is the index behind each LHS: the array-backed
+:class:`~repro.detection.partition_index.CodePartitionIndex` under numpy,
+its pure-python twin
+:class:`~repro.detection.partition_index.PyCodePartitionIndex` otherwise
+(and for an LHS whose composite key would overflow ``int64``).  The two
+share one ordering contract, so every kernel produces byte-identical
+reports.
 
-* the **dict path** (the python kernel, or a composite key too wide for
-  ``int64``) keeps the dict-backed
-  :class:`~repro.detection.partition_index.PartitionIndex` maps, moves a
-  changed tuple between equivalence classes
-  (:meth:`PartitionIndex.reindex_tuple`) and re-evaluates each dirty class
-  with the kernel's ``Q^C``/``Q^V`` code checks;
-* the **batched path** (a kernel advertising ``fused_repair_scan``) keeps
-  the array-backed
-  :class:`~repro.detection.partition_index.CodePartitionIndex` and resolves
-  the *entire dirty class set* of a change batch with one
-  ``evaluate_classes`` kernel call per pattern — gather the affected members
-  into one array, reduce, materialise only what reports.
-
-Both paths apply a change batch the same way
-(:meth:`RepairState.apply_changes`) and produce byte-identical reports: the
-python reference kernel defines the semantics, and evaluating every dirtied
-class once at the post-batch state yields exactly what change-by-change
-re-evaluation yields (a later change that could alter a class's verdict
-necessarily re-dirties that class).  Reports are emitted in the *canonical
-order* — the order the scan oracle produces — so the greedy repair
-heuristic makes identical decisions no matter which detection engine (or
-mode) feeds it.  See ``docs/repair.md`` for the complexity analysis.
+Evaluating every dirtied class once at the post-batch state yields exactly
+what change-by-change re-evaluation yields (a later change that could alter
+a class's verdict necessarily re-dirties that class).  Reports are emitted
+in the *canonical order* — the order the scan oracle produces — so the
+greedy repair heuristic makes identical decisions no matter which detection
+engine feeds it.  See ``docs/repair.md`` for the complexity analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternValue
@@ -55,7 +48,7 @@ from repro.core.violations import (
     ViolationReport,
 )
 from repro.detection.indexed import constant_code_violations
-from repro.detection.partition_index import CodePartitionIndex, PartitionIndexCache
+from repro.detection.partition_index import CodePartitionIndex, PyCodePartitionIndex
 from repro.errors import DetectionError
 from repro.kernels import active_kernel
 from repro.relation.columnar import ColumnStore
@@ -147,6 +140,19 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
     return specs
 
 
+_ClassIndex = Union[CodePartitionIndex, PyCodePartitionIndex]
+
+
+def _class_index(store: ColumnStore, attributes: Tuple[str, ...]) -> _ClassIndex:
+    """The partition index behind one LHS for the active kernel."""
+    if active_kernel().name == "numpy":
+        try:
+            return CodePartitionIndex(store, attributes)
+        except DetectionError:
+            pass  # the composite key would overflow int64
+    return PyCodePartitionIndex(store, attributes)
+
+
 # ---------------------------------------------------------------------------
 # the incremental engine
 # ---------------------------------------------------------------------------
@@ -159,7 +165,7 @@ class RepairState:
     detection backend would.  From then on :meth:`apply_change` /
     :meth:`apply_changes` keep both the indexes and the per-partition
     violation store correct in time proportional to the *touched* partitions,
-    not the relation (see the module docstring for the two execution modes).
+    not the relation (see the module docstring).
 
     The state owns ``relation`` operationally: every mutation must flow
     through :meth:`apply_change` or :meth:`apply_changes`, or the maintained
@@ -191,13 +197,6 @@ class RepairState:
             for attr in dict.fromkeys(spec.lhs_free + spec.rhs_free):
                 self._specs_by_attr.setdefault(attr, []).append(spec)
 
-        distinct_lhs = {spec.lhs_free for spec in self._specs}
-        # A cache narrower than the distinct LHS sets would evict live
-        # indexes and stale the store.
-        self._cache = PartitionIndexCache(
-            self._encoded, maxsize=max(32, len(distinct_lhs))
-        )
-
         # spec_id -> partition key -> violations of that pattern in that class.
         self._store: List[Dict[Tuple[Any, ...], List[Violation]]] = [
             {} for _ in self._specs
@@ -206,39 +205,14 @@ class RepairState:
         # _const_checks.
         self._const_cache: Dict[int, Tuple[Tuple[int, ...], List[Tuple[str, Any, Optional[int], Any]]]] = {}
 
-        # The batched path needs a kernel whose batch primitives actually win
-        # (fused_repair_scan); the python reference kernel takes the
-        # dict-indexed path.
-        self._batched = bool(getattr(active_kernel(), "fused_repair_scan", False))
-        self._code_indexes: Dict[Tuple[str, ...], CodePartitionIndex] = {}
-        if self._batched:
-            try:
-                for lhs_free in distinct_lhs:
-                    self._code_indexes[lhs_free] = CodePartitionIndex(
-                        self._encoded, lhs_free
-                    )
-            except DetectionError:
-                # Composite-key overflow (astronomically wide dictionaries):
-                # the array index cannot represent the partition, so run the
-                # dict-indexed path instead.
-                self._batched = False
-                self._code_indexes.clear()
-
-        if self._batched:
-            self._build_initial_batched()
-        else:
-            # Pre-build every index: with maxsize >= the number of distinct
-            # LHS tuples nothing is ever evicted, so apply_update sees them
-            # all.
-            for lhs_free in distinct_lhs:
-                self._cache.get(lhs_free)
-            for spec in self._specs:
-                store = self._store[spec.spec_id]
-                index = self._cache.get(spec.lhs_free)
-                for key, indices in index.matching(spec.cells):
-                    violations = self._evaluate(spec, tuple(key), indices)
-                    if violations:
-                        store[tuple(key)] = violations
+        # One partition index per distinct LHS, shared across patterns.
+        self._indexes: Dict[Tuple[str, ...], _ClassIndex] = {}
+        for spec in self._specs:
+            if spec.lhs_free not in self._indexes:
+                self._indexes[spec.lhs_free] = _class_index(
+                    self._encoded, spec.lhs_free
+                )
+        self._build_initial_batched()
 
         self._changes_applied = 0
         self._patterns_reevaluated = 0
@@ -248,17 +222,16 @@ class RepairState:
     def _build_initial_batched(self) -> None:
         """The initial report as one ``evaluate_classes`` call per pattern.
 
-        The per-LHS :class:`CodePartitionIndex` hands every class over in
-        flat array form (zero per-class materialisation); patterns with
-        constant LHS cells first narrow the class set with one vectorised
-        key comparison.  Only the classes the kernel flags materialise
-        members and decode their keys.
+        The per-LHS index hands every class over in flat form (zero
+        per-class materialisation); patterns with constant LHS cells first
+        narrow the class set with one key comparison per class.  Only the
+        classes the kernel flags materialise members and decode their keys.
         """
         kernel = active_kernel()
         store = self._encoded
         for spec in self._specs:
             spec_store = self._store[spec.spec_id]
-            index = self._code_indexes[spec.lhs_free]
+            index = self._indexes[spec.lhs_free]
             checks = self._const_checks(spec)
             const_pairs = [(column, code) for _attr, column, code, _expected in checks]
             rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
@@ -310,8 +283,10 @@ class RepairState:
 
     @property
     def batched(self) -> bool:
-        """Whether this state runs the array-backed batched path."""
-        return self._batched
+        """Whether every LHS index is the array-backed :class:`CodePartitionIndex`."""
+        return all(
+            isinstance(index, CodePartitionIndex) for index in self._indexes.values()
+        )
 
     def _check_synchronized(self) -> None:
         """Raise when the relation mutated outside :meth:`apply_change`.
@@ -355,7 +330,6 @@ class RepairState:
             "changes_applied": self._changes_applied,
             "patterns_reevaluated": self._patterns_reevaluated,
             "partitions_reevaluated": self._partitions_reevaluated,
-            **{f"cache_{name}": value for name, value in self._cache.stats().items()},
         }
 
     # ------------------------------------------------------------------ the delta
@@ -378,9 +352,9 @@ class RepairState:
         changed a cell.  The whole batch costs three bulk steps instead of
         per-change work: the cell updates themselves (collecting each
         change's old/new partition keys as the dirty set), the index
-        maintenance, and one re-evaluation per dirty (pattern, class) pair —
-        on the batched path **one scatter per touched partition index** and
-        **one ``evaluate_classes`` kernel call per dirty pattern**.
+        maintenance (**one** :meth:`apply_moves` **per touched partition
+        index**), and **one ``evaluate_classes`` kernel call per dirty
+        pattern**.
         Evaluating each dirtied class once against the final state is exactly
         equivalent to the sequential delta: any intermediate change that
         could alter a class's verdict also dirties that class.
@@ -407,8 +381,6 @@ class RepairState:
             encoded.update(tuple_index, attribute, new_value)
             if encoded is not self._relation:
                 self._relation.update(tuple_index, attribute, new_value)
-            if not self._batched:
-                self._cache.apply_update(tuple_index, attribute, old_row)
             row[schema.position(attribute)] = new_value
             rows_now[tuple_index] = row
             changed_attrs.setdefault(tuple_index, set()).add(attribute)
@@ -422,7 +394,7 @@ class RepairState:
             return 0
         self._changes_applied += applied
         self._expected_version = self._relation.version
-        for lhs_free, index in self._code_indexes.items():
+        for lhs_free, index in self._indexes.items():
             if not lhs_free:
                 continue
             moved = [
@@ -434,20 +406,15 @@ class RepairState:
                 index.apply_moves(moved)
         for spec in self._specs:
             keys = dirty.get(spec.spec_id)
-            if not keys:
-                continue
-            if self._batched:
+            if keys:
                 self._reevaluate_batched(spec, list(keys))
-            else:
-                for key in keys:
-                    self._reevaluate(spec, key)
         return applied
 
     def _reevaluate_batched(self, spec: _PatternSpec, keys: List[Tuple[Any, ...]]) -> None:
         """Recompute one pattern over its dirty classes — one kernel call."""
         store = self._encoded
         spec_store = self._store[spec.spec_id]
-        index = self._code_indexes[spec.lhs_free]
+        index = self._indexes[spec.lhs_free]
         live: List[Tuple[Tuple[Any, ...], int]] = []
         for key in keys:
             self._partitions_reevaluated += 1
@@ -499,23 +466,6 @@ class RepairState:
                 spec, checks, key, index.members_at(position), disagree, mismatches
             )
 
-    def _reevaluate(self, spec: _PatternSpec, key: Tuple[Any, ...]) -> None:
-        """Recompute one pattern's violations over one equivalence class."""
-        self._partitions_reevaluated += 1
-        store = self._store[spec.spec_id]
-        if not spec.key_matches(key):
-            # The class fell outside the pattern's LHS constants (e.g. the
-            # changed tuple moved into a non-matching class): nothing of this
-            # pattern can be violated there.
-            store.pop(key, None)
-            return
-        indices = self._cache.get(spec.lhs_free).get(key)
-        violations = self._evaluate(spec, key, indices)
-        if violations:
-            store[key] = violations
-        else:
-            store.pop(key, None)
-
     def _const_checks(self, spec: _PatternSpec) -> List[Tuple[str, Any, Optional[int], Any]]:
         """The pattern's encoded ``Q^C`` checks, cached per dictionary version.
 
@@ -553,9 +503,9 @@ class RepairState:
     ) -> List[Violation]:
         """Materialise one reported class's violations from kernel output.
 
-        Both paths emit through here: ``Q^C`` violations tuple-major through
-        the shared :func:`~repro.detection.indexed.constant_code_violations`
-        helper, then the single ``Q^V`` violation over the full member list.
+        ``Q^C`` violations come tuple-major through the shared
+        :func:`~repro.detection.indexed.constant_code_violations` helper, then
+        the single ``Q^V`` violation over the full member list.
         """
         store = self._encoded
         violations: List[Violation] = []
@@ -576,31 +526,6 @@ class RepairState:
                 )
             )
         return violations
-
-    def _evaluate(
-        self, spec: _PatternSpec, key: Tuple[Any, ...], indices: Sequence[int]
-    ) -> List[Violation]:
-        """One pattern's violations over one equivalence class (assumed matching).
-
-        The dict path's per-class check, mirroring the indexed detection
-        backend: expected constants come pre-encoded from the version-keyed
-        :meth:`_const_checks` cache, RHS agreement is code-projection
-        cardinality through the active kernel, and values decode only into
-        emitted violations.
-        """
-        kernel = active_kernel()
-        checks = self._const_checks(spec)
-        mismatches = [
-            kernel.constant_mismatches(column, indices, expected_code)
-            for _attr, column, expected_code, _expected in checks
-        ]
-        rhs_columns = self._encoded.project_codes(spec.rhs_free)
-        disagree = (
-            len(indices) > 1
-            and bool(rhs_columns)
-            and kernel.codes_disagree(rhs_columns, indices)
-        )
-        return self._class_violations(spec, checks, key, indices, disagree, mismatches)
 
     def __repr__(self) -> str:
         return (

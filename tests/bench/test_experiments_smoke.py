@@ -79,7 +79,7 @@ class TestDrivers:
         rows = repair_ablation(config, tabsz=50)
         assert len(rows) == len(config.sz_sweep())
         assert set(rows[0]) == {
-            "SZ", "incremental_seconds", "indexed_seconds", "scan_seconds",
+            "SZ", "incremental_seconds", "scan_seconds",
             "changes", "passes", "incremental_speedup", "peak_rss_mb",
         }
         assert all(row["incremental_seconds"] > 0 for row in rows)

@@ -179,7 +179,7 @@ class TestColumnarIngestion:
 
 
 class TestCacheStaleness:
-    """Mutations outside apply_update must turn reads into loud errors."""
+    """Mutations behind a live cache must turn reads into loud errors."""
 
     def test_delete_invalidates_reads(self, rel):
         cache = PartitionIndexCache(rel)
@@ -201,23 +201,6 @@ class TestCacheStaleness:
         rel.update(0, "A", "a9")
         with pytest.raises(DetectionError):
             cache.get(("A",))
-
-    def test_apply_update_resynchronizes(self, rel):
-        cache = PartitionIndexCache(rel)
-        cache.get(("A",))
-        old_row = rel[0]
-        rel.update(0, "A", "a9")
-        cache.apply_update(0, "A", old_row)
-        assert cache.get(("A",)).get(("a9",)) == (0,)
-
-    def test_apply_update_after_two_raw_updates_raises(self, rel):
-        cache = PartitionIndexCache(rel)
-        cache.get(("A",))
-        old_row = rel[0]
-        rel.update(0, "A", "a8")
-        rel.update(0, "A", "a9")
-        with pytest.raises(DetectionError):
-            cache.apply_update(0, "A", old_row)
 
     def test_clear_resynchronizes(self, rel):
         cache = PartitionIndexCache(rel)

@@ -38,7 +38,7 @@ from tests.integration.strategies import cfds, relations
 DETECTION_METHODS = ("inmemory", "indexed", "parallel")
 
 #: The repair engines whose detection layer is kernel-capable.
-REPAIR_METHODS = ("indexed", "incremental", "parallel")
+REPAIR_METHODS = ("incremental", "parallel")
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the numpy kernel needs the [fast] extra"
@@ -139,12 +139,12 @@ def test_streaming_detection_agrees_across_kernels(relation, cfd_list):
 
 @requires_numpy
 def test_batched_repair_path_is_active():
-    """Guard: numpy + columnar really takes the batched fixpoint.
+    """Guard: numpy really runs the fixpoint over the array-backed index.
 
-    The hypothesis grid above would still pass if the batched path silently
-    fell back to the dict-indexed reference mode (they are byte-identical by
+    The hypothesis grid above would still pass if the numpy kernel silently
+    fell back to the pure-python index twin (they are byte-identical by
     contract) — so pin the mode bit itself, then assert a deterministic
-    repair through the batched primitives matches the reference exactly.
+    repair through the array index matches the reference exactly.
     """
     from repro.datagen.cust import cust_cfds, cust_relation
     from repro.kernels import use_kernel
@@ -158,7 +158,7 @@ def test_batched_repair_path_is_active():
         assert batched.batched
     with use_kernel("python"):
         reference = RepairState(store.copy(), cust_cfds())
-        assert not reference.batched  # no fused_repair_scan on the reference
+        assert not reference.batched  # the python kernel runs the python twin
     with use_kernel("numpy"):
         assert RepairState(rows, cust_cfds()).batched  # a plain relation is encoded
     assert list(batched.report().violations) == list(reference.report().violations)
@@ -177,10 +177,10 @@ def test_auto_kernel_repair_degrades_gracefully():
     """``kernel="auto"`` repairs identically with or without numpy installed.
 
     Not numpy-gated on purpose: in the no-numpy environment ``auto`` resolves
-    to the python reference (and the batched fixpoint stays off), and the
+    to the python reference (over the pure-python index twin), and the
     result must still be byte-identical to an explicit ``kernel="python"``
     run.  With numpy present the same assertion pins auto == python through
-    the batched path.
+    the array-backed index.
     """
     from repro.datagen.cust import cust_cfds, cust_relation
 

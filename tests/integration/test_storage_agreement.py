@@ -54,7 +54,7 @@ from tests.integration.strategies import ATTRIBUTES, VALUES, cfds, relations, ro
 DETECTION_METHODS = ("indexed", "parallel")
 
 #: The columnar-capable repair engines.
-REPAIR_METHODS = ("indexed", "incremental", "parallel")
+REPAIR_METHODS = ("incremental", "parallel")
 
 #: Kernels the mmap cells sweep (the python reference always; numpy when
 #: installed — the no-numpy CI job covers the raw-mmap fallback instead).

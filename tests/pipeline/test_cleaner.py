@@ -9,6 +9,7 @@ from repro.datagen.generator import TaxRecordGenerator
 from repro.detection.engine import detect_violations
 from repro.errors import InconsistentCFDsError, ReproError
 from repro.io.sources import CSVSource, RelationSource
+from repro.kernels import numpy_available
 from repro.pipeline import Cleaner, CleaningResult, clean
 
 
@@ -46,6 +47,16 @@ class TestCleanOnCust:
         assert summary["clean"] is True
         assert summary["initial_violations"] == 4
         assert summary["final_violations"] == 0
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs the [fast] extra")
+    def test_backends_record_the_repair_kernel_separately(self, cust, cust_constraints):
+        result = Cleaner(
+            DetectionConfig(kernel="python"),
+            RepairConfig(kernel="numpy", method="incremental"),
+        ).clean(cust, cust_constraints)
+        assert result.backends["kernel"] == "python"
+        assert result.backends["repair_kernel"] == "numpy"
+        assert result.summary()["backends"]["repair_kernel"] == "numpy"
 
     def test_matches_direct_repair(self, cust, cust_constraints):
         from repro.repair.heuristic import repair
@@ -131,7 +142,7 @@ class TestBackendEquivalence:
         relation = TaxRecordGenerator(size=2_000, noise=0.05, seed=9).generate_relation()
         return relation, [zip_state_cfd()]
 
-    @pytest.mark.parametrize("repair_method", ["scan", "indexed", "incremental", "auto"])
+    @pytest.mark.parametrize("repair_method", ["scan", "incremental", "auto"])
     def test_identical_relation_across_repair_methods(self, noisy_tax, repair_method):
         relation, cfds = noisy_tax
         baseline = Cleaner(repair=RepairConfig(method="incremental")).clean(relation, cfds)

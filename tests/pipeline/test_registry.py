@@ -16,7 +16,8 @@ from repro.core.satisfaction import find_all_violations
 class TestDetectorRegistration:
     def test_builtins_are_registered(self):
         assert set(registry.detector_names()) >= {"inmemory", "sql", "indexed"}
-        assert set(registry.repairer_names()) >= {"scan", "indexed", "incremental"}
+        assert set(registry.repairer_names()) >= {"scan", "incremental", "parallel"}
+        assert "indexed" not in registry.repairer_names()
 
     def test_custom_detector_dispatches_through_the_facade(self, cust, cust_constraints):
         calls = []
@@ -96,7 +97,7 @@ class TestDetectorRegistration:
 class TestAutoSelection:
     def test_small_workload_picks_scans(self, cust, cust_constraints):
         assert registry.select_detection_method(cust, cust_constraints) == "inmemory"
-        assert registry.select_repair_method(cust, cust_constraints) == "indexed"
+        assert registry.select_repair_method(cust, cust_constraints) == "incremental"
 
     def test_large_workload_picks_indexes(self):
         relation = TaxRecordGenerator(size=2_000, noise=0.0, seed=1).generate_relation()
@@ -108,12 +109,12 @@ class TestAutoSelection:
         from repro.core.cfd import CFD
 
         cfd = CFD.build(["A"], ["B"], [["_", "_"]])  # exactly one pattern
-        # rows x patterns == threshold -> still the scan side.
+        # rows x patterns == threshold -> detection still on the scan side.
         rows = [("a", "b")] * registry.AUTO_CELL_THRESHOLD
         at = relation_factory(["A", "B"], rows)
         assert registry.select_detection_method(at, [cfd]) == "inmemory"
-        assert registry.select_repair_method(at, [cfd]) == "indexed"
-        # one row past it -> the indexed side.
+        assert registry.select_repair_method(at, [cfd]) == "incremental"
+        # one row past it -> the indexed side; repair is incremental on both.
         over = relation_factory(["A", "B"], rows + [("a", "b")])
         assert registry.select_detection_method(over, [cfd]) == "indexed"
         assert registry.select_repair_method(over, [cfd]) == "incremental"

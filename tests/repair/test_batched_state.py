@@ -1,12 +1,14 @@
-"""Tests for the batched execution mode of :class:`RepairState`.
+"""Tests for the batched fixpoint of :class:`RepairState`.
 
-The batched path (columnar storage + a ``fused_repair_scan`` kernel) keeps
-the same violation-state contract as the dict-indexed reference — these
-tests pin the equivalences the mode relies on: a batch of changes applied in
-one :meth:`RepairState.apply_changes` call leaves the state byte-identical
-to the reference applying them one at a time, no-op entries are not counted,
-outside mutation still trips the version guard, and after any batch the
-maintained report equals a from-scratch rebuild over the final relation.
+Under numpy every LHS index is the array-backed ``CodePartitionIndex``;
+under the python kernel it is the pure-python twin, with the same
+violation-state contract.  These tests pin the equivalences the fixpoint
+relies on: a batch of changes applied in one
+:meth:`RepairState.apply_changes` call leaves the state byte-identical to
+the python kernel applying them one at a time, no-op entries are not
+counted, outside mutation still trips the version guard, after any batch
+the maintained report equals a from-scratch rebuild over the final
+relation, and an LHS too wide for the int64 composite takes the twin.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import RepairConfig
+from repro.core.cfd import CFD
 from repro.datagen.cust import cust_cfds, cust_relation
-from repro.detection.partition_index import CodePartitionIndex
+from repro.detection.partition_index import CodePartitionIndex, PyCodePartitionIndex
 from repro.errors import DetectionError
 from repro.kernels import numpy_available, use_kernel
 from repro.relation.columnar import ColumnStore
@@ -124,23 +127,39 @@ def test_reference_mode_apply_changes_loops_apply_change(store):
     assert list(state.report().violations) == list(reference.report().violations)
 
 
-def test_int64_overflow_falls_back_to_the_dict_path(store, monkeypatch):
-    """Forced composite-key overflow: same repair through the dict path.
+def test_int64_overflow_falls_back_to_the_python_index(store, monkeypatch):
+    """Forced composite-key overflow: that LHS gets the pure-python twin.
 
-    With the stride headroom at 2**40 every two-attribute LHS (the cust
-    rules have one) overflows int64, so the batched state cannot be built.
+    With the stride headroom at 2**40 every two-attribute LHS (all the cust
+    rules) overflows int64, while the added one-attribute FD still fits.
+    The state keeps one algorithm over the mixed indexes, and the repair
+    equals both the python-kernel run and the scan oracle's.
     """
+    cfds = cust_cfds() + [CFD.build(["ZIP"], ["CT"], [["_", "_"]], name="zip_ct")]
     monkeypatch.setattr(CodePartitionIndex, "HEADROOM", 2**40)
     with use_kernel("numpy"):
-        assert RepairState(store, cust_cfds()).batched is False
+        state = RepairState(store.copy(), cfds)
+    assert state.batched is False
+    kinds = {type(index) for index in state._indexes.values()}
+    assert kinds == {CodePartitionIndex, PyCodePartitionIndex}
+    with use_kernel("python"):
+        reference = RepairState(store.copy(), cfds)
+    assert list(state.report().violations) == list(reference.report().violations)
+    with use_kernel("numpy"):
+        assert state.apply_changes(CHANGES) == EFFECTIVE
+    with use_kernel("python"):
+        assert reference.apply_changes(CHANGES) == EFFECTIVE
+    assert list(state.report().violations) == list(reference.report().violations)
+
     results = {
-        kernel: repair(
-            cust_relation(),
-            cust_cfds(),
-            config=RepairConfig(method="incremental", kernel=kernel),
-        )
-        for kernel in ("numpy", "python")
+        name: repair(cust_relation(), cfds, config=RepairConfig(**options))
+        for name, options in {
+            "numpy": {"method": "incremental", "kernel": "numpy"},
+            "python": {"method": "incremental", "kernel": "python"},
+            "scan": {"method": "scan"},
+        }.items()
     }
-    assert results["numpy"].relation.rows == results["python"].relation.rows
-    assert results["numpy"].changes == results["python"].changes
-    assert results["numpy"].total_cost == results["python"].total_cost
+    for name in ("python", "scan"):
+        assert results["numpy"].relation.rows == results[name].relation.rows
+        assert results["numpy"].changes == results[name].changes
+        assert results["numpy"].total_cost == results[name].total_cost

@@ -1,10 +1,9 @@
-"""Unit tests for the delta-maintained repair state and the index update hooks."""
+"""Unit tests for the delta-maintained repair state."""
 
 import pytest
 
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
-from repro.detection.partition_index import PartitionIndex, PartitionIndexCache
 from repro.errors import DetectionError
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -13,73 +12,6 @@ from repro.repair.incremental import RepairState, canonical_order
 
 def _ab_relation(rows):
     return Relation(Schema("r", ["A", "B"]), rows)
-
-
-# ---------------------------------------------------------------------------
-# PartitionIndex.reindex_tuple
-# ---------------------------------------------------------------------------
-class TestReindexTuple:
-    def test_moves_tuple_between_existing_classes(self):
-        rel = _ab_relation([("a", "x"), ("b", "y"), ("a", "z")])
-        index = PartitionIndex.from_relation(rel, ("A",))
-        moved = index.reindex_tuple(0, ("a", "x"), ("b", "x"))
-        assert moved
-        assert index.get(("a",)) == (2,)
-        assert index.get(("b",)) == (0, 1)  # ascending order preserved
-
-    def test_creates_fresh_class_and_drops_empty_class(self):
-        rel = _ab_relation([("a", "x"), ("a", "y")])
-        index = PartitionIndex.from_relation(rel, ("A",))
-        index.reindex_tuple(1, ("a", "y"), ("c", "y"))
-        assert index.get(("c",)) == (1,)
-        assert index.get(("a",)) == (0,)
-        index.reindex_tuple(0, ("a", "x"), ("c", "x"))
-        assert ("a",) not in index
-        assert index.get(("c",)) == (0, 1)
-        assert len(index) == 1
-        assert index.tuple_count == 2
-
-    def test_noop_when_key_unchanged(self):
-        rel = _ab_relation([("a", "x")])
-        index = PartitionIndex.from_relation(rel, ("A",))
-        assert not index.reindex_tuple(0, ("a", "x"), ("a", "changed"))
-        assert index.get(("a",)) == (0,)
-
-    def test_unknown_tuple_rejected(self):
-        rel = _ab_relation([("a", "x")])
-        index = PartitionIndex.from_relation(rel, ("A",))
-        with pytest.raises(DetectionError):
-            index.reindex_tuple(5, ("a", "x"), ("b", "x"))
-        with pytest.raises(DetectionError):
-            index.reindex_tuple(0, ("zzz", "x"), ("b", "x"))
-
-
-# ---------------------------------------------------------------------------
-# PartitionIndexCache.apply_update
-# ---------------------------------------------------------------------------
-class TestCacheApplyUpdate:
-    def test_only_indexes_mentioning_the_attribute_are_touched(self):
-        rel = _ab_relation([("a", "x"), ("a", "y")])
-        cache = PartitionIndexCache(rel)
-        index_a = cache.get(("A",))
-        index_b = cache.get(("B",))
-        old_row = rel[0]
-        rel.update(0, "A", "c")
-        assert cache.apply_update(0, "A", old_row) == 1
-        assert index_a.get(("c",)) == (0,)
-        # The B index partitions by an untouched attribute: same groups.
-        assert index_b.get(("x",)) == (0,)
-        assert index_b.get(("y",)) == (1,)
-
-    def test_updated_index_serves_hits_not_rebuilds(self):
-        rel = _ab_relation([("a", "x"), ("a", "y")])
-        cache = PartitionIndexCache(rel)
-        index = cache.get(("A",))
-        old_row = rel[0]
-        rel.update(0, "A", "b")
-        cache.apply_update(0, "A", old_row)
-        assert cache.get(("A",)) is index  # the same object, maintained in place
-        assert cache.stats()["misses"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one series (or one representative point) of the
-paper's Figure 9, using the same workload builder as the CLI harness
-(``python -m repro.bench``).  Workload sizes are scaled down from the paper's
-DB2 runs so the whole suite finishes in a few minutes on a laptop; set
-``REPRO_BENCH_SCALE`` to raise them (10 ≈ the paper's sizes for most figures).
-The shape comparisons (who wins, monotonicity) are recorded in EXPERIMENTS.md.
+The ``test_fig9*`` and ``test_merged_vs_separate`` files regenerate one
+series (or one representative point) of the paper's Section 5, using the
+same workload builder as the CLI harness (``python -m repro.bench``); the
+``test_ablation_*`` files gate the engines beyond the paper, timed with the
+helpers of ``benchmarks/timing.py``.  Workload sizes are scaled down from the
+paper's DB2 runs so the whole suite finishes in a few minutes on a laptop;
+set ``REPRO_BENCH_SCALE`` to raise them (10 ≈ the paper's sizes for most
+figures).  The Figure 9 files time their groups without asserting the
+paper's shape (who wins, monotonicity); each file's docstring states the
+shape the paper reports.
 """
 
 from __future__ import annotations

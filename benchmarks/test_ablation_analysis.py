@@ -14,9 +14,8 @@ on a 50K-tuple tax workload:
 * the optimized rules find exactly the same violating tuples.
 
 The measured point is written to ``BENCH_analysis.json`` (into
-``REPRO_BENCH_JSON_DIR``, default ``bench-artifacts/``), the same artifact
-the ``analysis`` bench series produces, so the payoff is tracked run over
-run alongside lint latency.
+``REPRO_BENCH_JSON_DIR``, default ``bench-artifacts/``) for comparison
+between local runs; the file is not committed.
 """
 
 import os

@@ -19,7 +19,8 @@ from collections import Counter
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
-from repro.bench.harness import build_workload, time_kernel_detection
+from benchmarks.timing import time_kernel_detection
+from repro.bench.harness import build_workload
 from repro.config import RepairConfig
 from repro.core.satisfaction import find_all_violations
 from repro.repair.heuristic import repair

@@ -18,7 +18,8 @@ mirroring ``time_detection``.
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
-from repro.bench.harness import build_workload, time_backend
+from benchmarks.timing import time_backend
+from repro.bench.harness import build_workload
 from repro.core.satisfaction import find_all_violations
 from repro.datagen.cust import cust_cfds, cust_relation
 from repro.detection.engine import cross_check

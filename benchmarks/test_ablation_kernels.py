@@ -19,8 +19,8 @@ the python reference cannot short-circuit its disagreement scans early, so
 this is its worst case *and* the common production case (detection runs on
 data that is mostly fine).  The measured pair is written to
 ``BENCH_kernels.json`` (into ``REPRO_BENCH_JSON_DIR``, default
-``bench-artifacts/``), the same artifact the ``kernels`` bench series
-produces in CI, so the kernel-layer speedup is tracked run over run.
+``bench-artifacts/``) for comparison between local runs; the file is not
+committed.
 """
 
 import os
@@ -28,7 +28,7 @@ import os
 import pytest
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench.harness import build_fd_workload, time_kernel_detection
+from benchmarks.timing import build_fd_workload, time_kernel_detection
 from repro.bench.reporting import write_json
 from repro.config import RepairConfig
 from repro.core.satisfaction import find_all_violations

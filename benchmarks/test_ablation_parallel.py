@@ -14,9 +14,8 @@ constraint):
   CI runner where the process pool itself buys nothing.  Against the
   *optimised* serial engines the pool only pays past
   :data:`repro.registry.PARALLEL_AUTO_ROW_THRESHOLD` rows — which is exactly
-  why ``method="auto"`` keeps 10K-row workloads serial; the measured ratio is
-  recorded in the ``parallel`` bench series (``BENCH_parallel.json``) rather
-  than asserted here.
+  why ``method="auto"`` keeps 10K-row workloads serial; that ratio is timed
+  by the series below rather than asserted.
 
 See ``docs/parallel.md`` for the sharding invariant behind the identity.
 """
@@ -26,13 +25,13 @@ from collections import Counter
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
-from repro.bench.harness import (
-    build_workload,
+from benchmarks.timing import (
     time_backend,
     time_parallel_detection,
     time_parallel_repair,
     time_repair,
 )
+from repro.bench.harness import build_workload
 from repro.core.satisfaction import find_all_violations
 
 #: The acceptance workload: 10K tax tuples at the paper's default 5% noise.
@@ -62,7 +61,7 @@ def _changes_key(result):
 
 
 # ---------------------------------------------------------------------------
-# timed series (what BENCH_parallel.json records over the worker sweep)
+# timed series
 # ---------------------------------------------------------------------------
 @pytest.mark.benchmark(group="ablation-parallel-repair")
 def test_parallel_repair_tax(benchmark, tax_workload):

@@ -20,7 +20,8 @@ the greedy policy engine-independent.
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
-from repro.bench.harness import build_workload, time_repair
+from benchmarks.timing import time_repair
+from repro.bench.harness import build_workload
 from repro.datagen.cust import cust_cfds, cust_relation
 from repro.repair.heuristic import REPAIR_METHODS, repair
 

@@ -22,14 +22,14 @@ code (``[ZIP, MR, CH] → [STX, MTX, CTX]``) at 1% noise:
   ``docs/parallel.md``: the same final relation, the same multiset of cell
   changes (the log comes back in shard order) and the same total cost.
 
-The timing contract is :func:`~repro.bench.harness.time_kernel_repair`: the
+The timing contract is :func:`benchmarks.timing.time_kernel_repair`: the
 store is pre-built and force-encoded outside the timer (identical one-off
 work for every kernel), so the ratio measures the fixpoint itself.  The
 measured series — including a ``method="parallel"`` point, whose per-shard
 incremental fixpoints adopt the same batched path — is written to
 ``BENCH_repair_kernels.json`` (into ``REPRO_BENCH_JSON_DIR``, default
-``bench-artifacts/``), the same artifact the ``repair_kernels`` bench
-series produces in CI, so the repair-side speedup is tracked run over run.
+``bench-artifacts/``) for comparison between local runs; the file is not
+committed.
 """
 
 import os
@@ -38,7 +38,7 @@ from collections import Counter
 import pytest
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench.harness import build_fd_workload, time_kernel_repair
+from benchmarks.timing import build_fd_workload, time_kernel_repair
 from repro.bench.reporting import write_json
 from repro.core.satisfaction import find_all_violations
 from repro.kernels import numpy_available

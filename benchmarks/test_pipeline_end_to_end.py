@@ -10,14 +10,14 @@ constraint:
 * the cleaned relation is byte-identical whether the repair loop is driven
   by ``scan``, ``incremental`` or ``auto`` (which must resolve to
   ``incremental`` at this size);
-* the full pipeline is timed so end-to-end cleaning throughput lands in the
-  perf trajectory next to the per-stage series.
+* the full pipeline is timed next to the per-stage series.
 """
 
 import pytest
 
 from benchmarks.conftest import BENCH_NOISE, BENCH_SEED
-from repro.bench.harness import build_workload, time_clean
+from benchmarks.timing import time_clean
+from repro.bench.harness import build_workload
 from repro.config import DetectionConfig, RepairConfig
 from repro.detection.engine import detect_violations
 from repro.pipeline import Cleaner

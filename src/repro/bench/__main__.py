@@ -4,8 +4,8 @@ Runs the requested experiment drivers (default: all of them) and prints the
 series each figure plots.  ``REPRO_BENCH_SCALE`` scales the workload sizes,
 e.g. ``REPRO_BENCH_SCALE=10`` approaches the paper's original sizes.
 ``--json-dir`` additionally writes each series as a ``BENCH_<name>.json``
-artifact — what the CI ``benchmark-report`` job uploads as the repo's
-performance trajectory.
+file for ad-hoc comparison; those files are not committed.  The repository's
+performance record is the ``perf/`` benchmark (see ``perf/README.md``).
 """
 
 from __future__ import annotations

@@ -55,9 +55,6 @@ class BenchConfig:
     default_noise: float = 0.05
     #: seed shared by every generator invocation
     seed: int = 42
-    #: relation sizes for the out-of-core (mmap spill) sweep; the 10M-row
-    #: target point is reached with ``scale=10`` or ``REPRO_OUTOFCORE_SIZES``
-    outofcore_sweep_base: Tuple[int, ...] = (100_000, 1_000_000)
 
     # ------------------------------------------------------------------ scaled views
     def sz_sweep(self) -> List[int]:
@@ -71,26 +68,6 @@ class BenchConfig:
 
     def fixed_relation_size(self) -> int:
         return max(1_000, int(self.fixed_relation_base * self.scale))
-
-    def outofcore_sweep(self) -> List[int]:
-        """Sizes for the out-of-core series.
-
-        ``REPRO_OUTOFCORE_SIZES`` (comma- or space-separated row counts)
-        overrides the scaled defaults — how the CI leg pins its 1M-row
-        point and a 10M-row run is requested without touching ``scale``.
-        """
-        raw = os.environ.get("REPRO_OUTOFCORE_SIZES")
-        if raw:
-            try:
-                sizes = [int(token) for token in raw.replace(",", " ").split()]
-                if sizes and all(size > 0 for size in sizes):
-                    return sizes
-            except ValueError:
-                pass
-        return [
-            max(10_000, int(size * self.scale))
-            for size in self.outofcore_sweep_base
-        ]
 
 
 def default_config() -> BenchConfig:

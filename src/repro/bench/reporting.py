@@ -1,10 +1,9 @@
 """Reporting of experiment series: aligned text tables and JSON artifacts.
 
 :func:`format_table` renders the rows behind each figure for the terminal;
-:func:`write_json` persists one experiment's series as a ``BENCH_<name>.json``
-file — the machine-readable performance trajectory CI uploads as a workflow
-artifact, so regressions show up as diffs between artifact files rather than
-as folklore.
+:func:`write_json` persists one series as a ``BENCH_<name>.json`` file, a
+machine-readable copy to diff between two local runs.  These files are not
+committed; the repository's performance record is the ``perf/`` benchmark.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The CLI turns the library into a small standalone data-cleaning tool::
     python -m repro clean    --data customers.csv --cfds rules.cfd --output clean.csv
     python -m repro clean    --data tax.csv --cfds tax.cfd --repair-method parallel --workers 4
     python -m repro generate --dataset tax --size 10000 --output tax.csv --rules tax.cfd
-    python -m repro bench    backends --scale 0.1
+    python -m repro bench    fig9a fig9c --scale 0.1
     python -m repro lint     --cfds rules.cfd --json
     python -m repro lint     --cfds rules.cfd --optimize minimal.cfd
     python -m repro check    --cfds rules.cfd

@@ -1,4 +1,4 @@
-"""Smoke tests for every experiment driver (tiny workloads, correctness of shape).
+"""Smoke tests for the Figure 9 experiment drivers (tiny workloads, shape checks).
 
 The full-size runs live under ``benchmarks/``; here we only verify that every
 driver produces the series its figure plots, with the expected columns and
@@ -10,7 +10,6 @@ import pytest
 from repro.bench.config import quick_config
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
-    backend_ablation,
     fig9a_cnf_vs_dnf_constants,
     fig9b_cnf_vs_dnf_mixed,
     fig9c_qc_vs_qv,
@@ -18,7 +17,6 @@ from repro.bench.experiments import (
     fig9e_numconsts_scaling,
     fig9f_noise_scaling,
     merged_vs_separate,
-    repair_ablation,
 )
 from repro.bench.reporting import format_table
 
@@ -66,70 +64,10 @@ class TestDrivers:
             "SZ", "num_cfds", "separate_seconds", "merged_seconds", "peak_rss_mb",
         }
 
-    def test_backend_ablation_columns_and_speedup_sanity(self, config):
-        rows = backend_ablation(config, tabsz=50)
-        assert len(rows) == len(config.sz_sweep())
-        assert set(rows[0]) == {
-            "SZ", "indexed_seconds", "inmemory_seconds", "sql_seconds",
-            "indexed_speedup", "peak_rss_mb",
-        }
-        assert all(row["indexed_seconds"] > 0 for row in rows)
-
-    def test_repair_ablation_columns_and_agreement(self, config):
-        rows = repair_ablation(config, tabsz=50)
-        assert len(rows) == len(config.sz_sweep())
-        assert set(rows[0]) == {
-            "SZ", "incremental_seconds", "scan_seconds",
-            "changes", "passes", "incremental_speedup", "peak_rss_mb",
-        }
-        assert all(row["incremental_seconds"] > 0 for row in rows)
-
     def test_registry_contains_every_figure(self):
         assert set(ALL_EXPERIMENTS) == {
             "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f", "merged",
-            "backends", "repair", "pipeline", "parallel", "kernels",
-            "repair_kernels", "outofcore", "analysis",
         }
-
-    def test_parallel_scaling_columns_and_agreement(self, config):
-        from repro.bench.experiments import parallel_scaling
-
-        rows = parallel_scaling(config, tabsz=50, worker_sweep=(1, 2))
-        assert len(rows) == 2
-        assert set(rows[0]) == {
-            "SZ", "workers", "shards", "mode",
-            "detect_serial_seconds", "detect_parallel_seconds", "detect_speedup",
-            "repair_serial_seconds", "repair_parallel_seconds", "repair_speedup",
-            "peak_rss_mb",
-        }
-        assert rows[0]["mode"] == "serial"  # workers=1 never pays for a pool
-        assert all(row["repair_parallel_seconds"] > 0 for row in rows)
-
-    def test_pipeline_throughput_columns_and_cleanliness(self, config):
-        from repro.bench.experiments import pipeline_throughput
-
-        rows = pipeline_throughput(config, tabsz=50)
-        assert len(rows) == len(config.sz_sweep())
-        assert set(rows[0]) == {
-            "SZ", "auto_seconds", "pinned_seconds", "auto_tuples_per_second",
-            "auto_backends", "changes", "passes", "peak_rss_mb",
-        }
-        assert all(row["auto_seconds"] > 0 for row in rows)
-
-    def test_kernels_ablation_columns_and_agreement(self, config):
-        from repro.bench.experiments import kernels_ablation
-        from repro.kernels import numpy_available
-
-        rows = kernels_ablation(config)
-        if not numpy_available():
-            assert rows == []
-            return
-        assert len(rows) == len(config.sz_sweep())
-        assert set(rows[0]) == {
-            "SZ", "python_detect_seconds", "numpy_detect_seconds", "numpy_speedup",
-            "peak_rss_mb",
-        }
-        assert all(row["numpy_detect_seconds"] > 0 for row in rows)
 
     def test_verbose_mode_prints_a_table(self, config, capsys):
         fig9c_qc_vs_qv(config, verbose=True)

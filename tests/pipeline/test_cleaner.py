@@ -1,14 +1,17 @@
 """The Cleaner facade: full detect → repair → verify runs with audit trails."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import DetectionConfig, RepairConfig
 from repro.core.satisfaction import find_all_violations
 from repro.datagen.cfd_catalog import zip_state_cfd
-from repro.datagen.generator import TaxRecordGenerator
+from repro.core.cfd import CFD
+from repro.datagen.generator import TaxRecordGenerator, tax_schema
 from repro.detection.engine import detect_violations
 from repro.errors import InconsistentCFDsError, ReproError
-from repro.io.sources import CSVSource, RelationSource
+from repro.io.sources import CSVSource, IterableSource, RelationSource
 from repro.kernels import numpy_available
 from repro.pipeline import Cleaner, CleaningResult, clean
 
@@ -157,3 +160,48 @@ class TestBackendEquivalence:
         result = Cleaner(detection=DetectionConfig(method=detect_method)).clean(relation, cfds)
         assert result.clean
         assert find_all_violations(result.relation, cfds).is_clean()
+
+
+class TestStreamedOutOfCore:
+    """Generator rows streamed into mmap storage clean like the columnar run."""
+
+    @staticmethod
+    def _clean(storage, spill_dir):
+        cfd = CFD.build(
+            ["ZIP", "MR", "CH"], ["STX", "MTX", "CTX"], [["_"] * 6], name="exemption_fd"
+        )
+        rows = TaxRecordGenerator(size=3_000, noise=0.05, seed=11).iter_rows()
+        cleaner = Cleaner(
+            detection=DetectionConfig(
+                method="parallel", storage=storage, shard_count=2, spill_dir=spill_dir
+            ),
+            repair=RepairConfig(
+                method="parallel",
+                storage=storage,
+                shard_count=2,
+                check_consistency=False,
+                spill_dir=spill_dir,
+            ),
+            verify_method="indexed",
+        )
+        return cleaner.clean(IterableSource(tax_schema(), rows), [cfd])
+
+    @staticmethod
+    def _changes(result):
+        return Counter(
+            (change.tuple_index, change.attribute, change.old_value, change.new_value)
+            for change in result.changes
+        )
+
+    def test_mmap_pipeline_matches_columnar(self, tmp_path):
+        columnar = self._clean("columnar", str(tmp_path))
+        mmap = self._clean("mmap", str(tmp_path))
+        try:
+            assert mmap.backends["storage"] == "mmap"
+            assert columnar.backends["storage"] == "columnar"
+            assert mmap.clean and columnar.clean
+            assert columnar.changes, "the workload must actually need repairs"
+            assert mmap.relation.rows == columnar.relation.rows
+            assert self._changes(mmap) == self._changes(columnar)
+        finally:
+            mmap.relation.release()

@@ -6,9 +6,10 @@ exemption FD keyed by zip code (``[ZIP, MR, CH] → [STX, MTX, CTX]``, which
 holds on clean data because zips determine states) at 1% noise:
 
 * columnar indexed detection under ``kernel="numpy"`` is at least **5×
-  faster** than under ``kernel="python"`` — the fused ``Q^V`` scan replaces
-  the per-tuple grouping dict and the per-partition disagreement scans with
-  one radix sort plus ``reduceat`` reductions over whole code columns;
+  faster** than under ``kernel="python"`` — the array class index (one
+  radix sort of the composite LHS key) and one ``evaluate_classes`` call
+  (``reduceat`` reductions over the whole class table) replace the
+  per-tuple grouping dict and the per-class disagreement scans;
 * detection reports and repairs are **byte-identical** across the two
   kernels (the small-relation agreement grid lives in
   ``tests/integration/test_kernel_agreement.py``; this file pins the

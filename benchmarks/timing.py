@@ -44,7 +44,8 @@ def build_fd_workload(
 
     The pure-``Q^V`` regime: detection is one grouping pass over the LHS plus
     a disagreement check per partition, with no constant patterns anywhere —
-    exactly the shape the kernel layer's fused scan targets.  The default FD
+    the shape where the numpy kernel's whole-table class evaluation pays
+    off most.  The default FD
     is the exemption dependency keyed by zip code — zips determine states,
     so ``[ZIP, MR, CH] → [STX, MTX, CTX]`` holds on clean generated data and
     is violated only by injected noise.  Grouping by zip yields thousands of

@@ -237,10 +237,6 @@ class DetectionConfig:
         SQL-only: run the extra expansion query mapping violating groups back
         to tuple indices (disabled by the benchmarks to time exactly the
         paper's query pair).
-    chunk_size:
-        Batch size when :meth:`repro.pipeline.Cleaner.detect` streams a
-        non-relation :class:`~repro.io.sources.RowSource` through the
-        indexed backend (see :func:`repro.detection.indexed.detect_stream`).
     workers, shard_count:
         Parallel-only knobs (``method="parallel"``, or ``"auto"``, which may
         escalate to it): worker processes in the pool (default: one per CPU)
@@ -298,7 +294,6 @@ class DetectionConfig:
     strategy: Optional[str] = None
     form: Optional[str] = None
     expand_variable_violations: bool = True
-    chunk_size: int = 8_192
     workers: Optional[int] = None
     shard_count: Optional[int] = None
     storage: Optional[str] = None
@@ -328,8 +323,6 @@ class DetectionConfig:
                     f"{name}={value!r} only applies to the SQL backend, "
                     f"not method={self.method!r}"
                 )
-        if self.chunk_size <= 0:
-            raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
         _validate_parallel_knobs(self.method, self.workers, self.shard_count)
 
     @property
@@ -379,7 +372,6 @@ class DetectionConfig:
             "method": self.method,
             "strategy": self.strategy,
             "form": self.form,
-            "chunk_size": self.chunk_size,
             "workers": self.workers,
             "shard_count": self.shard_count,
             "storage": self.storage,
@@ -415,8 +407,8 @@ class RepairConfig:
         shards to split the relation into.  Same validation as on
         :class:`DetectionConfig`.
     storage:
-        Storage layer the columnar-capable engines (indexed, incremental,
-        parallel) repair over — same semantics and default chain
+        Storage layer the columnar-capable engines (incremental, parallel)
+        repair over — same semantics and default chain
         (``REPRO_STORAGE``, then ``"columnar"``) as on
         :class:`DetectionConfig`, including the out-of-core ``"mmap"``
         layer.  The repaired relation comes back in this storage; its rows

@@ -1,4 +1,4 @@
-"""A single façade over the in-memory, SQL and partition-indexed detectors.
+"""A single façade over the in-memory, SQL and class-indexed detectors.
 
 Backends are dispatched through :mod:`repro.registry`; importing this
 package registers the built-ins (``inmemory``, ``sql``, ``indexed``).

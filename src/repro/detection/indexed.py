@@ -2,28 +2,44 @@
 
 Implements exactly the satisfaction semantics of the in-memory oracle
 (:mod:`repro.core.satisfaction`) but replaces its per-pattern relation scans
-with lookups against a shared :class:`~repro.detection.partition_index.PartitionIndex`:
+with one class index per distinct ``@``-free LHS attribute tuple
+(:mod:`repro.detection.partition_index`), shared across patterns and CFDs:
 
-* the relation is partitioned **once** per distinct ``@``-free LHS attribute
-  tuple, not once per pattern — a CFD with a 1K-row tableau (or 1K constant
-  CFDs over the same LHS) triggers a single grouping pass;
-* a constant pattern (``Q^C`` semantics) resolves to the partitions matching
-  its LHS constants — a dictionary lookup when the pattern is all-constant;
-* a variable pattern (``Q^V`` semantics) inspects only the matching
-  partitions with more than one tuple.
+* the relation is partitioned **once** per LHS, not once per pattern — a
+  CFD with a 1K-row tableau (or 1K constant CFDs over the same LHS) triggers
+  a single grouping pass;
+* each pattern tuple is one :func:`evaluate_pattern` call: its LHS constants
+  select classes (one lookup when every LHS cell is a constant), and one
+  ``evaluate_classes`` kernel call runs the ``Q^C`` and ``Q^V`` checks of
+  every selected class; only reporting classes materialise members.
 
-The reports produced here are violation-for-violation identical to the
-oracle's, so ``cross_check`` and the Hypothesis property tests can compare
-all three backends directly.  See ``docs/detection.md`` for the complexity
-analysis.
+:func:`evaluate_pattern` is the one evaluation of this package: the
+incremental repair state (:class:`~repro.repair.incremental.RepairState`)
+builds its initial report with it too.  Reports come out in
+:func:`canonical_order`, the oracle's order, so they are
+violation-for-violation identical to the oracle's, sequence included.  See
+``docs/detection.md`` for the complexity analysis.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.config import resolve_storage, storage_from_env
 from repro.core.cfd import CFD
+from repro.core.pattern import PatternValue
 from repro.core.tableau import PatternTuple
 from repro.core.violations import (
     ConstantViolation,
@@ -31,16 +47,16 @@ from repro.core.violations import (
     Violation,
     ViolationReport,
 )
-from repro.detection.partition_index import (
-    DEFAULT_CHUNK_SIZE,
-    PartitionIndex,
-    PartitionIndexCache,
-)
+from repro.detection.partition_index import ClassIndex, PartitionIndexCache
 from repro.errors import DetectionError
 from repro.kernels import active_kernel, use_kernel
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation, Row
 from repro.relation.schema import Schema
+
+#: One encoded ``Q^C`` check: ``(attribute, code column, expected code,
+#: expected value)``; the code is ``None`` when no cell holds the value.
+ConstCheck = Tuple[str, Any, Optional[int], Any]
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +67,19 @@ def find_violations_indexed(
     cfds: Union[CFD, Iterable[CFD]],
     cache: Optional[PartitionIndexCache] = None,
 ) -> ViolationReport:
-    """All violations of ``cfds`` in ``relation``, via partition indexes.
+    """All violations of ``cfds`` in ``relation``, via class indexes.
 
-    Semantically identical to
-    :func:`repro.core.satisfaction.find_all_violations`; pass a
-    :class:`PartitionIndexCache` built for the *same* relation to share
-    partition maps across calls.  Both checks run over dictionary codes: a
-    relation that is not a :class:`ColumnStore` is encoded once, by the
-    cache.
+    Identical to :func:`repro.core.satisfaction.find_all_violations`, order
+    included; pass a :class:`PartitionIndexCache` built for the *same*
+    relation to share class indexes across calls.  Both checks run over
+    dictionary codes: a relation that is not a :class:`ColumnStore` is
+    encoded once, by the cache.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> sorted(find_violations_indexed(cust_relation(), cust_cfds()).violating_indices())
     [0, 1, 2, 3]
     """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
+    cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
     if cache is None:
         cache = PartitionIndexCache(relation)
     elif cache.relation is not relation:
@@ -73,10 +87,14 @@ def find_violations_indexed(
             "cache was built for a different relation; its tuple indices would "
             "not line up with the relation being checked"
         )
-    report = ViolationReport()
-    for cfd in cfds:
-        report.extend(_cfd_violations(cache.store, cfd, cache))
-    return report
+    store = cache.store
+    violations: List[Violation] = []
+    for spec in build_specs(store.schema, cfds):
+        index = cache.get(spec.lhs_free)
+        checks = encode_checks(store, spec)
+        for _key, found in evaluate_pattern(store, spec, index, checks):
+            violations.extend(found)
+    return ViolationReport(canonical_order(violations, cfds))
 
 
 def find_cfd_violations_indexed(
@@ -96,7 +114,7 @@ class IndexedDetector:
 
     Holds one :class:`PartitionIndexCache` for its relation, so successive
     :meth:`detect` calls — e.g. an interactive session checking CFD batches
-    one at a time — reuse the partition maps already built.
+    one at a time — reuse the class indexes already built.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> detector = IndexedDetector(cust_relation())
@@ -119,7 +137,7 @@ class IndexedDetector:
         return self._cache
 
     def detect(self, cfds: Union[CFD, Sequence[CFD]]) -> ViolationReport:
-        """Find every violation of ``cfds``, reusing cached partition maps."""
+        """Find every violation of ``cfds``, reusing cached class indexes."""
         return find_violations_indexed(self._relation, cfds, cache=self._cache)
 
     def invalidate(self) -> None:
@@ -140,7 +158,6 @@ def detect_stream(
     schema: Schema,
     rows: Iterable[Union[Row, Sequence[Any], Mapping[str, Any]]],
     cfds: Union[CFD, Sequence[CFD]],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     storage: Optional[str] = None,
     kernel: Optional[str] = None,
     spill_dir: Optional[str] = None,
@@ -148,18 +165,14 @@ def detect_stream(
     """Detect violations over a row *stream* without materialising full rows.
 
     Rows (positional tuples in ``schema`` order, or mappings by attribute
-    name) are consumed in batches of ``chunk_size``.  Only the projection
-    onto the attributes the CFDs actually mention is retained, and every
-    partition index is grown incrementally as batches arrive — so peak memory
-    is ``O(N x |attrs(cfds)|)`` rather than ``O(N x |schema|)``, and the
-    source (a CSV reader, a DB cursor) is read exactly once.
-
-    Each batch is dictionary-encoded as it arrives and the indexes ingest
-    the *codes* of the new rows (:meth:`PartitionIndex.add_encoded`), so a
-    raw row is touched exactly once — projected, encoded, dropped — instead
-    of being re-hashed by every index.  ``storage`` picks where the encoded
-    projection lives (defaults to ``REPRO_STORAGE``, then ``"columnar"``):
-    ``storage="mmap"`` spills it to memory-mapped files under ``spill_dir``
+    name) are projected onto the attributes the CFDs actually mention as
+    they arrive and ingested a block at a time into an encoded store of that
+    projection, so peak memory is ``O(N x |attrs(cfds)|)`` rather than
+    ``O(N x |schema|)``, and the source (a CSV reader, a DB cursor) is read
+    exactly once.  Detection then runs :func:`find_violations_indexed` over
+    the projection.  ``storage`` picks where the encoded projection lives
+    (defaults to ``REPRO_STORAGE``, then ``"columnar"``): ``storage="mmap"``
+    spills it to memory-mapped files under ``spill_dir``
     (:class:`~repro.relation.mmap_store.MmapColumnStore`), so even the
     retained code columns stay out of the Python heap.
 
@@ -174,8 +187,6 @@ def detect_stream(
     cfds = list(cfds)
     if not cfds:
         return ViolationReport()
-    if chunk_size <= 0:
-        raise DetectionError(f"chunk_size must be positive, got {chunk_size}")
     storage = storage_from_env() if storage is None else resolve_storage(storage)
 
     # Projection: keep only the attributes some CFD constrains.
@@ -191,44 +202,53 @@ def detect_stream(
     else:
         slim = ColumnStore(slim_schema)
 
-    # One index per distinct @-free LHS attribute tuple across all patterns,
-    # grown batch-by-batch alongside the projected relation.
-    indexes: Dict[Tuple[str, ...], PartitionIndex] = {}
-    for cfd in cfds:
-        for pattern in cfd.tableau:
-            lhs_free = _lhs_free(cfd, pattern)
-            if lhs_free not in indexes:
-                indexes[lhs_free] = PartitionIndex(slim_schema, lhs_free)
-
-    batch: List[Row] = []
-
-    def flush() -> None:
-        start = len(slim)
-        slim.extend(batch)
-        for index in indexes.values():
-            index.add_encoded(slim, start, len(slim))
-        batch.clear()
-
-    with use_kernel(kernel):
+    def projected() -> Iterator[Row]:
         for row in rows:
             if isinstance(row, Mapping):
-                projected = tuple(row[name] for name in needed)
+                yield tuple(row[name] for name in needed)
             else:
-                projected = tuple(row[position] for position in positions)
-            batch.append(projected)
-            if len(batch) >= chunk_size:
-                flush()
-        if batch:
-            flush()
+                yield tuple(row[position] for position in positions)
 
-        cache = PartitionIndexCache(slim, maxsize=max(32, len(indexes)))
-        for index in indexes.values():
-            cache.seed(index)
-        return find_violations_indexed(slim, cfds, cache=cache)
+    slim.extend(projected())
+    with use_kernel(kernel):
+        return find_violations_indexed(slim, cfds)
 
 
 # ---------------------------------------------------------------------------
-# per-pattern detection against an index
+# canonical violation order
+# ---------------------------------------------------------------------------
+def canonical_order(violations: Iterable[Violation], cfds: Sequence[CFD]) -> List[Violation]:
+    """Sort ``violations`` into the order the scan oracle reports them.
+
+    The oracle (:func:`repro.core.satisfaction.find_all_violations`) emits,
+    per CFD in input order and per pattern tuple in tableau order, first the
+    constant violations (ascending tuple index, RHS attributes in CFD order)
+    and then the variable violations (ascending smallest member index).  Every
+    backend finds the same violation *set*; sorting by this key makes the
+    *sequence* identical too, which is what lets the greedy repair heuristic
+    reach the same repaired relation regardless of the detection engine
+    driving it.  The sort is stable, so a report already in oracle order is
+    returned unchanged.
+    """
+    cfd_position: Dict[str, int] = {}
+    rhs_position: Dict[str, Dict[str, int]] = {}
+    for position, cfd in enumerate(cfds):
+        if cfd.name not in cfd_position:
+            cfd_position[cfd.name] = position
+            rhs_position[cfd.name] = {attr: i for i, attr in enumerate(cfd.rhs)}
+
+    def key(violation: Violation) -> Tuple[int, int, int, int, int]:
+        cfd_rank = cfd_position.get(violation.cfd_name, len(cfd_position))
+        if isinstance(violation, ConstantViolation):
+            attr_rank = rhs_position.get(violation.cfd_name, {}).get(violation.attribute, 0)
+            return (cfd_rank, violation.pattern_index, 0, violation.tuple_indices[0], attr_rank)
+        return (cfd_rank, violation.pattern_index, 1, min(violation.tuple_indices), 0)
+
+    return sorted(violations, key=key)
+
+
+# ---------------------------------------------------------------------------
+# per-pattern evaluation against a class index
 # ---------------------------------------------------------------------------
 def lhs_free_attributes(cfd: CFD, pattern: PatternTuple) -> Tuple[str, ...]:
     """The ``@``-free LHS attributes in LHS order (the partition attributes).
@@ -242,111 +262,171 @@ def lhs_free_attributes(cfd: CFD, pattern: PatternTuple) -> Tuple[str, ...]:
     return tuple(attr for attr in cfd.lhs if not pattern.lhs_cell(attr).is_dontcare)
 
 
-#: Backward-compatible internal alias (pre-PR 4 name).
-_lhs_free = lhs_free_attributes
+@dataclass(frozen=True)
+class PatternSpec:
+    """Everything needed to evaluate one pattern tuple against its class index."""
+
+    spec_id: int
+    cfd: CFD
+    pattern_index: int
+    #: ``@``-free LHS attributes in LHS order — the partition attributes.
+    lhs_free: Tuple[str, ...]
+    lhs_positions: Tuple[int, ...]
+    #: LHS pattern cells aligned with ``lhs_free``.
+    cells: Tuple[PatternValue, ...]
+    #: ``(attribute, expected constant)`` per constant RHS cell.
+    constant_rhs: Tuple[Tuple[str, Any], ...]
+    #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
+    rhs_free: Tuple[str, ...]
+
+    def key_matches(self, key: Tuple[Any, ...]) -> bool:
+        """Whether a partition key matches this pattern's LHS constants."""
+        return all(cell.matches(value) for cell, value in zip(self.cells, key))
 
 
-def _cfd_violations(
-    store: ColumnStore, cfd: CFD, cache: PartitionIndexCache
-) -> Iterator[Violation]:
-    for pattern_index, pattern in enumerate(cfd.tableau):
-        yield from _pattern_violations(store, cfd, pattern_index, pattern, cache)
-
-
-def _pattern_violations(
-    relation: ColumnStore,
-    cfd: CFD,
-    pattern_index: int,
-    pattern: PatternTuple,
-    cache: PartitionIndexCache,
-) -> Iterator[Violation]:
-    """Violations of one pattern tuple, in the oracle's grouping semantics.
-
-    Don't-care (``@``) LHS cells are excluded from the partition attributes —
-    matching the oracle, which groups by ``X_free`` only — so wildcard cells
-    remain part of the grouping key and constants filter partitions.
-
-    Both checks run over dictionary codes: an expected constant encodes to
-    at most one code (None means no cell ever held the value, so every
-    matching tuple violates), and RHS agreement is cardinality of code
-    projections (codes biject onto values).  Values are decoded only when a
-    violation is emitted, and the per-group scans are the active kernel's
-    (see :mod:`repro.kernels`).
-    """
-    lhs_free = _lhs_free(cfd, pattern)
-    cells = [pattern.lhs_cell(attr) for attr in lhs_free]
-    rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
-    constants = [
-        (attr, pattern.rhs_cell(attr).value)
-        for attr in cfd.rhs
-        if pattern.rhs_cell(attr).is_constant
-    ]
-    const_checks = [
-        (attr, relation.codes(attr), relation.encode(attr, value), value)
-        for attr, value in constants
-    ]
-    rhs_columns = relation.project_codes(rhs_free)
-    kernel = active_kernel()
-    index: Optional[PartitionIndex] = None
-    if kernel.fused_variable_scan and lhs_free and rhs_free and not const_checks:
-        # Wildcard or mixed constant/wildcard pattern on an array kernel:
-        # the fused Q^V scan (one sort + one reduction over the whole
-        # window, with constant LHS cells applied as a row mask before the
-        # group-by) beats grouping through a partition index — unless an
-        # index already exists, in which case reusing it is cheaper still.
-        index = cache.peek(lhs_free)
-        if index is None:
-            mask: List[Tuple[Any, int]] = []
-            for attr, cell in zip(lhs_free, cells):
-                if not cell.is_constant:
-                    continue
-                code = relation.encode(attr, cell.value)
-                if code is None:
-                    # No cell ever held the constant: nothing matches
-                    # this pattern, so it cannot be violated.
-                    return
-                mask.append((relation.codes(attr), code))
-            lhs_columns = [relation.codes(attr) for attr in lhs_free]
-            for key_codes, members in kernel.variable_violation_groups(
-                lhs_columns, rhs_columns, 0, len(relation), mask=mask or None
-            ):
-                yield VariableViolation(
-                    cfd_name=cfd.name,
+def build_specs(schema: Schema, cfds: Sequence[CFD]) -> List[PatternSpec]:
+    """One :class:`PatternSpec` per pattern tuple, CFD by CFD in tableau order."""
+    specs: List[PatternSpec] = []
+    for cfd in cfds:
+        for pattern_index, pattern in enumerate(cfd.tableau):
+            lhs_free = lhs_free_attributes(cfd, pattern)
+            specs.append(
+                PatternSpec(
+                    spec_id=len(specs),
+                    cfd=cfd,
                     pattern_index=pattern_index,
-                    tuple_indices=tuple(members),
-                    attributes=lhs_free,
-                    group_key=tuple(
-                        relation.decode(attr, code)
-                        for attr, code in zip(lhs_free, key_codes)
+                    lhs_free=lhs_free,
+                    lhs_positions=schema.positions(lhs_free),
+                    cells=tuple(pattern.lhs_cell(attr) for attr in lhs_free),
+                    constant_rhs=tuple(
+                        (attr, pattern.rhs_cell(attr).value)
+                        for attr in cfd.rhs
+                        if pattern.rhs_cell(attr).is_constant
+                    ),
+                    rhs_free=tuple(
+                        attr
+                        for attr in cfd.rhs
+                        if not pattern.rhs_cell(attr).is_dontcare
                     ),
                 )
-            return
-    if index is None:
-        index = cache.get(lhs_free)
-    for key, indices in index.matching(cells):
-        if const_checks:
-            mismatches = [
-                kernel.constant_mismatches(column, indices, expected_code)
-                for _attr, column, expected_code, _expected in const_checks
-            ]
-            yield from constant_code_violations(
-                relation, cfd.name, pattern_index, const_checks, mismatches
             )
-        if rhs_free and len(indices) > 1 and kernel.codes_disagree(rhs_columns, indices):
-            yield VariableViolation(
-                cfd_name=cfd.name,
-                pattern_index=pattern_index,
-                tuple_indices=tuple(indices),
-                attributes=lhs_free,
-                group_key=tuple(key),
-            )
+    return specs
 
 
-def constant_code_violations(
+def encode_checks(store: ColumnStore, spec: PatternSpec) -> List[ConstCheck]:
+    """The pattern's ``Q^C`` checks against ``store``'s current dictionaries."""
+    return [
+        (attr, store.codes(attr), store.encode(attr, expected), expected)
+        for attr, expected in spec.constant_rhs
+    ]
+
+
+def evaluate_pattern(
+    store: ColumnStore,
+    spec: PatternSpec,
+    index: ClassIndex,
+    checks: Sequence[ConstCheck],
+    positions: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[Tuple[Any, ...], List[Violation]]]:
+    """The violations of one pattern, class by class — one kernel call.
+
+    ``index`` partitions ``store`` by ``spec.lhs_free`` and ``checks`` are
+    the pattern's encoded ``Q^C`` checks (:func:`encode_checks`).  The
+    pattern's LHS constants select the matching classes (every class when
+    there are none), unless ``positions`` names the classes to evaluate (the
+    repair state's dirty set, already known to match).  One
+    ``evaluate_classes`` call then checks them all, and only the classes the
+    kernel flags materialise members and decode their keys.  Yields
+    ``(decoded class key, that class's violations)`` in the order of the
+    evaluated classes.
+    """
+    if positions is None:
+        constants: List[Tuple[int, int]] = []
+        for offset, cell in enumerate(spec.cells):
+            if cell.is_constant:
+                code = store.encode(spec.lhs_free[offset], cell.value)
+                if code is None:
+                    # No cell ever held the constant: nothing matches this
+                    # pattern, so it cannot be violated.
+                    return
+                constants.append((offset, code))
+        if constants:
+            positions = index.matching_positions(constants)
+    if positions is None:
+        indices, offsets = index.class_table()
+    else:
+        indices, offsets = _flatten_classes(index, positions)
+    const_pairs = [(column, code) for _attr, column, code, _expected in checks]
+    rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
+    for local, disagree, mismatches in active_kernel().evaluate_classes(
+        rhs_columns, indices, offsets, const_pairs
+    ):
+        position = int(positions[local]) if positions is not None else local
+        key = tuple(
+            store.decode(attr, code)
+            for attr, code in zip(spec.lhs_free, index.key_codes_at(position))
+        )
+        yield key, _class_violations(
+            store, spec, checks, key, index.members_at(position), disagree, mismatches
+        )
+
+
+def _flatten_classes(index: ClassIndex, positions: Sequence[int]) -> Tuple[Any, Any]:
+    """``(indices, offsets)`` of the given classes, the kernels' flat form.
+
+    Up to eight classes — one all-constant pattern, or a typical mid-fixpoint
+    repair batch — flatten as python lists, which skips the numpy gather
+    round-trip the kernel's small-input fallback would undo anyway.
+    """
+    if len(positions) > 8:
+        return index.gather(positions)
+    indices: List[int] = []
+    offsets: List[int] = []
+    for position in positions:
+        offsets.append(len(indices))
+        indices.extend(index.members_at(position))
+    return indices, offsets
+
+
+def _class_violations(
+    store: ColumnStore,
+    spec: PatternSpec,
+    checks: Sequence[ConstCheck],
+    key: Tuple[Any, ...],
+    members: Sequence[int],
+    disagree: bool,
+    mismatches: Sequence[Sequence[int]],
+) -> List[Violation]:
+    """Materialise one reported class's violations from kernel output.
+
+    ``Q^C`` violations come first, tuple-major, then the single ``Q^V``
+    violation over the full member list.
+    """
+    violations: List[Violation] = []
+    if checks:
+        violations.extend(
+            _constant_code_violations(
+                store, spec.cfd.name, spec.pattern_index, checks, mismatches
+            )
+        )
+    if disagree:
+        violations.append(
+            VariableViolation(
+                cfd_name=spec.cfd.name,
+                pattern_index=spec.pattern_index,
+                tuple_indices=tuple(members),
+                attributes=spec.lhs_free,
+                group_key=key,
+            )
+        )
+    return violations
+
+
+def _constant_code_violations(
     store: ColumnStore,
     cfd_name: str,
     pattern_index: int,
-    checks: Sequence[Tuple[str, Any, Optional[int], Any]],
+    checks: Sequence[ConstCheck],
     per_check_mismatches: Sequence[Sequence[int]],
 ) -> Iterator[ConstantViolation]:
     """Emit ``Q^C`` violations of one class from per-check mismatch subsets.
@@ -357,9 +437,7 @@ def constant_code_violations(
     tuple-major — all checks of tuple ``i`` before any check of tuple
     ``i+1`` — matching the scan oracle: the single-check case walks its
     subset directly, the multi-check case re-walks the sorted union against
-    every check.  This is the one shared emission path of the indexed
-    detector and the incremental repair state (both sequential and batched),
-    so their reports cannot drift apart.
+    every check.
     """
     if len(checks) == 1:
         attr, column, _expected_code, expected = checks[0]
@@ -388,15 +466,3 @@ def constant_code_violations(
                     expected=expected,
                     actual=store.decode(attr, code),
                 )
-
-
-def codes_disagree(columns: Sequence[Any], indices: Sequence[int]) -> bool:
-    """Whether the code projections of ``indices`` take more than one value.
-
-    Codes biject onto values per attribute, so code disagreement *is* value
-    disagreement — the ``Q^V`` check without decoding a single cell.  Shared
-    by the indexed backend and the incremental repair state; dispatches to
-    the active kernel (:mod:`repro.kernels`), every implementation of which
-    answers identically.
-    """
-    return active_kernel().codes_disagree(columns, indices)

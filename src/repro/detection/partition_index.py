@@ -1,346 +1,44 @@
-"""Partition indexes: one grouping pass shared by every CFD over the same LHS.
+"""Class indexes: one grouping pass shared by every pattern over the same LHS.
 
 The in-memory oracle (:mod:`repro.core.satisfaction`) re-scans the whole
 relation once per pattern tuple, so a CFD with a 1K-row tableau costs 1K
 passes.  But every pattern of a CFD — and every CFD sharing the same
 ``@``-free LHS attribute set — asks the same structural question: *which
-tuples agree on these attributes?*  A :class:`PartitionIndex` answers it once:
-it groups tuple indices by their projection onto a fixed attribute tuple in a
-single pass, after which
+tuples agree on these attributes?*  A class index answers it once, over the
+dictionary codes of a :class:`~repro.relation.columnar.ColumnStore`: it
+partitions the rows into equivalence classes, ordered ascending by code key
+with members ascending, after which
 
-* a **constant-pattern lookup** (all LHS cells constant) is a dictionary
-  ``get`` — ``O(1)``;
-* a **mixed pattern** (constants plus wildcards) filters partition *keys*
-  rather than tuples — ``O(#partitions)`` instead of ``O(#tuples)``;
-* a **variable-CFD check** inspects each candidate partition's distinct RHS
-  projections — ``O(partition size)`` per partition, linear overall.
+* an **all-constant pattern** resolves to its class with one :meth:`find`;
+* a **mixed pattern** (constants plus wildcards) filters class *keys*
+  (:meth:`matching_positions`), never tuples;
+* the ``Q^C``/``Q^V`` checks of every selected class run as one
+  ``evaluate_classes`` kernel call over the flat ``(indices, offsets)`` form
+  (:meth:`class_table`, :meth:`gather`).
 
-:class:`PartitionIndexCache` keeps the most recently used indexes (LRU) so a
-batch of CFDs sharing LHS attribute sets builds each partition map exactly
-once.  Grouping always runs over the dictionary codes of a
-:class:`~repro.relation.columnar.ColumnStore` (a plain relation is encoded
-once on entry), and ingestion is chunked (:meth:`PartitionIndex.add_encoded`),
-so an index can be grown batch-by-batch while streaming a relation that is
-never fully materialised (see :func:`repro.detection.indexed.detect_stream`).
+Two implementations share that contract: the array-backed
+:class:`CodePartitionIndex` under the numpy kernel and the pure-python
+:class:`PartitionIndex` otherwise (and for an LHS whose composite key would
+overflow ``int64``); :func:`class_index` picks one.  Detection
+(:mod:`repro.detection.indexed`) and the repair state
+(:mod:`repro.repair.incremental`) both evaluate patterns against them, and
+the repair state moves tuples between classes with :meth:`apply_moves`.
+
+:class:`PartitionIndexCache` keeps the most recently used class indexes (LRU)
+so a batch of CFDs sharing LHS attribute sets builds each index exactly once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.pattern import PatternValue
 from repro.errors import DetectionError
+from repro.kernels import active_kernel
+from repro.kernels.python_kernels import PYTHON_KERNEL
 from repro.relation.columnar import ColumnStore
-from repro.relation.relation import Relation, Row
-from repro.relation.schema import Schema
-
-#: Default batch size for chunked ingestion.
-DEFAULT_CHUNK_SIZE = 8_192
-
-
-class PartitionIndex:
-    """Tuple indices grouped by their projection onto a fixed attribute tuple.
-
-    The grouping key of a tuple is its projection onto ``attributes`` (in the
-    given order).  Within each partition, indices are kept in ingestion order,
-    which for a relation fed front-to-back is ascending tuple-index order —
-    the same order the in-memory oracle reports.  Keys are value tuples,
-    decoded once per partition from the codes the grouping runs over.
-
-    >>> from repro.relation.schema import Schema
-    >>> from repro.relation.relation import Relation
-    >>> rel = Relation(Schema("r", ["A", "B"]), [(1, "x"), (2, "y"), (1, "z")])
-    >>> index = PartitionIndex.from_relation(rel, ("A",))
-    >>> index.get((1,))
-    (0, 2)
-    >>> len(index)
-    2
-    """
-
-    __slots__ = ("_attributes", "_groups", "_next_index", "_tuple_count")
-
-    def __init__(self, schema: Schema, attributes: Sequence[str]) -> None:
-        self._attributes: Tuple[str, ...] = tuple(attributes)
-        schema.positions(self._attributes)  # rejects unknown attributes up front
-        self._groups: Dict[Row, List[int]] = {}
-        self._next_index = 0
-        self._tuple_count = 0
-
-    # ------------------------------------------------------------------ construction
-    @classmethod
-    def from_relation(cls, relation: Relation, attributes: Sequence[str]) -> PartitionIndex:
-        """Build an index over ``relation`` in one pass.
-
-        The grouping runs over integer codes through :meth:`add_encoded`; a
-        relation that is not a :class:`~repro.relation.columnar.ColumnStore`
-        is encoded first.  Batch-by-batch construction (for sources not
-        materialised as a :class:`Relation`) calls :meth:`add_encoded`
-        directly, as :func:`repro.detection.indexed.detect_stream` does.
-        """
-        index = cls(relation.schema, attributes)
-        index.add_encoded(_encoded(relation))
-        return index
-
-    def add_encoded(
-        self, store: ColumnStore, start: Optional[int] = None, stop: Optional[int] = None
-    ) -> int:
-        """Ingest rows ``[start, stop)`` of an encoded store; return the next free index.
-
-        The grouping pass runs over dictionary codes
-        (:meth:`ColumnStore.group_indices`) and each partition key is decoded
-        to values once per *partition*, not once per row — same keys, same
-        members and same first-occurrence order as grouping the values
-        directly, without hashing a value tuple per tuple.  Batches must be
-        contiguous with what was already ingested.
-        """
-        start = self._next_index if start is None else start
-        if start != self._next_index:
-            raise DetectionError(
-                f"encoded batch starts at {start} but the next free index is "
-                f"{self._next_index}; batches must be contiguous"
-            )
-        stop = len(store) if stop is None else stop
-        groups = self._groups
-        for key, indices in store.group_indices(self._attributes, start, stop):
-            existing = groups.get(key)
-            if existing is None:
-                groups[key] = indices
-            else:
-                existing.extend(indices)
-        self._tuple_count += max(0, stop - start)
-        self._next_index = stop
-        return stop
-
-    # ------------------------------------------------------------------ basics
-    @property
-    def attributes(self) -> Tuple[str, ...]:
-        """The attribute tuple this index partitions by."""
-        return self._attributes
-
-    @property
-    def tuple_count(self) -> int:
-        """How many tuples have been ingested."""
-        return self._tuple_count
-
-    def __len__(self) -> int:
-        """The number of distinct partitions."""
-        return len(self._groups)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._groups
-
-    def get(self, key: Sequence[Any]) -> Tuple[int, ...]:
-        """The indices in the partition of ``key`` (empty tuple when absent)."""
-        group = self._groups.get(tuple(key))
-        return tuple(group) if group is not None else ()
-
-    def partitions(self) -> Iterator[Tuple[Row, List[int]]]:
-        """Iterate over ``(key, indices)`` pairs in first-occurrence order.
-
-        The yielded lists are the index's internal groups (copying every
-        group would cost a full pass per query, defeating the index); treat
-        them as read-only — mutating one corrupts the partition map.
-        """
-        return iter(self._groups.items())
-
-    def keys(self) -> Iterator[Row]:
-        return iter(self._groups)
-
-    # ------------------------------------------------------------------ queries
-    def matching(self, cells: Sequence[PatternValue]) -> Iterator[Tuple[Row, List[int]]]:
-        """Partitions whose key matches the pattern ``cells``.
-
-        ``cells`` is aligned with :attr:`attributes`; constants pin their
-        position, wildcard / don't-care cells leave it free.  When every cell
-        is a constant this is a single dictionary lookup; otherwise the scan
-        touches partition keys, never tuples.  As with :meth:`partitions`,
-        the yielded index lists are internal read-only views.
-        """
-        if len(cells) != len(self._attributes):
-            raise DetectionError(
-                f"pattern has {len(cells)} cells but index partitions by "
-                f"{len(self._attributes)} attributes {self._attributes}"
-            )
-        if all(cell.is_constant for cell in cells):
-            key = tuple(cell.value for cell in cells)
-            group = self._groups.get(key)
-            if group is not None:
-                yield key, group
-            return
-        constants = [
-            (position, cell.value)
-            for position, cell in enumerate(cells)
-            if cell.is_constant
-        ]
-        if not constants:
-            yield from self._groups.items()
-            return
-        for key, group in self._groups.items():
-            if all(key[position] == value for position, value in constants):
-                yield key, group
-
-    def multi_tuple_partitions(self) -> Iterator[Tuple[Row, List[int]]]:
-        """Partitions holding at least two tuples — the variable-CFD candidates."""
-        for key, group in self._groups.items():
-            if len(group) > 1:
-                yield key, group
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionIndex({list(self._attributes)}, "
-            f"{len(self._groups)} partitions over {self._tuple_count} tuples)"
-        )
-
-
-class PartitionIndexCache:
-    """An LRU cache of :class:`PartitionIndex` objects for one relation.
-
-    Detection over a CFD batch requests one index per distinct ``@``-free LHS
-    attribute tuple; the cache builds each on first use and serves repeats —
-    including across separate :meth:`~repro.detection.indexed.IndexedDetector.detect`
-    calls — from memory.  The cache assumes the relation does not change while
-    it is alive; after mutating the relation call :meth:`clear` to drop
-    everything.
-
-    Indexes are built over :attr:`store`: the relation itself when it is a
-    :class:`~repro.relation.columnar.ColumnStore`, else an encoded copy made
-    once here (and again by :meth:`clear`).
-    """
-
-    def __init__(self, relation: Relation, maxsize: int = 32) -> None:
-        if maxsize <= 0:
-            raise DetectionError(f"cache maxsize must be positive, got {maxsize}")
-        self._relation = relation
-        self._store = _encoded(relation)
-        self._maxsize = maxsize
-        self._indexes: "OrderedDict[Tuple[str, ...], PartitionIndex]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._expected_version = relation.version
-
-    def _check_synchronized(self) -> None:
-        """Raise when the relation mutated since the cache last synchronised.
-
-        Inserts and deletes shift or extend the tuple-index space, and raw
-        updates move tuples between equivalence classes behind the cached
-        indexes' backs; serving a read afterwards would silently return wrong
-        answers.  The relation's version counter makes that a loud error.
-        """
-        if self._relation.version != self._expected_version:
-            raise DetectionError(
-                "the relation was mutated while partition indexes were live "
-                f"(version {self._relation.version}, indexes built at "
-                f"{self._expected_version}); call clear() to rebuild from "
-                "scratch"
-            )
-
-    # ------------------------------------------------------------------ access
-    def get(self, attributes: Sequence[str]) -> PartitionIndex:
-        """The index over ``attributes``, building (and caching) it on a miss.
-
-        Raises :class:`~repro.errors.DetectionError` when the relation was
-        mutated since the cache last synchronised with it (see
-        :meth:`clear`).
-        """
-        self._check_synchronized()
-        key = tuple(attributes)
-        index = self._indexes.get(key)
-        if index is not None:
-            self._hits += 1
-            self._indexes.move_to_end(key)
-            return index
-        self._misses += 1
-        index = PartitionIndex.from_relation(self._store, key)
-        self.seed(index)
-        return index
-
-    def peek(self, attributes: Sequence[str]) -> Optional[PartitionIndex]:
-        """The cached index over ``attributes``, or ``None`` — never builds.
-
-        For callers that have a cheaper strategy than grouping (the fused
-        kernel scan of a pure wildcard pattern): an index that already
-        exists beats regrouping, but its absence should not force
-        construction.  Counts as a hit only when an index is served.
-        """
-        self._check_synchronized()
-        key = tuple(attributes)
-        index = self._indexes.get(key)
-        if index is not None:
-            self._hits += 1
-            self._indexes.move_to_end(key)
-        return index
-
-    def seed(self, index: PartitionIndex) -> None:
-        """Insert a pre-built index (used by the streaming ingestion path).
-
-        The index must cover the cache's relation in full: a partial or
-        foreign index would serve tuple indices that do not line up with
-        the relation later passed to detection.
-        """
-        self._check_synchronized()
-        if index.tuple_count != len(self._relation):
-            raise DetectionError(
-                f"cannot seed an index covering {index.tuple_count} tuples into a "
-                f"cache for a {len(self._relation)}-tuple relation"
-            )
-        self._indexes[index.attributes] = index
-        self._indexes.move_to_end(index.attributes)
-        while len(self._indexes) > self._maxsize:
-            self._indexes.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every cached index (required after mutating the relation)."""
-        self._indexes.clear()
-        if self._store is not self._relation:
-            self._store = _encoded(self._relation)
-        self._expected_version = self._relation.version
-
-    # ------------------------------------------------------------------ introspection
-    @property
-    def relation(self) -> Relation:
-        return self._relation
-
-    @property
-    def store(self) -> ColumnStore:
-        """The encoded relation the indexes group (the relation itself if encoded)."""
-        return self._store
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    def __len__(self) -> int:
-        return len(self._indexes)
-
-    def __contains__(self, attributes: object) -> bool:
-        return attributes in self._indexes
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters plus the current size, for tests and reporting."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._indexes),
-            "maxsize": self._maxsize,
-        }
-
-    def __repr__(self) -> str:
-        stats = self.stats()
-        return (
-            f"PartitionIndexCache({stats['size']}/{stats['maxsize']} indexes, "
-            f"{stats['hits']} hits, {stats['misses']} misses)"
-        )
+from repro.relation.relation import Relation
 
 
 def _encoded(relation: Relation) -> ColumnStore:
@@ -349,14 +47,23 @@ def _encoded(relation: Relation) -> ColumnStore:
     return ColumnStore.from_relation(relation)
 
 
+def _pinned_key(
+    constants: Sequence[Tuple[int, int]], width: int
+) -> Optional[Tuple[int, ...]]:
+    """The full code key when ``(offset, code)`` pins cover every attribute once."""
+    pins = dict(constants)
+    if len(constants) == len(pins) == width:
+        return tuple(pins[offset] for offset in range(width))
+    return None
+
+
 class CodePartitionIndex:
     """An array-backed partition map over a :class:`ColumnStore`'s code columns.
 
-    The repair engine's counterpart of :class:`PartitionIndex`: where the
-    dict index materialises one python list per equivalence class (10K+
-    list allocations on a 50K relation, the dominant cost of building a
-    :class:`~repro.repair.incremental.RepairState`), this one keeps the whole
-    partition in three arrays — a stable sort order over a fused composite
+    The numpy counterpart of :class:`PartitionIndex`: where that index
+    materialises one python list per equivalence class (10K+ list
+    allocations on a 50K relation), this one keeps the whole partition in
+    three arrays — a stable sort order over a fused composite
     code key, per-class start offsets into it, and the per-class composite
     keys.  Members materialise into python lists only for classes that
     actually report a violation, and a repair pass applies its cell changes
@@ -370,8 +77,8 @@ class CodePartitionIndex:
 
     Only ever constructed under the numpy kernel (numpy is importable then);
     construction raises :class:`~repro.errors.DetectionError` in the
-    astronomical case where the composite key cannot fit ``int64``, and the
-    repair state takes :class:`PyCodePartitionIndex` for that LHS instead.
+    astronomical case where the composite key cannot fit ``int64``, and
+    :func:`class_index` takes :class:`PartitionIndex` for that LHS instead.
     """
 
     #: Dictionary-growth headroom baked into the composite strides: repairs
@@ -384,7 +91,6 @@ class CodePartitionIndex:
         "_store",
         "_attributes",
         "_np",
-        "_views",
         "_capacities",
         "_strides",
         "_comp",
@@ -403,13 +109,23 @@ class CodePartitionIndex:
         self._rebuild()
 
     # ------------------------------------------------------------------ construction
+    def _views(self) -> tuple:
+        """Fresh array views of the LHS code columns, for one call only.
+
+        A live numpy view pins its ``array('i')`` buffer, and a pinned
+        buffer makes every later insert into the store fail with
+        ``BufferError``; so the index never keeps one.
+        """
+        from repro.kernels.numpy_kernels import _as_array
+
+        return tuple(_as_array(self._store.codes(attr)) for attr in self._attributes)
+
     def _rebuild(self) -> None:
         """(Re)build the composite keys, sort order and class boundaries."""
-        from repro.kernels.numpy_kernels import _as_array
+        from repro.kernels.numpy_kernels import stable_argsort
 
         np = self._np
         store = self._store
-        self._views = tuple(_as_array(store.codes(attr)) for attr in self._attributes)
         capacities: List[int] = []
         strides: List[int] = []
         stride = 1
@@ -421,16 +137,16 @@ class CodePartitionIndex:
                 raise DetectionError(
                     "composite partition key over "
                     f"{self._attributes} would overflow int64; use "
-                    "PyCodePartitionIndex instead"
+                    "PartitionIndex instead"
                 )
             stride *= capacity
         self._capacities = tuple(reversed(capacities))
         self._strides = tuple(reversed(strides))
         comp = np.zeros(len(store), dtype=np.int64)
-        for view, attr_stride in zip(self._views, self._strides):
+        for view, attr_stride in zip(self._views(), self._strides):
             comp += view.astype(np.int64) * attr_stride
         self._comp = comp
-        self._order = np.argsort(comp, kind="stable").astype(np.intp, copy=False)
+        self._order = stable_argsort(comp).astype(np.intp, copy=False)
         self._refresh_boundaries()
 
     def _refresh_boundaries(self) -> None:
@@ -477,8 +193,8 @@ class CodePartitionIndex:
 
     def key_codes_at(self, position: int) -> Tuple[int, ...]:
         """The code-key tuple of class ``position`` (read off its first member)."""
-        first = self._order[self._starts[position]]
-        return tuple(int(view[first]) for view in self._views)
+        first = int(self._order[self._starts[position]])
+        return tuple(int(self._store.codes(attr)[first]) for attr in self._attributes)
 
     def find(self, key_codes: Sequence[Optional[int]]) -> int:
         """The class position of a code key, or ``-1`` when no row holds it.
@@ -504,15 +220,20 @@ class CodePartitionIndex:
     def matching_positions(self, constants: Sequence[Tuple[int, int]]):
         """Class positions whose key honours ``(attribute offset, code)`` pins.
 
-        The batched form of :meth:`PartitionIndex.matching` for mixed
-        constant/wildcard patterns: one vectorised comparison over the
+        Every attribute pinned is one :meth:`find`; a mixed
+        constant/wildcard pattern is one vectorised comparison over the
         per-class first members instead of a python filter over keys.
         """
+        key = _pinned_key(constants, len(self._attributes))
+        if key is not None:
+            position = self.find(key)
+            return [position] if position >= 0 else []
         np = self._np
         firsts = self._order[self._starts]
         keep = np.ones(len(firsts), dtype=bool)
+        views = self._views()
         for offset, code in constants:
-            keep &= self._views[offset][firsts] == code
+            keep &= views[offset][firsts] == code
         return np.flatnonzero(keep)
 
     def gather(self, positions: Sequence[int]):
@@ -554,7 +275,7 @@ class CodePartitionIndex:
             return
         new_comp = np.zeros(len(moved), dtype=np.int64)
         for view, attr_stride, capacity in zip(
-            self._views, self._strides, self._capacities
+            self._views(), self._strides, self._capacities
         ):
             codes = view[moved]
             if int(codes.max()) >= capacity:
@@ -591,24 +312,28 @@ class CodePartitionIndex:
         )
 
 
-class PyCodePartitionIndex:
-    """The pure-python twin of :class:`CodePartitionIndex`.
+class PartitionIndex:
+    """The pure-python class index, twin of :class:`CodePartitionIndex`.
 
     Same methods, same ordering contract (classes ascending by code-key
-    tuple, members ascending), so :class:`~repro.repair.incremental.RepairState`
-    runs one algorithm over either.  The partition is a dict from code key to
-    its ascending member list (one ``group_codes`` pass) plus the sorted key
-    list; python ints never overflow, so there is no composite key and no
-    headroom to outgrow.  It
-    serves the python kernel, and any LHS whose composite key would not fit
-    ``int64`` under the numpy kernel.
+    tuple, members ascending), so detection and
+    :class:`~repro.repair.incremental.RepairState` run one algorithm over
+    either.  The partition is a dict from code key to its ascending member
+    list (one ``group_codes`` pass) plus the sorted key list; python ints
+    never overflow, so there is no composite key and no headroom to outgrow.
+    It serves the python kernel, and any LHS whose composite key would not
+    fit ``int64`` under the numpy kernel.
+
+    >>> from repro.relation.schema import Schema
+    >>> rel = Relation(Schema("r", ["A", "B"]), [(1, "x"), (2, "y"), (1, "z")])
+    >>> index = PartitionIndex.from_relation(rel, ("A",))
+    >>> [index.members_at(position) for position in range(index.class_count)]
+    [[0, 2], [1]]
     """
 
     __slots__ = ("_attributes", "_columns", "_groups", "_keys", "_row_keys", "_flat")
 
     def __init__(self, store: ColumnStore, attributes: Sequence[str]) -> None:
-        from repro.kernels.python_kernels import PYTHON_KERNEL
-
         self._attributes: Tuple[str, ...] = tuple(attributes)
         self._columns = store.project_codes(self._attributes)
         length = len(store)
@@ -626,6 +351,13 @@ class PyCodePartitionIndex:
         self._row_keys = row_keys
         #: The flat ``(order, offsets)`` form, built on demand until a move.
         self._flat: Optional[Tuple[List[int], List[int]]] = None
+
+    @classmethod
+    def from_relation(
+        cls, relation: Relation, attributes: Sequence[str]
+    ) -> "PartitionIndex":
+        """Build the index over ``relation``, encoding it first unless columnar."""
+        return cls(_encoded(relation), attributes)
 
     # ------------------------------------------------------------------ queries
     @property
@@ -659,11 +391,10 @@ class PyCodePartitionIndex:
 
     def matching_positions(self, constants: Sequence[Tuple[int, int]]) -> List[int]:
         """Class positions whose key honours ``(attribute offset, code)`` pins."""
-        pins = dict(constants)
-        width = len(self._attributes)
-        if len(constants) == len(pins) == width:
+        key = _pinned_key(constants, len(self._attributes))
+        if key is not None:
             # Every attribute pinned: one lookup instead of a scan over keys.
-            position = self.find(tuple(pins[offset] for offset in range(width)))
+            position = self.find(key)
             return [position] if position >= 0 else []
         return [
             position
@@ -711,6 +442,132 @@ class PyCodePartitionIndex:
 
     def __repr__(self) -> str:
         return (
-            f"PyCodePartitionIndex({list(self._attributes)}, "
+            f"PartitionIndex({list(self._attributes)}, "
             f"{self.class_count} classes over {len(self._row_keys)} tuples)"
+        )
+
+
+ClassIndex = Union[CodePartitionIndex, PartitionIndex]
+
+
+def class_index(store: ColumnStore, attributes: Sequence[str]) -> ClassIndex:
+    """The class index over ``attributes`` for the active kernel.
+
+    The array-backed :class:`CodePartitionIndex` under numpy, unless the
+    composite key would overflow ``int64``; the pure-python
+    :class:`PartitionIndex` otherwise.  Both answer identically.
+    """
+    if active_kernel().name == "numpy":
+        try:
+            return CodePartitionIndex(store, attributes)
+        except DetectionError:
+            pass  # the composite key would overflow int64
+    return PartitionIndex.from_relation(store, attributes)
+
+
+class PartitionIndexCache:
+    """An LRU cache of class indexes for one relation.
+
+    Detection over a CFD batch requests one index per distinct ``@``-free LHS
+    attribute tuple; the cache builds each on first use (:func:`class_index`)
+    and serves repeats — including across separate
+    :meth:`~repro.detection.indexed.IndexedDetector.detect` calls — from
+    memory.  The cache assumes the relation does not change while it is
+    alive; after mutating the relation call :meth:`clear` to drop everything.
+
+    Indexes are built over :attr:`store`: the relation itself when it is a
+    :class:`~repro.relation.columnar.ColumnStore`, else an encoded copy made
+    once here (and again by :meth:`clear`).
+    """
+
+    def __init__(self, relation: Relation, maxsize: int = 32) -> None:
+        if maxsize <= 0:
+            raise DetectionError(f"cache maxsize must be positive, got {maxsize}")
+        self._relation = relation
+        self._store = _encoded(relation)
+        self._maxsize = maxsize
+        self._indexes: "OrderedDict[Tuple[str, ...], ClassIndex]" = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._expected_version = relation.version
+
+    def _check_synchronized(self) -> None:
+        """Raise when the relation mutated since the cache last synchronised.
+
+        Inserts and deletes shift or extend the tuple-index space, and raw
+        updates move tuples between equivalence classes behind the cached
+        indexes' backs; serving a read afterwards would silently return wrong
+        answers.  The relation's version counter makes that a loud error.
+        """
+        if self._relation.version != self._expected_version:
+            raise DetectionError(
+                "the relation was mutated while partition indexes were live "
+                f"(version {self._relation.version}, indexes built at "
+                f"{self._expected_version}); call clear() to rebuild from "
+                "scratch"
+            )
+
+    # ------------------------------------------------------------------ access
+    def get(self, attributes: Sequence[str]) -> ClassIndex:
+        """The index over ``attributes``, building (and caching) it on a miss.
+
+        Raises :class:`~repro.errors.DetectionError` when the relation was
+        mutated since the cache last synchronised with it (see
+        :meth:`clear`).
+        """
+        self._check_synchronized()
+        key = tuple(attributes)
+        index = self._indexes.get(key)
+        if index is not None:
+            self._hits += 1
+            self._indexes.move_to_end(key)
+            return index
+        self._misses += 1
+        index = class_index(self._store, key)
+        self._indexes[key] = index
+        while len(self._indexes) > self._maxsize:
+            self._indexes.popitem(last=False)
+        return index
+
+    def clear(self) -> None:
+        """Drop every cached index (required after mutating the relation)."""
+        self._indexes.clear()
+        if self._store is not self._relation:
+            self._store = _encoded(self._relation)
+        self._expected_version = self._relation.version
+
+    # ------------------------------------------------------------------ introspection
+    @property
+    def relation(self) -> Relation:
+        return self._relation
+
+    @property
+    def store(self) -> ColumnStore:
+        """The encoded relation the indexes group (the relation itself if encoded)."""
+        return self._store
+
+    @property
+    def maxsize(self) -> int:
+        return self._maxsize
+
+    def __len__(self) -> int:
+        return len(self._indexes)
+
+    def __contains__(self, attributes: object) -> bool:
+        return attributes in self._indexes
+
+    def stats(self) -> Dict[str, int]:
+        """Hit/miss counters plus the current size, for tests and reporting."""
+        return {
+            "hits": self._hits,
+            "misses": self._misses,
+            "size": len(self._indexes),
+            "maxsize": self._maxsize,
+        }
+
+    def __repr__(self) -> str:
+        stats = self.stats()
+        return (
+            f"PartitionIndexCache({stats['size']}/{stats['maxsize']} indexes, "
+            f"{stats['hits']} hits, {stats['misses']} misses)"
         )

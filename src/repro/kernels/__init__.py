@@ -4,9 +4,10 @@ PR 5 reduced detection and repair over a
 :class:`~repro.relation.columnar.ColumnStore` to a family of integer
 primitives — group-by over code columns, group-by over an index subset, the
 ``Q^V`` disagreement check, the ``Q^C`` constant-mismatch scan, the fused
-variable-pattern scan, and the repair-side batch pair (``partition_classes``
-to flatten a relation into equivalence classes, ``evaluate_classes`` to
-resolve all ``Q^C``/``Q^V`` checks of a dirty class set in one call).  This
+variable-pattern scan, and the class pair (``partition_classes`` to flatten
+a relation into equivalence classes, ``evaluate_classes`` to resolve all
+``Q^C``/``Q^V`` checks of a class set in one call — the one evaluation
+primitive of detection and repair).  This
 package gives those primitives swappable implementations:
 
 * ``"python"`` — the pure-Python reference

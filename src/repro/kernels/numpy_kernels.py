@@ -73,6 +73,24 @@ def _boundaries(sorted_cols: List[np.ndarray], count: int):
     return starts, ends
 
 
+def stable_argsort(key: np.ndarray) -> np.ndarray:
+    """A stable argsort of non-negative integer keys.
+
+    numpy's stable sort is an O(n) radix sort for <= 16-bit integers but a
+    comparison sort above that — a ~4-7x gap on 50K keys.  Keys below
+    ``2**16`` sort in one 16-bit pass; keys below ``2**32`` in two (low half,
+    then high half: each pass is stable, so this is an LSD radix sort).
+    """
+    top = int(key.max()) if len(key) else 0
+    if top < 2**16:
+        return np.argsort(key.astype(np.uint16), kind="stable")
+    if top < 2**32:
+        low = np.argsort((key & 0xFFFF).astype(np.uint16), kind="stable")
+        high = np.argsort((key[low] >> 16).astype(np.uint16), kind="stable")
+        return low[high]
+    return np.argsort(key, kind="stable")
+
+
 def _stable_order(arrays: List[np.ndarray]) -> np.ndarray:
     """A stable sort order over multi-column keys.
 
@@ -83,10 +101,7 @@ def _stable_order(arrays: List[np.ndarray]) -> np.ndarray:
     Both routes are stable, so equal keys keep ascending position order.
     """
     if len(arrays) == 1:
-        key = arrays[0]
-        if key.dtype.itemsize > 2 and len(key) and int(key.max()) < 2**15:
-            key = key.astype(np.int16)
-        return np.argsort(key, kind="stable")
+        return stable_argsort(arrays[0])
     key = arrays[0].astype(np.int64)
     for arr in arrays[1:]:
         radix = int(arr.max()) + 1
@@ -94,12 +109,7 @@ def _stable_order(arrays: List[np.ndarray]) -> np.ndarray:
             return np.lexsort(tuple(reversed(arrays)))
         key *= radix
         key += arr
-    if int(key.max()) < 2**15:
-        # numpy's stable sort is an O(n) radix sort for <= 16-bit integers
-        # but a comparison sort above that — a ~7x gap on 50K keys.  Small
-        # dictionaries (the common case) fit comfortably.
-        key = key.astype(np.int16)
-    return np.argsort(key, kind="stable")
+    return stable_argsort(key)
 
 
 def _grouped(
@@ -128,11 +138,6 @@ class NumpyKernel:
     """Vectorised implementations of the code-column hot loops."""
 
     name = "numpy"
-
-    #: :meth:`variable_violation_groups` fuses the grouping sort and the
-    #: disagreement reduction into whole-column array passes, so for a pure
-    #: wildcard pattern it beats building a partition index first.
-    fused_variable_scan = True
 
     def group_codes(
         self,
@@ -190,9 +195,7 @@ class NumpyKernel:
         are applied as one boolean reduction *before* the radix group-by, so
         mixed constant/wildcard patterns stay on the fused path — the sort
         then only touches the surviving rows.  Only the violating groups are
-        materialised back into python lists — on mostly-clean data that is a
-        tiny fraction of the relation, which is where the fused path wins
-        big over grouping through an index.
+        materialised back into python lists.
         """
         count = stop - start
         if count <= 0:

@@ -2,7 +2,7 @@
 
 These are the loops the hot layers ran inline before the kernel split:
 dictionary-code grouping (:meth:`ColumnStore.group_indices`), the ``Q^V``
-code-disagreement check (:func:`repro.detection.indexed.codes_disagree`) and
+code-disagreement check (:meth:`PythonKernel.codes_disagree`) and
 the ``Q^C`` constant-mismatch scan.  They are the *semantics definition* —
 the numpy kernels (:mod:`repro.kernels.numpy_kernels`) must reproduce their
 output element for element, in the same order, and the agreement grid in
@@ -38,13 +38,6 @@ class PythonKernel:
     """Reference implementations of the code-column hot loops."""
 
     name = "python"
-
-    #: Whether :meth:`variable_violation_groups` beats grouping through a
-    #: partition index.  For the reference kernel it does not (the method
-    #: below *is* the index path minus the index), so the detector keeps
-    #: building reusable indexes; array kernels that fuse the sort and the
-    #: disagreement reduction set this to ``True``.
-    fused_variable_scan = False
 
     def group_codes(
         self,
@@ -182,13 +175,17 @@ class PythonKernel:
         violates: more than one member *and* more than one distinct
         ``rhs_columns`` projection.  ``mask`` — ``(column, code)`` pairs from
         a pattern's constant LHS cells — restricts the scan to the rows whose
-        code equals the constant's in every pair, which is exactly the
-        partition subset ``PartitionIndex.matching`` would select.  Same
+        code equals the constant's in every pair, which is exactly the class
+        subset a class index's ``matching_positions`` would select.  Same
         ordering contract as :meth:`group_codes` — groups in first-occurrence
-        order of their LHS key, members ascending — so emitting one violation
-        per returned group reproduces the partition-index walk byte for byte
-        (restricting to masked rows preserves first-occurrence order among
-        the surviving partitions, whose members are all masked rows).
+        order of their LHS key, members ascending (restricting to masked rows
+        preserves first-occurrence order among the surviving groups, whose
+        members are all masked rows).
+
+        No engine calls this primitive or :meth:`partition_classes` (the
+        detector and the repair state evaluate through class indexes); both
+        stay in the kernel interface because ``perf/tracer.py`` binds every
+        primitive by name.
         """
         if mask:
             indices = [

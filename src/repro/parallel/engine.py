@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.config import DetectionConfig
 from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
-from repro.detection.indexed import find_violations_indexed
+from repro.detection.indexed import canonical_order, find_violations_indexed
 from repro.parallel.executor import (
     SERIAL,
     default_workers,
@@ -44,7 +44,6 @@ from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
 )
 from repro.registry import register_detector
 from repro.relation.relation import Relation
-from repro.repair.incremental import canonical_order
 
 
 @dataclass(frozen=True)

@@ -223,9 +223,9 @@ class Cleaner:
 
         When the backend resolves to ``"indexed"`` and the source is not
         already an in-memory relation, the rows are *streamed* through
-        :func:`repro.detection.indexed.detect_stream` in batches of
-        ``detection.chunk_size`` — only the attributes the CFDs mention are
-        retained, so a CSV or SQLite source never materialises in full.
+        :func:`repro.detection.indexed.detect_stream` — only the attributes
+        the CFDs mention are retained, so a CSV or SQLite source never
+        materialises in full.
         """
         row_source = as_source(source, schema=schema)
         if not isinstance(row_source, RelationSource):
@@ -237,7 +237,6 @@ class Cleaner:
                     row_source.schema,
                     iter(row_source),
                     cfds,
-                    chunk_size=self.detection.chunk_size,
                     storage=self.detection.effective_storage,
                     kernel=self.detection.effective_kernel,
                     spill_dir=self.detection.spill_dir,

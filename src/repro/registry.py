@@ -17,7 +17,7 @@ name:
 
 The built-in backends register themselves when their home modules import
 (``repro.detection.engine`` registers ``inmemory``/``sql``/``indexed``;
-``repro.repair.heuristic`` registers ``scan``/``indexed``/``incremental``;
+``repro.repair.heuristic`` registers ``scan``/``incremental``;
 ``repro.parallel`` registers ``parallel`` for both kinds);
 user code adds its own with the same decorators:
 

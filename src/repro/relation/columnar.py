@@ -46,6 +46,7 @@ still wins.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import count, filterfalse
 from operator import itemgetter
 from typing import (
@@ -137,8 +138,16 @@ class ColumnStore(Relation):
         raw = self._raw[position]
         if raw is None:
             raw = list(map(itemgetter(position), self._pending))
+        # A column's dictionary starts empty, so one pass both assigns codes
+        # in first-occurrence order and maps every cell: a missing value gets
+        # the next code from the defaultdict's factory.
+        interner: Dict[Any, int] = defaultdict(count().__next__)
+        intern = interner.__getitem__
         codes = array("i")
-        self._intern_columns([(position, raw, codes)])
+        for start in range(0, len(raw), INGEST_BLOCK_ROWS):
+            codes.fromlist(list(map(intern, raw[start : start + INGEST_BLOCK_ROWS])))
+        self._value_maps[position] = dict(interner)
+        self._values[position] = list(interner)
         self._codes[position] = codes
         self._raw[position] = None
         return codes

@@ -186,7 +186,7 @@ class Relation:
         """Remove and return the row at ``index``.
 
         Deleting shifts every later tuple index, so any live
-        :class:`~repro.detection.partition_index.PartitionIndex` or
+        :class:`~repro.detection.partition_index.PartitionIndexCache` or
         :class:`~repro.repair.incremental.RepairState` over the relation is
         invalidated; the :attr:`version` bump makes their next read raise a
         :class:`~repro.errors.DetectionError` instead of answering stale.

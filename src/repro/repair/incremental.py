@@ -3,7 +3,7 @@
 The repair heuristic (Section 6) is an iterative fixpoint: detect violations,
 fix some cells, detect again.  Re-running full detection on every pass costs
 ``O(passes x |Σ| x |I| x TABSZ)`` with the scan oracle — and even the
-partition-indexed backend rebuilds its partition maps from scratch each time.
+indexed backend rebuilds its class indexes from scratch each time.
 But a repair pass changes a handful of *cells*, and a single cell change can
 only affect
 
@@ -14,17 +14,18 @@ only affect
 
 :class:`RepairState` exploits exactly that.  It computes over the dictionary
 codes of a :class:`~repro.relation.columnar.ColumnStore` (a plain relation
-is encoded once on entry) with one batched algorithm: one partition index
-per distinct LHS, and the *entire dirty class set* of a change batch
+is encoded once on entry) with the indexed detector's own per-pattern
+evaluation (:func:`~repro.detection.indexed.evaluate_pattern`): one class
+index per distinct LHS, and the *entire dirty class set* of a change batch
 resolved with one ``evaluate_classes`` kernel call per pattern — gather the
 affected members, reduce, materialise only what reports.  The only thing
-the kernel chooses is the index behind each LHS: the array-backed
+the kernel chooses is the index behind each LHS
+(:func:`~repro.detection.partition_index.class_index`): the array-backed
 :class:`~repro.detection.partition_index.CodePartitionIndex` under numpy,
-its pure-python twin
-:class:`~repro.detection.partition_index.PyCodePartitionIndex` otherwise
-(and for an LHS whose composite key would overflow ``int64``).  The two
-share one ordering contract, so every kernel produces byte-identical
-reports.
+the pure-python :class:`~repro.detection.partition_index.PartitionIndex`
+otherwise (and for an LHS whose composite key would overflow ``int64``).
+The two share one ordering contract, so every kernel produces
+byte-identical reports.
 
 Evaluating every dirtied class once at the post-batch state yields exactly
 what change-by-change re-evaluation yields (a later change that could alter
@@ -36,121 +37,24 @@ engine feeds it.  See ``docs/repair.md`` for the complexity analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.cfd import CFD
-from repro.core.pattern import PatternValue
-from repro.core.violations import (
-    ConstantViolation,
-    VariableViolation,
-    Violation,
-    ViolationReport,
+from repro.core.violations import Violation, ViolationReport
+from repro.detection.indexed import (
+    ConstCheck,
+    PatternSpec,
+    build_specs,
+    canonical_order,
+    encode_checks,
+    evaluate_pattern,
 )
-from repro.detection.indexed import constant_code_violations
-from repro.detection.partition_index import CodePartitionIndex, PyCodePartitionIndex
+from repro.detection.partition_index import ClassIndex, CodePartitionIndex, class_index
 from repro.errors import DetectionError
-from repro.kernels import active_kernel
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 
-
-# ---------------------------------------------------------------------------
-# canonical violation order
-# ---------------------------------------------------------------------------
-def canonical_order(violations: Iterable[Violation], cfds: Sequence[CFD]) -> List[Violation]:
-    """Sort ``violations`` into the order the scan oracle reports them.
-
-    The oracle (:func:`repro.core.satisfaction.find_all_violations`) emits,
-    per CFD in input order and per pattern tuple in tableau order, first the
-    constant violations (ascending tuple index, RHS attributes in CFD order)
-    and then the variable violations (ascending smallest member index).  Every
-    backend finds the same violation *set*; sorting by this key makes the
-    *sequence* identical too, which is what lets the greedy repair heuristic
-    reach the same repaired relation regardless of the detection engine
-    driving it.  The sort is stable, so a report already in oracle order is
-    returned unchanged.
-    """
-    cfd_position: Dict[str, int] = {}
-    rhs_position: Dict[str, Dict[str, int]] = {}
-    for position, cfd in enumerate(cfds):
-        if cfd.name not in cfd_position:
-            cfd_position[cfd.name] = position
-            rhs_position[cfd.name] = {attr: i for i, attr in enumerate(cfd.rhs)}
-
-    def key(violation: Violation) -> Tuple[int, int, int, int, int]:
-        cfd_rank = cfd_position.get(violation.cfd_name, len(cfd_position))
-        if isinstance(violation, ConstantViolation):
-            attr_rank = rhs_position.get(violation.cfd_name, {}).get(violation.attribute, 0)
-            return (cfd_rank, violation.pattern_index, 0, violation.tuple_indices[0], attr_rank)
-        return (cfd_rank, violation.pattern_index, 1, min(violation.tuple_indices), 0)
-
-    return sorted(violations, key=key)
-
-
-# ---------------------------------------------------------------------------
-# per-pattern metadata
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _PatternSpec:
-    """Everything needed to evaluate one pattern tuple against one partition."""
-
-    spec_id: int
-    cfd: CFD
-    pattern_index: int
-    #: ``@``-free LHS attributes in LHS order — the partition attributes.
-    lhs_free: Tuple[str, ...]
-    lhs_positions: Tuple[int, ...]
-    #: LHS pattern cells aligned with ``lhs_free``.
-    cells: Tuple[PatternValue, ...]
-    #: ``(attribute, expected constant)`` per constant RHS cell.
-    constant_rhs: Tuple[Tuple[str, Any], ...]
-    #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
-    rhs_free: Tuple[str, ...]
-
-    def key_matches(self, key: Tuple[Any, ...]) -> bool:
-        """Whether a partition key matches this pattern's LHS constants."""
-        return all(cell.matches(value) for cell, value in zip(self.cells, key))
-
-
-def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
-    schema = relation.schema
-    specs: List[_PatternSpec] = []
-    for cfd in cfds:
-        for pattern_index, pattern in enumerate(cfd.tableau):
-            lhs_free = tuple(attr for attr in cfd.lhs if not pattern.lhs_cell(attr).is_dontcare)
-            rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
-            constant_rhs = tuple(
-                (attr, pattern.rhs_cell(attr).value)
-                for attr in cfd.rhs
-                if pattern.rhs_cell(attr).is_constant
-            )
-            specs.append(
-                _PatternSpec(
-                    spec_id=len(specs),
-                    cfd=cfd,
-                    pattern_index=pattern_index,
-                    lhs_free=lhs_free,
-                    lhs_positions=schema.positions(lhs_free),
-                    cells=tuple(pattern.lhs_cell(attr) for attr in lhs_free),
-                    constant_rhs=constant_rhs,
-                    rhs_free=rhs_free,
-                )
-            )
-    return specs
-
-
-_ClassIndex = Union[CodePartitionIndex, PyCodePartitionIndex]
-
-
-def _class_index(store: ColumnStore, attributes: Tuple[str, ...]) -> _ClassIndex:
-    """The partition index behind one LHS for the active kernel."""
-    if active_kernel().name == "numpy":
-        try:
-            return CodePartitionIndex(store, attributes)
-        except DetectionError:
-            pass  # the composite key would overflow int64
-    return PyCodePartitionIndex(store, attributes)
+__all__ = ["RepairState", "canonical_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +63,12 @@ def _class_index(store: ColumnStore, attributes: Tuple[str, ...]) -> _ClassIndex
 class RepairState:
     """Violation state of ``relation`` against ``cfds``, maintained under cell changes.
 
-    The relation is ingested once (one partition index per distinct ``@``-free
+    The relation is ingested once (one class index per distinct ``@``-free
     LHS attribute tuple, shared across patterns and CFDs); the initial report
-    is computed from those indexes exactly as the ``method="indexed"``
-    detection backend would.  From then on :meth:`apply_change` /
+    is computed from those indexes by the ``method="indexed"`` detection
+    backend's own per-pattern evaluation
+    (:func:`~repro.detection.indexed.evaluate_pattern`).  From then on
+    :meth:`apply_change` /
     :meth:`apply_changes` keep both the indexes and the per-partition
     violation store correct in time proportional to the *touched* partitions,
     not the relation (see the module docstring).
@@ -189,10 +95,10 @@ class RepairState:
             else ColumnStore.from_relation(relation)
         )
         self._cfds = list(cfds)
-        self._specs = _build_specs(relation, self._cfds)
+        self._specs = build_specs(relation.schema, self._cfds)
 
         # attribute -> specs whose LHS ∪ RHS mention it (the dirty-spec map).
-        self._specs_by_attr: Dict[str, List[_PatternSpec]] = {}
+        self._specs_by_attr: Dict[str, List[PatternSpec]] = {}
         for spec in self._specs:
             for attr in dict.fromkeys(spec.lhs_free + spec.rhs_free):
                 self._specs_by_attr.setdefault(attr, []).append(spec)
@@ -203,73 +109,24 @@ class RepairState:
         ]
         # spec_id -> (dictionary versions, encoded Q^C checks) — see
         # _const_checks.
-        self._const_cache: Dict[int, Tuple[Tuple[int, ...], List[Tuple[str, Any, Optional[int], Any]]]] = {}
+        self._const_cache: Dict[int, Tuple[Tuple[int, ...], List[ConstCheck]]] = {}
 
-        # One partition index per distinct LHS, shared across patterns.
-        self._indexes: Dict[Tuple[str, ...], _ClassIndex] = {}
+        # One class index per distinct LHS, shared across patterns.
+        self._indexes: Dict[Tuple[str, ...], ClassIndex] = {}
         for spec in self._specs:
-            if spec.lhs_free not in self._indexes:
-                self._indexes[spec.lhs_free] = _class_index(
-                    self._encoded, spec.lhs_free
-                )
-        self._build_initial_batched()
+            index = self._indexes.get(spec.lhs_free)
+            if index is None:
+                index = class_index(self._encoded, spec.lhs_free)
+                self._indexes[spec.lhs_free] = index
+            checks = self._const_checks(spec)
+            self._store[spec.spec_id].update(
+                evaluate_pattern(self._encoded, spec, index, checks)
+            )
 
         self._changes_applied = 0
         self._patterns_reevaluated = 0
         self._partitions_reevaluated = 0
         self._expected_version = relation.version
-
-    def _build_initial_batched(self) -> None:
-        """The initial report as one ``evaluate_classes`` call per pattern.
-
-        The per-LHS index hands every class over in flat form (zero
-        per-class materialisation); patterns with constant LHS cells first
-        narrow the class set with one key comparison per class.  Only the
-        classes the kernel flags materialise members and decode their keys.
-        """
-        kernel = active_kernel()
-        store = self._encoded
-        for spec in self._specs:
-            spec_store = self._store[spec.spec_id]
-            index = self._indexes[spec.lhs_free]
-            checks = self._const_checks(spec)
-            const_pairs = [(column, code) for _attr, column, code, _expected in checks]
-            rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
-            constants: List[Tuple[int, int]] = []
-            dead = False
-            for offset, cell in enumerate(spec.cells):
-                if cell.is_constant:
-                    code = store.encode(spec.lhs_free[offset], cell.value)
-                    if code is None:
-                        # No cell ever held the constant: nothing matches
-                        # this pattern, so it cannot be violated.
-                        dead = True
-                        break
-                    constants.append((offset, code))
-            if dead:
-                continue
-            if constants:
-                positions = index.matching_positions(constants)
-                indices, offsets = index.gather(positions)
-            else:
-                positions = None
-                indices, offsets = index.class_table()
-            for local, disagree, mismatches in kernel.evaluate_classes(
-                rhs_columns, indices, offsets, const_pairs
-            ):
-                class_position = int(positions[local]) if positions is not None else local
-                key = tuple(
-                    store.decode(attr, code)
-                    for attr, code in zip(spec.lhs_free, index.key_codes_at(class_position))
-                )
-                spec_store[key] = self._class_violations(
-                    spec,
-                    checks,
-                    key,
-                    index.members_at(class_position),
-                    disagree,
-                    mismatches,
-                )
 
     # ------------------------------------------------------------------ queries
     @property
@@ -410,12 +267,14 @@ class RepairState:
                 self._reevaluate_batched(spec, list(keys))
         return applied
 
-    def _reevaluate_batched(self, spec: _PatternSpec, keys: List[Tuple[Any, ...]]) -> None:
+    def _reevaluate_batched(
+        self, spec: PatternSpec, keys: List[Tuple[Any, ...]]
+    ) -> None:
         """Recompute one pattern over its dirty classes — one kernel call."""
         store = self._encoded
         spec_store = self._store[spec.spec_id]
         index = self._indexes[spec.lhs_free]
-        live: List[Tuple[Tuple[Any, ...], int]] = []
+        live: Dict[Tuple[Any, ...], int] = {}
         for key in keys:
             self._partitions_reevaluated += 1
             if not spec.key_matches(key):
@@ -431,50 +290,29 @@ class RepairState:
                 # The class emptied out (every member moved away).
                 spec_store.pop(key, None)
                 continue
-            live.append((key, position))
+            live[key] = position
         if not live:
             return
-        checks = self._const_checks(spec)
-        const_pairs = [(column, code) for _attr, column, code, _expected in checks]
-        rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
-        positions = [position for _key, position in live]
-        if len(positions) <= 8:
-            # The typical mid-fixpoint batch dirties one or two small classes;
-            # flattening them as python lists here skips the numpy gather
-            # round-trip the kernel's small-input fallback would undo anyway.
-            flat: List[int] = []
-            offs: List[int] = []
-            for position in positions:
-                offs.append(len(flat))
-                flat.extend(index.members_at(position))
-            indices, offsets = flat, offs
-        else:
-            indices, offsets = index.gather(positions)
-        findings = {
-            local: (disagree, mismatches)
-            for local, disagree, mismatches in active_kernel().evaluate_classes(
-                rhs_columns, indices, offsets, const_pairs
+        found = dict(
+            evaluate_pattern(
+                store, spec, index, self._const_checks(spec), list(live.values())
             )
-        }
-        for local, (key, position) in enumerate(live):
-            finding = findings.get(local)
-            if finding is None:
+        )
+        for key in live:
+            violations = found.get(key)
+            if violations is None:
                 spec_store.pop(key, None)
-                continue
-            disagree, mismatches = finding
-            spec_store[key] = self._class_violations(
-                spec, checks, key, index.members_at(position), disagree, mismatches
-            )
+            else:
+                spec_store[key] = violations
 
-    def _const_checks(self, spec: _PatternSpec) -> List[Tuple[str, Any, Optional[int], Any]]:
+    def _const_checks(self, spec: PatternSpec) -> List[ConstCheck]:
         """The pattern's encoded ``Q^C`` checks, cached per dictionary version.
 
-        Each entry is ``(attribute, code column, expected code, expected
-        value)``.  The dictionary grows under repair — an expected constant
-        absent at one evaluation can be interned by a later fix — so the
-        encode is not stable across the whole run; but it *is* stable while
-        the constant attributes' dictionary versions stand still, which is
-        virtually every evaluation.
+        The dictionary grows under repair — an expected constant absent at
+        one evaluation can be interned by a later fix — so the encode is not
+        stable across the whole run; but it *is* stable while the constant
+        attributes' dictionary versions stand still, which is virtually
+        every evaluation.
         """
         if not spec.constant_rhs:
             return []
@@ -485,47 +323,9 @@ class RepairState:
         cached = self._const_cache.get(spec.spec_id)
         if cached is not None and cached[0] == versions:
             return cached[1]
-        checks = [
-            (attr, store.codes(attr), store.encode(attr, expected), expected)
-            for attr, expected in spec.constant_rhs
-        ]
+        checks = encode_checks(store, spec)
         self._const_cache[spec.spec_id] = (versions, checks)
         return checks
-
-    def _class_violations(
-        self,
-        spec: _PatternSpec,
-        checks: Sequence[Tuple[str, Any, Optional[int], Any]],
-        key: Tuple[Any, ...],
-        members: Sequence[int],
-        disagree: bool,
-        mismatches: Sequence[Sequence[int]],
-    ) -> List[Violation]:
-        """Materialise one reported class's violations from kernel output.
-
-        ``Q^C`` violations come tuple-major through the shared
-        :func:`~repro.detection.indexed.constant_code_violations` helper, then
-        the single ``Q^V`` violation over the full member list.
-        """
-        store = self._encoded
-        violations: List[Violation] = []
-        if checks:
-            violations.extend(
-                constant_code_violations(
-                    store, spec.cfd.name, spec.pattern_index, checks, mismatches
-                )
-            )
-        if disagree:
-            violations.append(
-                VariableViolation(
-                    cfd_name=spec.cfd.name,
-                    pattern_index=spec.pattern_index,
-                    tuple_indices=tuple(members),
-                    attributes=spec.lhs_free,
-                    group_key=key,
-                )
-            )
-        return violations
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """Property: the repair-side partition indexes agree with a brute-force regrouping.
 
-``PyCodePartitionIndex`` (pure python, every platform) and, when numpy is
+``PartitionIndex`` (pure python, every platform) and, when numpy is
 installed, ``CodePartitionIndex`` are driven through the same random code
 columns and random batches of moves.  After the build and after every batch,
 each query (``class_table``, ``find``, ``matching_positions``, ``gather``,
@@ -18,7 +18,7 @@ from unittest import mock
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.detection.partition_index import CodePartitionIndex, PyCodePartitionIndex
+from repro.detection.partition_index import CodePartitionIndex, PartitionIndex
 from repro.kernels import numpy_available
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
@@ -105,8 +105,8 @@ def _check(index, store, lhs, pins, picks) -> None:
 
 def _index_classes():
     if numpy_available():
-        return (PyCodePartitionIndex, CodePartitionIndex)
-    return (PyCodePartitionIndex,)
+        return (PartitionIndex, CodePartitionIndex)
+    return (PartitionIndex,)
 
 
 @given(scenario=scenarios())

@@ -2,7 +2,7 @@
 
 The indexed backend must be *violation-for-violation* identical to the
 in-memory oracle of Section 2 semantics — not merely agree on index sets —
-so most tests compare full violation sets.
+so most tests compare full violation sequences, order included.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.detection.indexed import (
 )
 from repro.detection.partition_index import PartitionIndexCache
 from repro.errors import DetectionError
+from repro.relation import relation as relation_module
 from repro.sql.merge import merge_cfds
 
 
@@ -25,7 +26,7 @@ class TestFindViolationsIndexed:
     def test_cust_violations_identical_to_oracle(self, cust, cust_constraints):
         oracle = find_all_violations(cust, cust_constraints)
         indexed = find_violations_indexed(cust, cust_constraints)
-        assert set(indexed.violations) == set(oracle.violations)
+        assert list(indexed.violations) == list(oracle.violations)
         assert indexed.violating_indices() == frozenset({0, 1, 2, 3})
 
     def test_constant_violation_fields(self, cust, cfd_phi2):
@@ -52,20 +53,20 @@ class TestFindViolationsIndexed:
         cfd = zip_city_state_cfd()
         oracle = find_all_violations(small_tax_workload.relation, [cfd])
         indexed = find_violations_indexed(small_tax_workload.relation, [cfd])
-        assert set(indexed.violations) == set(oracle.violations)
+        assert list(indexed.violations) == list(oracle.violations)
 
     def test_merged_dontcare_tableau_matches_oracle(self, cust, cust_constraints):
         merged = merge_cfds(cust_constraints).to_cfd()
         oracle = find_all_violations(cust, [merged])
         indexed = find_violations_indexed(cust, [merged])
-        assert set(indexed.violations) == set(oracle.violations)
+        assert list(indexed.violations) == list(oracle.violations)
 
     def test_empty_lhs_cfd(self, relation_factory):
         relation = relation_factory(["A", "B"], [("x", "1"), ("y", "1"), ("z", "2")])
         cfd = CFD.build([], ["B"], [{"B": "1"}])
         oracle = find_all_violations(relation, [cfd])
         indexed = find_violations_indexed(relation, [cfd])
-        assert set(indexed.violations) == set(oracle.violations)
+        assert list(indexed.violations) == list(oracle.violations)
         # Row 2 clashes with the constant; the single empty-LHS group also
         # takes two distinct B values, flagging every row.
         assert indexed.violating_indices() == frozenset({0, 1, 2})
@@ -128,14 +129,19 @@ class TestIndexedDetector:
 
 
 class TestDetectStream:
-    def test_stream_matches_oracle_with_small_chunks(self, cust, cust_constraints):
-        oracle = find_all_violations(cust, cust_constraints).violating_indices()
-        for chunk_size in (1, 2, 4, 100):
-            report = detect_stream(cust.schema, iter(cust.rows), cust_constraints, chunk_size=chunk_size)
-            assert report.violating_indices() == oracle
+    def test_stream_matches_oracle_with_small_chunks(
+        self, cust, cust_constraints, monkeypatch
+    ):
+        # The projection is ingested a block at a time; tiny blocks must not
+        # change a thing.
+        oracle = find_all_violations(cust, cust_constraints)
+        for block_rows in (1, 2, 4, 100):
+            monkeypatch.setattr(relation_module, "INGEST_BLOCK_ROWS", block_rows)
+            report = detect_stream(cust.schema, iter(cust.rows), cust_constraints)
+            assert list(report.violations) == list(oracle.violations)
 
     def test_stream_accepts_mapping_rows(self, cust, cust_constraints):
-        report = detect_stream(cust.schema, cust.iter_dicts(), cust_constraints, chunk_size=3)
+        report = detect_stream(cust.schema, cust.iter_dicts(), cust_constraints)
         assert report.violating_indices() == find_all_violations(cust, cust_constraints).violating_indices()
 
     def test_stream_indices_refer_to_stream_positions(self, cust, cfd_phi2):
@@ -145,10 +151,6 @@ class TestDetectStream:
     def test_stream_empty_cfds(self, cust):
         assert detect_stream(cust.schema, iter(cust.rows), []).is_clean()
 
-    def test_stream_rejects_nonpositive_chunk_size(self, cust, cfd_phi2):
-        with pytest.raises(DetectionError):
-            detect_stream(cust.schema, iter(cust.rows), cfd_phi2, chunk_size=0)
-
     def test_stream_only_consumes_source_once(self, cust, cust_constraints):
         consumed = []
 
@@ -157,7 +159,7 @@ class TestDetectStream:
                 consumed.append(row)
                 yield row
 
-        detect_stream(cust.schema, source(), cust_constraints, chunk_size=2)
+        detect_stream(cust.schema, source(), cust_constraints)
         assert len(consumed) == len(cust)
 
     def test_stream_projects_away_unconstrained_attributes(self, relation_factory):

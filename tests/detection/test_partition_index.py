@@ -1,10 +1,14 @@
-"""Tests for the partition index and its LRU cache."""
+"""Tests for the class indexes and their LRU cache."""
 
 import pytest
 
-from repro.core.pattern import DONTCARE, WILDCARD, PatternValue
-from repro.detection.partition_index import PartitionIndex, PartitionIndexCache
+from repro.detection.partition_index import (
+    CodePartitionIndex,
+    PartitionIndex,
+    PartitionIndexCache,
+)
 from repro.errors import DetectionError
+from repro.kernels import kernel_names, numpy_available, use_kernel
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -23,80 +27,83 @@ def rel():
     )
 
 
+def _classes(index, store):
+    """``{decoded key: members}`` over every class, in class order."""
+    return {
+        tuple(
+            store.decode(attr, code)
+            for attr, code in zip(index.attributes, index.key_codes_at(position))
+        ): index.members_at(position)
+        for position in range(index.class_count)
+    }
+
+
+def _count_finds(monkeypatch, cls):
+    """Record every key ``cls.find`` is asked for."""
+    calls = []
+    original = cls.find
+
+    def find(self, key_codes):
+        calls.append(tuple(key_codes))
+        return original(self, key_codes)
+
+    monkeypatch.setattr(cls, "find", find)
+    return calls
+
+
 class TestPartitionIndex:
-    def test_groups_match_relation_group_by(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A", "B"))
-        assert dict(index.partitions()) == rel.group_by(["A", "B"])
+    """The pure-python class index (the numpy twin is tested below)."""
 
-    def test_get_and_contains(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A",))
-        assert index.get(("a1",)) == (0, 1, 3)
-        assert index.get(("zzz",)) == ()
-        assert ("a2",) in index
-        assert ("zzz",) not in index
+    @pytest.fixture
+    def store(self, rel):
+        return ColumnStore.from_relation(rel)
 
-    def test_len_and_tuple_count(self, rel):
-        index = PartitionIndex.from_relation(rel, ("B",))
-        assert len(index) == 2
-        assert index.tuple_count == len(rel)
+    def test_groups_match_relation_group_by(self, rel, store):
+        index = PartitionIndex(store, ("A", "B"))
+        reference = rel.group_by(["A", "B"])
+        assert _classes(index, store) == {
+            key: list(group) for key, group in reference.items()
+        }
 
-    def test_batched_add_tuples_equals_one_shot(self, rel):
-        store = ColumnStore.from_relation(rel)
-        one_shot = PartitionIndex.from_relation(store, ("A", "B"))
-        for batch_size in (1, 2, 3, 100):
-            batched = PartitionIndex(rel.schema, ("A", "B"))
-            for start in range(0, len(store), batch_size):
-                batched.add_encoded(store, start, min(start + batch_size, len(store)))
-            assert dict(batched.partitions()) == dict(one_shot.partitions())
-            assert batched.tuple_count == one_shot.tuple_count
+    def test_get_and_contains(self, store):
+        index = PartitionIndex(store, ("A",))
+        assert index.members_at(index.find((store.encode("A", "a1"),))) == [0, 1, 3]
+        assert index.find((store.encode("A", "a2"),)) >= 0
+        assert index.find((None,)) == -1  # value absent from the dictionary
 
-    def test_add_tuples_continues_indices_across_batches(self, rel):
-        store = ColumnStore.from_relation(rel)
-        index = PartitionIndex(rel.schema, ("A",))
-        next_index = index.add_encoded(store, 0, 2)
-        assert next_index == 2
-        assert index.add_encoded(store, 2, len(store)) == 4
-        assert index.get(("a1",)) == (0, 1, 3)
+    def test_len_and_tuple_count(self, rel, store):
+        index = PartitionIndex(store, ("B",))
+        assert index.class_count == 2
+        indices, offsets = index.class_table()
+        assert sorted(indices) == list(range(len(rel)))
+        assert len(offsets) == index.class_count
 
-    def test_add_tuples_rejects_overlapping_start_index(self, rel):
-        store = ColumnStore.from_relation(rel)
-        index = PartitionIndex(rel.schema, ("A",))
-        index.add_encoded(store, 0, 2)
-        with pytest.raises(DetectionError):
-            index.add_encoded(store, 0, 2)
+    def test_empty_attribute_tuple_gives_single_partition(self, store):
+        index = PartitionIndex(store, ())
+        assert index.class_count == 1
+        assert index.members_at(0) == [0, 1, 2, 3]
+        assert index.key_codes_at(0) == ()
 
-    def test_empty_attribute_tuple_gives_single_partition(self, rel):
-        index = PartitionIndex.from_relation(rel, ())
-        assert index.get(()) == (0, 1, 2, 3)
-        assert len(index) == 1
+    def test_matching_all_constant_is_a_lookup(self, store, monkeypatch):
+        index = PartitionIndex(store, ("A", "B"))
+        finds = _count_finds(monkeypatch, PartitionIndex)
+        a1, b1 = store.encode("A", "a1"), store.encode("B", "b1")
+        positions = index.matching_positions([(1, b1), (0, a1)])
+        assert [index.members_at(position) for position in positions] == [[0, 3]]
+        assert index.matching_positions([(0, store.encode("A", "a2")), (1, 99)]) == []
+        assert finds == [(a1, b1), (store.encode("A", "a2"), 99)]
 
-    def test_matching_all_constant_is_a_lookup(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A", "B"))
-        cells = [PatternValue.constant("a1"), PatternValue.constant("b1")]
-        assert [(key, group) for key, group in index.matching(cells)] == [
-            (("a1", "b1"), [0, 3])
-        ]
-        missing = [PatternValue.constant("zz"), PatternValue.constant("b1")]
-        assert list(index.matching(missing)) == []
+    def test_matching_mixed_constants_and_wildcards(self, store):
+        index = PartitionIndex(store, ("A", "B"))
+        positions = index.matching_positions([(0, store.encode("A", "a1"))])
+        assert {index.key_codes_at(position) for position in positions} == {
+            (store.encode("A", "a1"), store.encode("B", "b1")),
+            (store.encode("A", "a1"), store.encode("B", "b2")),
+        }
 
-    def test_matching_mixed_constants_and_wildcards(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A", "B"))
-        cells = [PatternValue.constant("a1"), WILDCARD]
-        assert {key for key, _ in index.matching(cells)} == {("a1", "b1"), ("a1", "b2")}
-
-    def test_matching_all_free_yields_every_partition(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A",))
-        assert {key for key, _ in index.matching([WILDCARD])} == {("a1",), ("a2",)}
-        assert {key for key, _ in index.matching([DONTCARE])} == {("a1",), ("a2",)}
-
-    def test_matching_rejects_misaligned_cells(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A", "B"))
-        with pytest.raises(DetectionError):
-            list(index.matching([WILDCARD]))
-
-    def test_multi_tuple_partitions(self, rel):
-        index = PartitionIndex.from_relation(rel, ("A", "B"))
-        assert dict(index.multi_tuple_partitions()) == {("a1", "b1"): [0, 3]}
+    def test_matching_all_free_yields_every_partition(self, store):
+        index = PartitionIndex(store, ("A",))
+        assert list(index.matching_positions([])) == list(range(index.class_count))
 
 
 class TestPartitionIndexCache:
@@ -122,20 +129,6 @@ class TestPartitionIndexCache:
         assert ("A",) in cache and ("C",) in cache
         assert ("B",) not in cache
 
-    def test_seed_prebuilt_index(self, rel):
-        cache = PartitionIndexCache(rel)
-        prebuilt = PartitionIndex.from_relation(rel, ("C",))
-        cache.seed(prebuilt)
-        assert cache.get(("C",)) is prebuilt
-        assert cache.stats()["misses"] == 0
-
-    def test_seed_rejects_index_not_covering_the_relation(self, rel):
-        cache = PartitionIndexCache(rel)
-        partial = PartitionIndex(rel.schema, ("C",))
-        partial.add_encoded(cache.store, 0, 2)
-        with pytest.raises(DetectionError):
-            cache.seed(partial)
-
     def test_clear(self, rel):
         cache = PartitionIndexCache(rel)
         cache.get(("A",))
@@ -146,36 +139,26 @@ class TestPartitionIndexCache:
         with pytest.raises(DetectionError):
             PartitionIndexCache(rel, maxsize=0)
 
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_serves_the_kernels_class_index(self, rel, kernel):
+        with use_kernel(kernel):
+            index = PartitionIndexCache(rel).get(("A",))
+        expected = CodePartitionIndex if kernel == "numpy" else PartitionIndex
+        assert type(index) is expected
+
 
 class TestColumnarIngestion:
     """Grouping over codes must be indistinguishable from grouping values."""
 
-    def _store(self, rel):
-        from repro.relation.columnar import ColumnStore
-
-        return ColumnStore.from_relation(rel)
-
     @pytest.mark.parametrize("attributes", [("A",), ("A", "B"), ("C", "A")])
     def test_from_relation_matches_row_ingestion(self, rel, attributes):
-        row_index = PartitionIndex.from_relation(rel, attributes)
-        columnar_index = PartitionIndex.from_relation(self._store(rel), attributes)
-        assert list(columnar_index.partitions()) == list(row_index.partitions())
-        assert columnar_index.tuple_count == row_index.tuple_count
-
-    def test_batched_add_encoded_matches_one_shot(self, rel):
-        store = self._store(rel)
-        batched = PartitionIndex(rel.schema, ("A",))
-        batched.add_encoded(store, 0, 2)
-        batched.add_encoded(store, 2, len(store))
-        one_shot = PartitionIndex.from_relation(store, ("A",))
-        assert list(batched.partitions()) == list(one_shot.partitions())
-
-    def test_non_contiguous_batch_raises(self, rel):
-        store = self._store(rel)
-        index = PartitionIndex(rel.schema, ("A",))
-        index.add_encoded(store, 0, 2)
-        with pytest.raises(DetectionError):
-            index.add_encoded(store, 3, 4)
+        store = ColumnStore.from_relation(rel)
+        from_rows = PartitionIndex.from_relation(rel, attributes)
+        from_store = PartitionIndex.from_relation(store, attributes)
+        assert from_store.class_table() == from_rows.class_table()
+        assert _classes(from_store, store) == {
+            key: list(group) for key, group in rel.group_by(list(attributes)).items()
+        }
 
 
 class TestCacheStaleness:
@@ -202,20 +185,33 @@ class TestCacheStaleness:
         with pytest.raises(DetectionError):
             cache.get(("A",))
 
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_insert_into_a_column_store_invalidates_reads(self, rel, kernel):
+        # The cached index must not pin the store's code columns: the insert
+        # itself has to succeed, and only the next read fails.
+        store = ColumnStore.from_relation(rel)
+        with use_kernel(kernel):
+            cache = PartitionIndexCache(store)
+            cache.get(("A", "B"))
+            store.insert(("a9", "b9", "c9"))
+            with pytest.raises(DetectionError):
+                cache.get(("A", "B"))
+            cache.clear()
+            indices, _offsets = cache.get(("A", "B")).class_table()
+        assert sorted(int(index) for index in indices) == list(range(len(store)))
+
     def test_clear_resynchronizes(self, rel):
         cache = PartitionIndexCache(rel)
         cache.get(("A",))
         rel.delete(0)
         cache.clear()
-        assert cache.get(("A",)).tuple_count == len(rel)
+        indices, _offsets = cache.get(("A",)).class_table()
+        assert sorted(int(index) for index in indices) == list(range(len(rel)))
 
 
 # ---------------------------------------------------------------------------
-# CodePartitionIndex: the array-backed partition map of the batched repair path
+# CodePartitionIndex: the array-backed class index of the numpy kernel
 # ---------------------------------------------------------------------------
-from repro.kernels import numpy_available  # noqa: E402
-
-
 @pytest.mark.skipif(not numpy_available(), reason="needs the [fast] extra")
 class TestCodePartitionIndex:
     """The sorted code-composite index against the dict-backed reference."""
@@ -269,6 +265,15 @@ class TestCodePartitionIndex:
             member for p in positions for member in index.members_at(int(p))
         ]
         assert [int(o) for o in offsets] == [0, 2]
+
+    def test_matching_positions_all_pinned_is_one_find(self, store, monkeypatch):
+        index = self._index(store, ("A", "B"))
+        finds = _count_finds(monkeypatch, CodePartitionIndex)
+        a1, b1 = store.encode("A", "a1"), store.encode("B", "b1")
+        positions = index.matching_positions([(0, a1), (1, b1)])
+        assert [index.members_at(position) for position in positions] == [[0, 3]]
+        assert list(index.matching_positions([(0, a1), (1, 99)])) == []
+        assert finds == [(a1, b1), (a1, 99)]
 
     def test_apply_moves_matches_fresh_rebuild(self, store):
         from repro.detection.partition_index import CodePartitionIndex

@@ -10,13 +10,18 @@ semantics of Section 2.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from contextlib import nullcontext
+from unittest import mock
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
 from repro.detection.indexed import detect_stream, find_violations_indexed
+from repro.kernels import kernel_names, use_kernel
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
+from repro.repair import canonical_order
 from repro.sql.engine import SQLDetector
 
 ATTRIBUTES = ("A", "B", "C", "D")
@@ -48,6 +53,15 @@ def relations(draw):
     return Relation(Schema("r", ATTRIBUTES), rows)
 
 
+def _vectorised(kernel):
+    """Under numpy, switch off the small-input fallback so the arrays run."""
+    if kernel != "numpy":
+        return nullcontext()
+    from repro.kernels import numpy_kernels
+
+    return mock.patch.object(numpy_kernels, "SMALL_INPUT_THRESHOLD", 0)
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(relations(), st.lists(cfds(), min_size=1, max_size=3))
 def test_all_detection_paths_agree(relation, cfd_list):
@@ -65,19 +79,31 @@ def test_all_detection_paths_agree(relation, cfd_list):
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(relations(), st.lists(cfds(), min_size=1, max_size=3))
+@example(
+    # A constant RHS cell next to a wildcard one: tuple 0's class also holds
+    # a Q^V violation, which must come after tuple 1's Q^C violation.
+    Relation(
+        Schema("r", ATTRIBUTES),
+        [("v1", "v2", "v1", "v0"), ("v2", "v2", "v1", "v0"), ("v1", "v1", "v1", "v0")],
+    ),
+    [CFD.build(["A"], ["B", "C"], [{"A": "_", "B": "v1", "C": "_"}])],
+)
 def test_indexed_backend_reports_identical_violations(relation, cfd_list):
-    """Stronger than index-set agreement: every violation object must match."""
+    """Stronger than index-set agreement: the same violations in the same order."""
     oracle = find_all_violations(relation, cfd_list)
-    indexed = find_violations_indexed(relation, cfd_list)
-    assert set(indexed.violations) == set(oracle.violations)
+    expected = canonical_order(oracle.violations, cfd_list)
+    for kernel in kernel_names():
+        with use_kernel(kernel), _vectorised(kernel):
+            indexed = find_violations_indexed(relation, cfd_list)
+        assert list(indexed.violations) == expected, kernel
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(relations(), st.lists(cfds(), min_size=1, max_size=2), st.integers(min_value=1, max_value=4))
-def test_streaming_detection_agrees_with_oracle(relation, cfd_list, chunk_size):
-    oracle = find_all_violations(relation, cfd_list).violating_indices()
-    streamed = detect_stream(relation.schema, iter(relation.rows), cfd_list, chunk_size=chunk_size)
-    assert streamed.violating_indices() == oracle
+@given(relations(), st.lists(cfds(), min_size=1, max_size=2))
+def test_streaming_detection_agrees_with_oracle(relation, cfd_list):
+    oracle = find_all_violations(relation, cfd_list)
+    streamed = detect_stream(relation.schema, iter(relation.rows), cfd_list)
+    assert list(streamed.violations) == canonical_order(oracle.violations, cfd_list)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

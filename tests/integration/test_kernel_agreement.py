@@ -128,11 +128,11 @@ def test_repair_agrees_across_kernels(relation, cfd_list):
 @given(relations(), st.lists(cfds(), min_size=1, max_size=2))
 def test_streaming_detection_agrees_across_kernels(relation, cfd_list):
     python_report = detect_stream(
-        relation.schema, iter(relation), cfd_list, chunk_size=3, kernel="python"
+        relation.schema, iter(relation), cfd_list, kernel="python"
     )
     with force_vectorised():
         numpy_report = detect_stream(
-            relation.schema, iter(relation), cfd_list, chunk_size=3, kernel="numpy"
+            relation.schema, iter(relation), cfd_list, kernel="numpy"
         )
     assert list(python_report.violations) == list(numpy_report.violations)
 

@@ -117,18 +117,23 @@ class TestSourcesThroughThePipeline:
         report = Cleaner().detect(RelationSource(cust), cust_constraints)
         assert sorted(report.violating_indices()) == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 8192])
-    def test_detect_streams_non_relation_sources(self, cust, cust_constraints, tmp_path, chunk_size):
-        # An indexed/auto detect over a CSV goes through detect_stream in
-        # chunk_size batches and must match the oracle on the materialised
-        # relation, whatever the batch size.
+    @pytest.mark.parametrize("storage", ["columnar", "mmap"])
+    def test_detect_streams_non_relation_sources(
+        self, cust, cust_constraints, tmp_path, storage
+    ):
+        # An indexed/auto detect over a CSV goes through detect_stream and
+        # must match the oracle on the materialised relation, violation for
+        # violation, whichever store holds the streamed projection.
         path = tmp_path / "cust.csv"
         cust.to_csv(path)
         cleaner = Cleaner(
-            detection=DetectionConfig(method="indexed", chunk_size=chunk_size)
+            detection=DetectionConfig(
+                method="indexed", storage=storage, spill_dir=str(tmp_path / "spill")
+            )
         )
         report = cleaner.detect(CSVSource(path), cust_constraints)
-        assert sorted(report.violating_indices()) == [0, 1, 2, 3]
+        oracle = find_all_violations(CSVSource(path).to_relation(), cust_constraints)
+        assert list(report.violations) == list(oracle.violations)
 
     def test_detect_auto_streams_too(self, cust, cust_constraints, tmp_path):
         path = tmp_path / "cust.csv"

@@ -47,10 +47,6 @@ class TestDetectionConfig:
         with pytest.raises(ConfigError):
             DetectionConfig(method="sql", form="xnf")
 
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            DetectionConfig(chunk_size=0)
-
     def test_with_method_pins_auto(self):
         config = DetectionConfig()
         pinned = config.with_method("indexed")

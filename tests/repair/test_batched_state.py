@@ -18,7 +18,7 @@ import pytest
 from repro.config import RepairConfig
 from repro.core.cfd import CFD
 from repro.datagen.cust import cust_cfds, cust_relation
-from repro.detection.partition_index import CodePartitionIndex, PyCodePartitionIndex
+from repro.detection.partition_index import CodePartitionIndex, PartitionIndex
 from repro.errors import DetectionError
 from repro.kernels import numpy_available, use_kernel
 from repro.relation.columnar import ColumnStore
@@ -141,7 +141,7 @@ def test_int64_overflow_falls_back_to_the_python_index(store, monkeypatch):
         state = RepairState(store.copy(), cfds)
     assert state.batched is False
     kinds = {type(index) for index in state._indexes.values()}
-    assert kinds == {CodePartitionIndex, PyCodePartitionIndex}
+    assert kinds == {CodePartitionIndex, PartitionIndex}
     with use_kernel("python"):
         reference = RepairState(store.copy(), cfds)
     assert list(state.report().violations) == list(reference.report().violations)

@@ -7,11 +7,17 @@ backends, the repair fixpoint, the kernels, the sharded parallel engine and
 the whole ``Cleaner`` pipeline — with the helpers below.  Every helper
 returns the median wall-clock of ``repeats`` calls plus the last result, so
 a test can time a run and check its answer in one go.
+
+The speed gates time the engines against the seed baseline, the literal
+per-pattern scan kept as the oracle's specification in
+``tests/oracle_spec.py``: :data:`SEED_SCAN` is the name of that baseline in
+:func:`time_backend` and :func:`time_repair`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
+from unittest import mock
 
 from repro.bench.harness import (
     DetectionWorkload,
@@ -31,6 +37,11 @@ from repro.parallel.engine import find_violations_parallel
 from repro.pipeline import Cleaner, CleaningResult
 from repro.relation.columnar import ColumnStore
 from repro.repair.heuristic import RepairResult, repair
+from tests.oracle_spec import find_all_violations as seed_scan_violations
+
+#: The seed baseline: the per-pattern scan the oracle ran before it learned
+#: to scan once per constant-LHS mask.  Not a registered backend.
+SEED_SCAN = "seed-scan"
 
 
 def build_fd_workload(
@@ -72,19 +83,24 @@ def time_backend(
     setup, as in :func:`~repro.bench.harness.time_detection`).  ``"inmemory"``
     and ``"indexed"`` have no setup phase: for the indexed backend, building
     the partition maps *is* the detection work, so each repeat starts from a
-    cold cache.
+    cold cache.  :data:`SEED_SCAN` times the oracle's specification, which
+    scans the relation once per pattern tuple.
 
     .. warning::
        The ``"sql"`` report is suitable for timing only: group expansion is
        disabled to time exactly the paper's query pair, so its variable
        violations carry empty ``tuple_indices`` and its ``violating_indices()``
-       undercounts.  Compare reports between ``"inmemory"`` and ``"indexed"``
-       only, or use :func:`repro.detection.engine.cross_check` for full
-       agreement checks.
+       undercounts.  Compare reports between ``"inmemory"``, ``"indexed"``
+       and :data:`SEED_SCAN` only, or use
+       :func:`repro.detection.engine.cross_check` for full agreement checks.
     """
     if method == "sql":
         seconds, run = time_detection(workload, form=form, repeats=repeats)
         return seconds, run.report
+    if method == SEED_SCAN:
+        return _median_timed(
+            lambda: seed_scan_violations(workload.relation, workload.cfds), repeats
+        )
     if method not in DETECTION_METHODS:
         raise DetectionError(
             f"unknown benchmark backend {method!r}; expected one of "
@@ -117,7 +133,16 @@ def time_repair(
     internally, so repeats are independent (and it validates ``method``
     itself); consistency checking is skipped because it is identical setup
     work for every method.
+
+    :data:`SEED_SCAN` is the seed loop: ``method="scan"`` re-checking every
+    pass with the oracle's per-pattern specification, bound in place of the
+    oracle for the timed calls only.
     """
+    if method == SEED_SCAN:
+        with mock.patch(
+            "repro.repair.heuristic.find_all_violations", seed_scan_violations
+        ):
+            return time_repair(workload, "scan", max_passes, repeats)
     return _median_timed(
         lambda: repair(
             workload.relation,

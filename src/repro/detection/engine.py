@@ -84,8 +84,8 @@ def detect_violations(
         ``"inmemory"`` (default) uses the pure-Python detector;
         ``"sql"`` loads the data into SQLite and runs the paper's detection
         queries; ``"indexed"`` uses the partition-index backend, which
-        groups tuples once per distinct LHS attribute set instead of
-        re-scanning the relation per pattern; ``"auto"`` picks a backend
+        groups tuples once per distinct LHS attribute set, over dictionary
+        codes; ``"auto"`` picks a backend
         from the workload shape.  Any name registered via
         :func:`repro.registry.register_detector` also works.
     strategy, form:

@@ -1,8 +1,8 @@
 """Partition-indexed CFD violation detection (the ``method="indexed"`` backend).
 
 Implements exactly the satisfaction semantics of the in-memory oracle
-(:mod:`repro.core.satisfaction`) but replaces its per-pattern relation scans
-with one class index per distinct ``@``-free LHS attribute tuple
+(:mod:`repro.core.satisfaction`) but replaces its row scans and per-pattern
+value grouping with one class index per distinct ``@``-free LHS attribute tuple
 (:mod:`repro.detection.partition_index`), shared across patterns and CFDs:
 
 * the relation is partitioned **once** per LHS, not once per pattern — a

@@ -1,8 +1,9 @@
 """Class indexes: one grouping pass shared by every pattern over the same LHS.
 
-The in-memory oracle (:mod:`repro.core.satisfaction`) re-scans the whole
-relation once per pattern tuple, so a CFD with a 1K-row tableau costs 1K
-passes.  But every pattern of a CFD — and every CFD sharing the same
+The in-memory oracle (:mod:`repro.core.satisfaction`) scans the relation
+once per constant-LHS mask and then groups each pattern's matching tuples
+by value, pattern by pattern, reading every value through the row API.
+But every pattern of a CFD — and every CFD sharing the same
 ``@``-free LHS attribute set — asks the same structural question: *which
 tuples agree on these attributes?*  A class index answers it once, over the
 dictionary codes of a :class:`~repro.relation.columnar.ColumnStore`: it

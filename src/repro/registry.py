@@ -291,10 +291,11 @@ def _workload_cells(relation: Relation, cfds: Sequence[CFD]) -> int:
 def select_detection_method(relation: Relation, cfds: Sequence[CFD]) -> str:
     """The backend ``method="auto"`` resolves to for this detection workload.
 
-    The oracle scans the relation once per pattern tuple — ``O(rows x
-    patterns)`` — so on small products it beats paying the partition-map
-    build; past :data:`AUTO_CELL_THRESHOLD` the indexed backend's one
-    grouping pass per distinct LHS set wins; past
+    The oracle scans the relation once per constant-LHS mask, with a dict
+    lookup per row — ``O(rows x masks + patterns)`` — so on small products
+    it beats paying the partition-map build; past
+    :data:`AUTO_CELL_THRESHOLD` the indexed backend's one grouping pass per
+    distinct LHS set wins; past
     :data:`PARALLEL_AUTO_ROW_THRESHOLD` rows the workload is sharded over a
     process pool.
     """

@@ -15,18 +15,25 @@ Like the paper's ``Q^C`` query, which joins the whole tableau against the
 data at once, the oracle does not scan the relation once per pattern tuple.
 It scans once per *constant-LHS mask* — the set of LHS positions a pattern
 pins to constants — and finds every pattern of that mask with one dict
-lookup per tuple, so a CFD costs ``O(|I| x #masks + TABSZ)`` row reads
-rather than ``O(|I| x TABSZ)``.  Values are read only through the row API
-(``__iter__``, ``value``, ``project_row``): no codes, kernels or indexes,
-so the verdict stays independent of the engines it judges.  The literal
+lookup per tuple, so a CFD costs ``O(|I| x #masks + TABSZ)`` tuple reads
+rather than ``O(|I| x TABSZ)``.
+
+Values are read only through the row API's projection,
+``relation.project_rows(attrs(φ))``, called once per CFD on whatever
+storage the relation uses (rows, a column store in any state, memory-mapped
+columns): ``O(|I| x |attrs(φ)|)`` cell reads per CFD, with one CFD's
+columns in memory at a time.  Positions and key getters are resolved once
+per pattern, not per cell.  No codes, kernels or indexes are used, so the
+verdict stays independent of the engines it judges.  The literal
 per-pattern scan is kept as the executable specification in
 ``tests/oracle_spec.py``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternValue
@@ -37,7 +44,7 @@ from repro.core.violations import (
     Violation,
     ViolationReport,
 )
-from repro.relation.relation import Relation
+from repro.relation.relation import Relation, Row, project_tuples
 
 
 def satisfies(relation: Relation, cfd: CFD) -> bool:
@@ -62,16 +69,21 @@ def find_violations(relation: Relation, cfd: CFD) -> ViolationReport:
       ``Y_free`` projection.
     """
     report = ViolationReport()
+    attributes = cfd.attributes
+    # Any storage serves the row API's projection; a plain list of tuples
+    # over attrs(φ) is what every pattern below reads.
+    rows = list(relation.project_rows(attributes))
+    position = {attr: index for index, attr in enumerate(attributes)}
     # Both query shapes range over the same matching tuples; find them for
     # every pattern at once rather than once per pattern and query.
-    matching = _matching_indices(relation, cfd)
+    matching = _matching_indices(rows, position, cfd)
     for pattern_index, pattern in enumerate(cfd.tableau):
         matches = matching[pattern_index]
         report.extend(
-            _constant_violations(relation, cfd, pattern_index, pattern, matches)
+            _constant_violations(rows, position, cfd, pattern_index, pattern, matches)
         )
         report.extend(
-            _variable_violations(relation, cfd, pattern_index, pattern, matches)
+            _variable_violations(rows, position, cfd, pattern_index, pattern, matches)
         )
     return report
 
@@ -87,29 +99,32 @@ def find_all_violations(relation: Relation, cfds: Iterable[CFD]) -> ViolationRep
 # ----------------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------------
-def _matching_indices(relation: Relation, cfd: CFD) -> List[List[int]]:
+def _matching_indices(
+    rows: Sequence[Row], position: Mapping[str, int], cfd: CFD
+) -> List[Sequence[int]]:
     """Per pattern tuple, the indices of the tuples matching ``tc[X]``.
 
-    Patterns are bucketed by mask (the schema positions of their constant
-    LHS cells) and, within a bucket, keyed by those constants.  One scan
-    per mask then looks every tuple up in its bucket.  A dict lookup
-    compares by hash and identity before ``==``, so each hit is confirmed
-    with the cells' own :meth:`~repro.core.pattern.PatternValue.matches`:
-    a NaN object shared by a pattern and a tuple is found by the lookup but
-    does not match.  Tuple values must be hashable, as for every backend.
-    The empty mask (only ``_``/``@`` cells) matches every tuple, unscanned.
+    ``rows`` are the tuples projected onto ``attrs(φ)`` and ``position``
+    maps each of those attributes to its place in them.  Patterns are
+    bucketed by mask (the positions of their constant LHS cells) and,
+    within a bucket, keyed by those constants.  One scan per mask then
+    looks every tuple up in its bucket.  A dict lookup compares by hash and
+    identity before ``==``, so each hit is confirmed with the cells' own
+    :meth:`~repro.core.pattern.PatternValue.matches`: a NaN object shared by
+    a pattern and a tuple is found by the lookup but does not match.  Tuple
+    values must be hashable, as for every backend.  The empty mask (only
+    ``_``/``@`` cells) matches every tuple, unscanned.
     """
-    positions = relation.schema.positions(cfd.lhs)
     buckets: Dict[Tuple[int, ...], Dict[Any, List[int]]] = {}
     constants: List[List[Tuple[int, PatternValue]]] = []
     for pattern_index, pattern in enumerate(cfd.tableau):
         cells = [
-            (position, pattern.lhs_cell(attr))
-            for position, attr in zip(positions, cfd.lhs)
+            (position[attr], pattern.lhs_cell(attr))
+            for attr in cfd.lhs
             if pattern.lhs_cell(attr).is_constant
         ]
         constants.append(cells)
-        mask = tuple(position for position, _ in cells)
+        mask = tuple(cell_position for cell_position, _ in cells)
         values = [cell.value for _, cell in cells]
         # Shaped like ``itemgetter(*mask)(row)``: a scalar for one position.
         key = values[0] if len(values) == 1 else tuple(values)
@@ -118,26 +133,26 @@ def _matching_indices(relation: Relation, cfd: CFD) -> List[List[int]]:
     matching: List[List[int]] = [[] for _ in constants]
     for mask, by_key in buckets.items():
         if not mask:
-            everything = list(range(len(relation)))
-            for pattern_index in by_key[()]:
-                matching[pattern_index] = everything
             continue
         key_of = itemgetter(*mask)
-        for index, row in enumerate(relation):
+        for index, row in enumerate(rows):
             hits = by_key.get(key_of(row))
             if hits is None:
                 continue
             for pattern_index in hits:
                 if all(
-                    cell.matches(row[position])
-                    for position, cell in constants[pattern_index]
+                    cell.matches(row[cell_position])
+                    for cell_position, cell in constants[pattern_index]
                 ):
                     matching[pattern_index].append(index)
-    return matching
+    return [
+        hits if cells else range(len(rows)) for hits, cells in zip(matching, constants)
+    ]
 
 
 def _constant_violations(
-    relation: Relation,
+    rows: Sequence[Row],
+    position: Mapping[str, int],
     cfd: CFD,
     pattern_index: int,
     pattern: PatternTuple,
@@ -150,23 +165,24 @@ def _constant_violations(
     """
     violations: List[Violation] = []
     constant_rhs = [
-        (attr, pattern.rhs_cell(attr))
+        (attr, position[attr], pattern.rhs_cell(attr).value)
         for attr in cfd.rhs
         if pattern.rhs_cell(attr).is_constant
     ]
     if not constant_rhs:
         return violations
     for index in matching:
-        for attr, cell in constant_rhs:
-            actual = relation.value(index, attr)
-            if actual != cell.value:
+        row = rows[index]
+        for attr, cell_position, expected in constant_rhs:
+            actual = row[cell_position]
+            if actual != expected:
                 violations.append(
                     ConstantViolation(
                         cfd_name=cfd.name,
                         pattern_index=pattern_index,
                         tuple_indices=(index,),
                         attribute=attr,
-                        expected=cell.value,
+                        expected=expected,
                         actual=actual,
                     )
                 )
@@ -174,7 +190,8 @@ def _constant_violations(
 
 
 def _variable_violations(
-    relation: Relation,
+    rows: Sequence[Row],
+    position: Mapping[str, int],
     cfd: CFD,
     pattern_index: int,
     pattern: PatternTuple,
@@ -190,15 +207,21 @@ def _variable_violations(
     rhs_free = [attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare]
     if not rhs_free:
         return violations
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    for index in matching:
-        key = relation.project_row(index, lhs_free) if lhs_free else ()
-        groups.setdefault(key, []).append(index)
+    groups: Dict[Row, List[int]] = defaultdict(list)
+    keys = project_tuples(
+        map(rows.__getitem__, matching),
+        [position[attr] for attr in lhs_free],
+        len(matching),
+    )
+    for index, key in zip(matching, keys):
+        groups[key].append(index)
+    # Only the number of distinct Y_free projections counts, so one
+    # position may stay a bare value.
+    rhs_of = itemgetter(*(position[attr] for attr in rhs_free))
     for key, indices in groups.items():
         if len(indices) < 2:
             continue
-        rhs_values = {relation.project_row(index, rhs_free) for index in indices}
-        if len(rhs_values) > 1:
+        if len(set(map(rhs_of, map(rows.__getitem__, indices)))) > 1:
             violations.append(
                 VariableViolation(
                     cfd_name=cfd.name,

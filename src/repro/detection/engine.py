@@ -25,6 +25,7 @@ from repro.core.violations import ViolationReport
 from repro.detection.indexed import find_violations_indexed
 from repro.errors import ConfigError, DetectionError, RegistryError
 from repro.registry import (
+    ANY_STORAGE_DETECTORS,
     COLUMNAR_DETECTORS,
     apply_kernel,
     apply_storage,
@@ -130,17 +131,18 @@ def detect_violations(
         raise DetectionError(str(error)) from None
     # Columnar-capable backends see the relation in the configured storage
     # layer (encoded once here; already-encoded input passes through), the
-    # others read whatever the caller holds, and the configured kernel is
-    # active for the duration of the backend call.  Reports are
-    # byte-identical either way — storage and kernel are speed knobs, not
-    # semantics knobs.
-    relation = apply_storage(
-        relation,
-        config.effective_storage,
-        name in COLUMNAR_DETECTORS,
-        spill_dir=config.spill_dir,
-        memory_budget_mb=config.memory_budget_mb,
-    )
+    # SQL loader sees rows, the oracle reads whatever the caller holds, and
+    # the configured kernel is active for the duration of the backend call.
+    # Reports are byte-identical either way — storage and kernel are speed
+    # knobs, not semantics knobs.
+    if name not in ANY_STORAGE_DETECTORS:
+        relation = apply_storage(
+            relation,
+            config.effective_storage,
+            name in COLUMNAR_DETECTORS,
+            spill_dir=config.spill_dir,
+            memory_budget_mb=config.memory_budget_mb,
+        )
     with apply_kernel(config.effective_kernel):
         return backend(relation, cfds, config.with_method(name))
 

@@ -82,9 +82,18 @@ def _parallel_threshold_from_env(default: int = 150_000) -> int:
 PARALLEL_AUTO_ROW_THRESHOLD = _parallel_threshold_from_env()
 
 #: Built-in detection backends whose hot loops consume the columnar code
-#: protocol.  The oracle and the SQL backend read rows either way; converting
-#: for them would only add decode overhead.
+#: protocol.  The SQL backend loads rows either way; converting for it would
+#: only add decode overhead.  The oracle is in neither set: see
+#: :data:`ANY_STORAGE_DETECTORS`.
 COLUMNAR_DETECTORS = frozenset({"indexed", "parallel"})
+
+#: Built-in detection backends that read whatever storage they are handed,
+#: so dispatch skips :func:`apply_storage` for them.  The oracle reads
+#: ``attrs(φ)`` once per CFD through
+#: :meth:`~repro.relation.relation.Relation.project_rows`
+#: (``O(|I| x |attrs(φ)|)`` cell reads, one CFD's columns in memory at a
+#: time); a row copy of a column store would decode every column first.
+ANY_STORAGE_DETECTORS = frozenset({"inmemory"})
 
 #: Built-in repair engines whose detection layer is columnar-capable.  The
 #: scan engine is the row-semantics correctness baseline and stays on rows.
@@ -109,10 +118,13 @@ def apply_storage(
     :class:`~repro.relation.mmap_store.MmapColumnStore` passes a
     ``"columnar"`` request through unchanged — it *is* a column store, and
     decoding it back into memory would defeat the out-of-core point.
-    Row-reading backends (the scan oracle, the SQL loader) always get
-    materialised rows: one decode pass here is far cheaper than the
-    per-cell decode their full scans would otherwise pay against an encoded
-    relation.  When no conversion is needed the relation is returned as-is
+    Row-reading backends (the SQL loader, the ``scan`` repair engine)
+    always get materialised rows: one decode pass here is far cheaper than
+    the per-cell reads and writes their passes would otherwise pay against
+    an encoded relation.  The oracle is not converted at all
+    (:data:`ANY_STORAGE_DETECTORS`): it reads the column store or
+    memory-mapped store it is handed through one column projection per
+    CFD.  When no conversion is needed the relation is returned as-is
     (callers that must not share state copy afterwards, as
     :func:`repro.repair.heuristic.repair` does).
     """

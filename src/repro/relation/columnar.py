@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import count, filterfalse
+from itertools import count, filterfalse, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -64,7 +64,7 @@ from typing import (
 
 from repro.errors import SchemaError
 from repro.kernels import active_kernel
-from repro.relation.relation import INGEST_BLOCK_ROWS, Relation, Row
+from repro.relation.relation import INGEST_BLOCK_ROWS, Relation, Row, project_tuples
 from repro.relation.schema import Schema
 
 
@@ -170,7 +170,15 @@ class ColumnStore(Relation):
         """The column at ``position`` as values (no copy where avoidable)."""
         codes = self._codes[position]
         if codes is not None:
-            return list(map(self._values[position].__getitem__, codes))
+            # Decode block by block through ``tolist()``: iterating a
+            # memory-mapped column yields one numpy scalar per cell, each
+            # converted anew by the list index.
+            decode = self._values[position].__getitem__
+            values: List[Any] = []
+            for start in range(0, len(codes), INGEST_BLOCK_ROWS):
+                block = codes[start : start + INGEST_BLOCK_ROWS]
+                values.extend(map(decode, block.tolist()))
+            return values
         raw = self._raw[position]
         if raw is not None:
             return raw
@@ -186,17 +194,7 @@ class ColumnStore(Relation):
         return self._length
 
     def __iter__(self) -> Iterator[Row]:
-        if self._length == 0:
-            return iter(())
-        if self._pending is not None and all(
-            codes is None and raw is None
-            for codes, raw in zip(self._codes, self._raw)
-        ):
-            # Nothing split out yet: the pending block *is* the rows.
-            return iter(self._pending)
-        return zip(
-            *(self._column_values(position) for position in range(len(self._schema)))
-        )
+        return self.project_rows(self._schema.names)
 
     def __getitem__(self, index: int) -> Row:
         cells = []
@@ -343,6 +341,27 @@ class ColumnStore(Relation):
     def project_row(self, index: int, attributes: Sequence[str]) -> Row:
         """Project the row at ``index`` onto ``attributes`` (positional result)."""
         return tuple(self.value(index, attribute) for attribute in attributes)
+
+    def project_rows(self, attributes: Sequence[str]) -> Iterator[Row]:
+        """Every row projected onto ``attributes``, in row order.
+
+        Columns still in the pending block are read row-wise from it; any
+        other requested column is decoded whole (no column is split out or
+        encoded by reading) and the columns are zipped.
+        """
+        positions = self._schema.positions(attributes)
+        pending = self._pending
+        if pending is not None and all(
+            self._codes[position] is None and self._raw[position] is None
+            for position in positions
+        ):
+            if positions == tuple(range(len(self._schema))):
+                # The pending block *is* the rows.
+                return iter(pending)
+            return project_tuples(pending, positions, self._length)
+        if not positions:
+            return repeat((), self._length)
+        return zip(*(self._column_values(position) for position in positions))
 
     # ------------------------------------------------------------------ the code protocol
     def codes(self, attribute: str) -> array:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Mapping as MappingABC
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -35,6 +36,21 @@ Row = Tuple[Any, ...]
 #: Rows :meth:`Relation.extend` validates and stores per step: small enough
 #: to keep one in-flight block cheap, large enough to amortise each step.
 INGEST_BLOCK_ROWS = 1_024
+
+
+def project_tuples(
+    rows: Iterable[Row], positions: Sequence[int], length: int
+) -> Iterator[Row]:
+    """``rows`` (``length`` of them) projected onto ``positions`` as tuples.
+
+    ``itemgetter`` yields a bare value for one position and cannot take
+    none, so those two shapes are built here.
+    """
+    if not positions:
+        return repeat((), length)
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions), rows)
 
 
 class _RowView(MappingABC):
@@ -229,6 +245,14 @@ class Relation:
         positions = self._schema.positions(attributes)
         row = self._rows[index]
         return tuple(row[position] for position in positions)
+
+    def project_rows(self, attributes: Sequence[str]) -> Iterator[Row]:
+        """Every row projected onto ``attributes``, in row order.
+
+        Yields what :meth:`project_row` returns for each index, with the
+        positions resolved once for the whole pass.
+        """
+        return project_tuples(self._rows, self._schema.positions(attributes), len(self))
 
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
         """Iterate over rows as dictionaries."""

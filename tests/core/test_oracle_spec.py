@@ -9,6 +9,11 @@ The examples pin the cases where the two could part: masks that are empty
 (all-wildcard or don't-care LHS) or mixed, several patterns in one bucket,
 values that compare equal across types, and a NaN that the lookup finds by
 identity but ``==`` does not match.
+
+The oracle reads any storage through ``project_rows``: the same report
+must come back from rows, from a column store with its columns pending,
+raw, encoded or mixed, and from memory-mapped columns, and neither
+detection nor ``Cleaner``'s verify may copy a store into rows.
 """
 
 from __future__ import annotations
@@ -16,11 +21,16 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import satisfaction
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
+from repro.detection.engine import detect_violations
+from repro.pipeline import Cleaner
+from repro.relation.columnar import ColumnStore
+from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from tests.integration.strategies import ATTRIBUTES, VALUES, relations
@@ -118,6 +128,116 @@ def test_oracle_matches_the_per_pattern_scan(relation, cfd_list):
     oracle = find_all_violations(relation, cfd_list)
     spec = spec_find_all_violations(relation, cfd_list)
     assert list(oracle.violations) == list(spec.violations)
+
+
+#: The three states a column-store column can be in.
+COLUMN_STATES = ("pending", "raw", "encoded")
+
+column_states = st.lists(
+    st.sampled_from(COLUMN_STATES), min_size=len(ATTRIBUTES), max_size=len(ATTRIBUTES)
+)
+
+
+def _column_store(relation, states):
+    """``relation`` as a column store whose columns are in ``states``."""
+    store = ColumnStore.from_relation(relation)
+    for position, (attribute, state) in enumerate(zip(store.schema.names, states)):
+        if state == "raw":
+            store._extract_raw(position)
+        elif state == "encoded":
+            store.codes(attribute)
+    return store
+
+
+def _column_states(stored):
+    """Per column, whether it is raw and whether it is encoded."""
+    if not isinstance(stored, ColumnStore):
+        return None
+    return [
+        (raw is not None, codes is not None)
+        for raw, codes in zip(stored._raw, stored._codes)
+    ]
+
+
+def _storages(relation, states):
+    """``relation`` on every storage the oracle may be handed, by name."""
+    storages = {"rows": relation}
+    for state in COLUMN_STATES:
+        storages[state] = _column_store(relation, [state] * len(ATTRIBUTES))
+    storages["mixed"] = _column_store(relation, states)
+    storages["mmap"] = MmapColumnStore.from_relation(relation)
+    return storages
+
+
+@settings(max_examples=100)
+@given(relations(), st.lists(cfds(), min_size=1, max_size=3), column_states)
+@example(  # the NaN case of the spec test, on every storage
+    _relation([(NAN, "b1", "c", "d"), (NAN, "b2", "c", "d"), ("a", "b1", "c", "d")]),
+    [
+        CFD.build(["A"], ["B"], [[NAN, "b1"], [NAN, "_"]]),
+        CFD.build(["A", "C"], ["B"], [[NAN, "c", "b1"], ["_", "c", "_"]]),
+    ],
+    ["encoded", "pending", "raw", "encoded"],
+)
+def test_oracle_reads_every_storage_alike(relation, cfd_list, states):
+    """Rows, a column store in each column state and mixed, and spilled
+    columns give the same report in the same order."""
+    expected = list(find_all_violations(relation, cfd_list).violations)
+    storages = _storages(relation, states)
+    try:
+        for name, stored in storages.items():
+            report = find_all_violations(stored, cfd_list)
+            assert list(report.violations) == expected, name
+    finally:
+        storages["mmap"].release()
+
+
+@settings(max_examples=100)
+@given(relations(), st.lists(st.sampled_from(ATTRIBUTES), max_size=5), column_states)
+def test_project_rows_is_project_row_per_index(relation, attributes, states):
+    """Any attribute list, repeats and the empty list included; reading
+    changes no column's state."""
+    storages = _storages(relation, states)
+    try:
+        for name, stored in storages.items():
+            before = _column_states(stored)
+            assert list(stored.project_rows(attributes)) == [
+                stored.project_row(index, attributes) for index in range(len(stored))
+            ], name
+            assert _column_states(stored) == before, name
+    finally:
+        storages["mmap"].release()
+
+
+@pytest.fixture
+def no_row_copy(monkeypatch):
+    """Make every row copy of a relation fail loudly."""
+
+    def refuse(cls, schema, rows):
+        raise AssertionError("the relation was copied into rows")
+
+    monkeypatch.setattr(Relation, "from_validated_rows", classmethod(refuse))
+
+
+@pytest.mark.parametrize("storage", ["columnar", "mmap"])
+def test_inmemory_detection_reads_the_store_it_is_handed(
+    cust, cust_constraints, no_row_copy, storage, tmp_path
+):
+    expected = list(find_all_violations(cust, cust_constraints).violations)
+    store = (
+        MmapColumnStore.from_relation(cust, spill_dir=tmp_path)
+        if storage == "mmap"
+        else ColumnStore.from_relation(cust)
+    )
+    report = detect_violations(store, cust_constraints, method="inmemory")
+    assert list(report.violations) == expected
+
+
+def test_cleaner_verify_reads_the_repaired_store(cust, cust_constraints, no_row_copy):
+    result = Cleaner().clean(ColumnStore.from_relation(cust), cust_constraints)
+    assert result.backends["verify"] == "inmemory"
+    assert isinstance(result.relation, ColumnStore)
+    assert result.rounds >= 1 and result.clean
 
 
 #: The engines the oracle judges, and the encoded storages they run on.

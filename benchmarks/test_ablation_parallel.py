@@ -15,10 +15,10 @@ constraint):
   per constant-LHS mask and is not the baseline).  Those margins are
   order-of-magnitude, so they hold even on a single-core CI runner where
   the process pool itself buys nothing.  Against the
-  *optimised* serial engines the pool only pays past
-  :data:`repro.registry.PARALLEL_AUTO_ROW_THRESHOLD` rows — which is exactly
-  why ``method="auto"`` keeps 10K-row workloads serial; that ratio is timed
-  by the series below rather than asserted.
+  *optimised* serial engines (``indexed`` detection, ``incremental``
+  repair) the pool lost at every size measured on a 2-CPU host, which is
+  why ``method="auto"`` never picks it; that ratio is timed by the series
+  below rather than asserted.
 
 See ``docs/parallel.md`` for the sharding invariant behind the identity.
 """

@@ -7,8 +7,10 @@ byte, and the same multiset of cell changes:
 
 1. serial incremental repair (the default engine);
 2. explicit ``method="parallel"`` with a process pool;
-3. ``method="auto"`` with the escalation threshold lowered so the registry
-   itself picks the parallel backends.
+3. a ``Cleaner`` on ``method="auto"`` next to one on explicit
+   ``method="parallel"``, both given the same ``workers``: ``auto`` stays on
+   the serial engines at every size, so the sharded engine runs only when
+   it is named.
 
 Run with:  python examples/parallel_clean.py
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import Cleaner, DetectionConfig, RepairConfig
-from repro import registry
 from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.datagen.generator import TaxRecordGenerator
 from repro.parallel import shard_relation
@@ -58,17 +59,24 @@ def main() -> None:
     assert Counter(parallel.changes) == Counter(serial.changes)
     print("parallel repair is byte-identical to the serial repair")
 
-    # --- 3. auto escalation ----------------------------------------------
-    # Production workloads cross the threshold naturally (150K rows); for
-    # the demo we lower it so `auto` escalates on 5K rows.
-    registry.PARALLEL_AUTO_ROW_THRESHOLD = 1_000
-    result = Cleaner(
+    # --- 3. auto stays serial; parallel runs only when named -------------
+    # `workers` is accepted on `auto` and dropped when it resolves serial.
+    auto = Cleaner(
         detection=DetectionConfig(workers=4),
         repair=RepairConfig(workers=4),
     ).clean(relation, cfds)
-    print(f"auto escalated to: detect={result.backends['detect']} "
-          f"repair={result.backends['repair']}; clean={result.clean}")
-    assert result.relation == serial.relation
+    sharded = Cleaner(
+        detection=DetectionConfig(method="parallel", workers=4, shard_count=4),
+        repair=RepairConfig(method="parallel", workers=4, shard_count=4),
+    ).clean(relation, cfds)
+    for name, result in (("auto", auto), ("parallel", sharded)):
+        print(f"{name}: detect={result.backends['detect']} "
+              f"repair={result.backends['repair']}; clean={result.clean}")
+    assert auto.backends["detect"] in ("inmemory", "indexed")
+    assert auto.backends["repair"] == "incremental"
+    assert sharded.backends["detect"] == sharded.backends["repair"] == "parallel"
+    assert auto.relation == sharded.relation == serial.relation
+    assert Counter(auto.changes) == Counter(sharded.changes)
 
 
 if __name__ == "__main__":

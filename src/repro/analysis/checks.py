@@ -112,9 +112,9 @@ class AnalysisContext:
         )
 
     def hazard_severity(self) -> str:
-        """CFD10x findings block nothing, but they are louder when the user
-        explicitly asked for ``method="parallel"`` than when ``"auto"`` might
-        merely pick it."""
+        """CFD10x findings block nothing.  They are warnings when the user
+        asked for ``method="parallel"`` and informational otherwise: no
+        other method, ``"auto"`` included, runs the sharded engine."""
         return "warning" if self.parallel_requested else "info"
 
 

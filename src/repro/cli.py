@@ -121,7 +121,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         help="worker processes for the parallel backend (default: one per CPU); "
-        "requires a parallel or auto method",
+        "takes effect with a parallel method, accepted and ignored on auto",
     )
     parser.add_argument(
         "--shard-count",

@@ -84,9 +84,9 @@ def storage_from_env(default: str = DEFAULT_STORAGE) -> str:
 
     Exporting ``REPRO_STORAGE=mmap`` pins every config that did not set
     ``storage=`` explicitly to the out-of-core layer.  Read at every
-    resolution (not at import), and forgiving like
-    ``REPRO_PARALLEL_AUTO_ROWS`` — an unknown value keeps the default rather
-    than crashing whatever imported us.  A deprecated name resolves as in
+    resolution (not at import), and forgiving like ``REPRO_BENCH_SCALE`` —
+    an unknown value keeps the default rather than crashing whatever
+    imported us.  A deprecated name resolves as in
     :func:`resolve_storage`.
     """
     raw = os.environ.get("REPRO_STORAGE")
@@ -193,9 +193,11 @@ def _validate_parallel_knobs(
 ) -> None:
     """Shared validation of the ``workers``/``shard_count`` pair.
 
-    The knobs only make sense for the sharded parallel backend; ``"auto"``
-    is allowed because it may escalate to it.  Unlike the SQL knobs, values
-    are range-checked here — the registry never sees them.
+    The knobs only take effect with ``method="parallel"``.  They are also
+    accepted on ``"auto"``, which drops them when it resolves to a serial
+    backend (see :meth:`DetectionConfig.with_method`), so one config can
+    name them whatever the method.  Unlike the SQL knobs, values are
+    range-checked here — the registry never sees them.
     """
     for name, value in (("workers", workers), ("shard_count", shard_count)):
         if value is None:
@@ -238,8 +240,9 @@ class DetectionConfig:
         to tuple indices (disabled by the benchmarks to time exactly the
         paper's query pair).
     workers, shard_count:
-        Parallel-only knobs (``method="parallel"``, or ``"auto"``, which may
-        escalate to it): worker processes in the pool (default: one per CPU)
+        Parallel-only knobs: they take effect with ``method="parallel"``
+        and are accepted, then dropped, on ``"auto"`` (which resolves to a
+        serial backend): worker processes in the pool (default: one per CPU)
         and shards to split the relation into (default: the worker count).
         Setting either with any other concrete backend raises
         :class:`~repro.errors.ConfigError` — a serial backend would silently
@@ -358,8 +361,8 @@ class DetectionConfig:
         """A copy with ``method`` pinned (used after ``"auto"`` resolution).
 
         Pinning ``"auto"`` to a serial backend drops the parallel-only knobs:
-        they were legal against ``"auto"`` (which *might* have escalated) but
-        would fail validation against the concrete serial method.
+        they are legal against ``"auto"`` but would fail validation against
+        the concrete serial method.
         """
         if method == self.method:
             return self
@@ -402,10 +405,9 @@ class RepairConfig:
     cost_model:
         The value-modification cost model; defaults to unit weights.
     workers, shard_count:
-        Parallel-only knobs (``method="parallel"``, or ``"auto"``, which may
-        escalate to it): worker processes repairing shards concurrently and
-        shards to split the relation into.  Same validation as on
-        :class:`DetectionConfig`.
+        Parallel-only knobs: worker processes repairing shards concurrently
+        and shards to split the relation into.  Same validation, and the
+        same acceptance on ``"auto"``, as on :class:`DetectionConfig`.
     storage:
         Storage layer the columnar-capable engines (incremental, parallel)
         repair over — same semantics and default chain

@@ -12,9 +12,9 @@ merges the shard results back into the ordinary
 (:mod:`repro.parallel.engine`, :mod:`repro.parallel.repairer`).
 
 Importing this package registers both backends, making
-``method="parallel"`` available everywhere backends are named — and
-``method="auto"`` escalates to it past
-:data:`repro.registry.PARALLEL_AUTO_ROW_THRESHOLD` rows.  See
+``method="parallel"`` available everywhere backends are named.  It is only
+ever an explicit choice: ``method="auto"`` resolves to the serial engines at
+every size (see :func:`repro.registry.select_detection_method`).  See
 ``docs/parallel.md`` for the sharding invariant and its limits.
 """
 

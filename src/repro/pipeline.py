@@ -126,8 +126,9 @@ class Cleaner:
     detection:
         How to detect violations (backend, SQL knobs, parallel
         ``workers``/``shard_count``).  Defaults to ``method="auto"``, which
-        escalates to the sharded parallel backend past
-        :data:`repro.registry.PARALLEL_AUTO_ROW_THRESHOLD` rows.
+        resolves to a serial backend (``inmemory`` or ``indexed``) at every
+        size; the sharded backend runs only when ``method="parallel"`` names
+        it.
     repair:
         How to repair them (engine, pass budget, cost model, parallel
         ``workers``/``shard_count``).  Defaults to ``method="auto"``.  A

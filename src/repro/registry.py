@@ -36,7 +36,6 @@ strategy-selection idea the ISSUE cites.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
 
 from repro.config import AUTO
@@ -55,31 +54,6 @@ _ANALYSIS_CHECKS: Dict[str, Callable] = {}
 #: Detection workload size (rows x pattern tuples) below which the in-memory
 #: oracle's full scans beat building partition maps.
 AUTO_CELL_THRESHOLD = 50_000
-
-def _parallel_threshold_from_env(default: int = 150_000) -> int:
-    """Parse ``REPRO_PARALLEL_AUTO_ROWS``, falling back on garbage.
-
-    An unparsable value must not make ``import repro`` itself crash with a
-    raw ``ValueError`` (this runs at import time); mirror the forgiving
-    behaviour of ``REPRO_BENCH_SCALE`` and keep the default instead.
-    """
-    raw = os.environ.get("REPRO_PARALLEL_AUTO_ROWS")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-#: Relation size (rows) above which ``method="auto"`` escalates to the
-#: sharded parallel backend for both detection and repair.  Below it, shard
-#: planning, spilling and process start-up would eat the win; above it, the
-#: per-shard work dominates and the pool pays for itself.  Configurable via
-#: the ``REPRO_PARALLEL_AUTO_ROWS`` environment variable (read at import) or
-#: by assigning the module attribute (read at every selection).
-PARALLEL_AUTO_ROW_THRESHOLD = _parallel_threshold_from_env()
 
 #: Built-in detection backends whose hot loops consume the columnar code
 #: protocol.  The SQL backend loads rows either way; converting for it would
@@ -307,12 +281,18 @@ def select_detection_method(relation: Relation, cfds: Sequence[CFD]) -> str:
     lookup per row — ``O(rows x masks + patterns)`` — so on small products
     it beats paying the partition-map build; past
     :data:`AUTO_CELL_THRESHOLD` the indexed backend's one grouping pass per
-    distinct LHS set wins; past
-    :data:`PARALLEL_AUTO_ROW_THRESHOLD` rows the workload is sharded over a
-    process pool.
+    distinct LHS set wins, at every size.
+
+    ``auto`` never picks the sharded ``parallel`` backend, however large the
+    relation: it stays an explicit method.  Measured on a 2-CPU host, its
+    shard planning, spill, pool start-up and IPC cost more than the serial
+    work they split (ROADMAP item 1's table: parallel detection 3–7× slower
+    than ``indexed`` from 160K to 1M rows).  On the 160K-row input of the
+    ``fd-clean`` benchmark workload, a 2-worker, 2-shard parallel clean
+    took 1.74–1.80 s (detect 0.67–0.71 s) against 1.06–1.13 s (detect
+    0.20 s) for ``indexed`` + ``incremental``, with the same 4,353 changes
+    at the same cost.
     """
-    if len(relation) > PARALLEL_AUTO_ROW_THRESHOLD:
-        return "parallel"
     if _workload_cells(relation, cfds) <= AUTO_CELL_THRESHOLD:
         return "inmemory"
     return "indexed"
@@ -321,13 +301,12 @@ def select_detection_method(relation: Relation, cfds: Sequence[CFD]) -> str:
 def select_repair_method(relation: Relation, cfds: Sequence[CFD]) -> str:
     """The engine ``method="auto"`` resolves to for this repair workload.
 
-    The delta-maintained incremental state is at least as fast as full
-    re-detection even on tiny inputs; past
-    :data:`PARALLEL_AUTO_ROW_THRESHOLD` rows whole equivalence classes are
-    repaired concurrently in a process pool.
+    Always the delta-maintained ``incremental`` state.  It beats the
+    sharded ``parallel`` engine at every size measured on a 2-CPU host
+    (ROADMAP item 1's table; on the 160K-row ``fd-clean`` input, repair
+    took 0.34–0.37 s against 0.48 s sharded, with the same changes at the
+    same cost), so ``parallel`` stays an explicit method.
     """
-    if len(relation) > PARALLEL_AUTO_ROW_THRESHOLD:
-        return "parallel"
     return "incremental"
 
 

@@ -170,7 +170,7 @@ class TestConfigKnobs:
 
     def test_workers_allowed_for_parallel_and_auto(self):
         assert DetectionConfig(method="parallel", workers=2).workers == 2
-        assert DetectionConfig(workers=2).workers == 2  # auto may escalate
+        assert DetectionConfig(workers=2).workers == 2  # dropped if auto runs serial
 
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
-"""Parallel repair: byte-identical to incremental, fallbacks, auto escalation."""
+"""Parallel repair: byte-identical to incremental, fallbacks, explicit-only."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -222,24 +224,51 @@ class TestSingleShardSpillsNothing:
         assert result.parallel_stats.mode == executor.SERIAL
 
 
-class TestAutoEscalation:
-    def test_auto_escalates_past_the_row_threshold(self, tax, tax_cfds, monkeypatch):
-        monkeypatch.setattr(registry, "PARALLEL_AUTO_ROW_THRESHOLD", 100)
-        assert registry.select_detection_method(tax, tax_cfds) == "parallel"
-        assert registry.select_repair_method(tax, tax_cfds) == "parallel"
+class _SizedStub:
+    """Answers ``len()`` only: the selectors must decide from the shape."""
 
-    def test_auto_stays_serial_below_the_threshold(self, tax, tax_cfds):
-        assert registry.select_detection_method(tax, tax_cfds) != "parallel"
-        assert registry.select_repair_method(tax, tax_cfds) != "parallel"
+    def __init__(self, rows):
+        self.rows = rows
 
-    def test_cleaner_runs_end_to_end_with_escalated_auto(self, tax, tax_cfds, monkeypatch):
-        monkeypatch.setattr(registry, "PARALLEL_AUTO_ROW_THRESHOLD", 100)
+    def __len__(self):
+        return self.rows
+
+
+class TestAutoStaysSerial:
+    """``auto`` never resolves to the sharded engine; it is explicit only."""
+
+    @pytest.mark.parametrize(
+        "rows,detect", [(1, "inmemory"), (150_001, "indexed"), (10_000_000, "indexed")]
+    )
+    def test_selectors_never_pick_parallel(self, tax_cfds, rows, detect):
+        stub = _SizedStub(rows)
+        assert registry.select_detection_method(stub, tax_cfds) == detect
+        assert registry.select_repair_method(stub, tax_cfds) == "incremental"
+
+    def test_cleaner_with_parallel_knobs_on_auto_runs_serial(self, tax, tax_cfds):
         result = Cleaner(
-            detection=DetectionConfig(workers=2, shard_count=4),
-            repair=RepairConfig(workers=2, shard_count=4),
+            detection=DetectionConfig(workers=2, shard_count=2),
+            repair=RepairConfig(workers=2, shard_count=2),
+        ).clean(tax, tax_cfds)
+        assert result.clean
+        assert result.backends["detect"] in {"inmemory", "indexed"}
+        assert result.backends["repair"] == "incremental"
+        serial = Cleaner(repair=RepairConfig(method="incremental")).clean(tax, tax_cfds)
+        assert result.relation == serial.relation
+        assert result.changes == serial.changes
+
+
+class TestExplicitParallelCleaner:
+    def test_cleaner_matches_incremental(self, tax, tax_cfds):
+        result = Cleaner(
+            detection=DetectionConfig(method="parallel", workers=2, shard_count=4),
+            repair=RepairConfig(method="parallel", workers=2, shard_count=4),
         ).clean(tax, tax_cfds)
         assert result.clean
         assert result.backends["detect"] == "parallel"
         assert result.backends["repair"] == "parallel"
         serial = Cleaner(repair=RepairConfig(method="incremental")).clean(tax, tax_cfds)
         assert result.relation == serial.relation
+        # The change log comes back in shard order: compare it as a multiset.
+        assert Counter(result.changes) == Counter(serial.changes)
+        assert result.total_cost == pytest.approx(serial.total_cost)

@@ -122,17 +122,6 @@ class TestAutoSelection:
     def test_empty_cfd_set_counts_as_one_pattern(self, cust):
         assert registry.select_detection_method(cust, []) == "inmemory"
 
-    def test_parallel_threshold_env_parsing_is_forgiving(self, monkeypatch):
-        # A malformed knob must not crash `import repro` — it falls back.
-        monkeypatch.setenv("REPRO_PARALLEL_AUTO_ROWS", "150_000")
-        assert registry._parallel_threshold_from_env() == 150_000
-        monkeypatch.setenv("REPRO_PARALLEL_AUTO_ROWS", "150k")
-        assert registry._parallel_threshold_from_env() == 150_000
-        monkeypatch.setenv("REPRO_PARALLEL_AUTO_ROWS", "-5")
-        assert registry._parallel_threshold_from_env() == 150_000
-        monkeypatch.setenv("REPRO_PARALLEL_AUTO_ROWS", "42")
-        assert registry._parallel_threshold_from_env() == 42
-
     def test_resolve_auto_requires_a_relation(self):
         with pytest.raises(RegistryError):
             registry.resolve_detector("auto")

@@ -17,7 +17,7 @@ True
 Three front doors share it: the ``repro lint`` CLI subcommand, the
 ``repro check`` consistency shortcut, and the
 :class:`repro.pipeline.Cleaner` pre-flight gate
-(``DetectionConfig(analysis="strict"|"warn"|"off")``).  Checks live in a
+(``Cleaner(analysis="strict"|"warn"|"off")``).  Checks live in a
 registry (:func:`repro.registry.register_analysis_check`) so backends can
 ship their own hazard analyses; the built-ins and the diagnostic code
 table are documented in ``docs/analysis.md``.

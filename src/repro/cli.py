@@ -31,7 +31,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.config import AUTO, DetectionConfig, RepairConfig
+from repro.config import (
+    AUTO,
+    DEFAULT_KERNEL,
+    DEFAULT_STORAGE,
+    KERNELS,
+    STORAGES,
+    DetectionConfig,
+    RepairConfig,
+)
 from repro.core.cfd import CFD
 from repro.core.violations import ViolationReport
 from repro.datagen.cfd_catalog import zip_state_cfd
@@ -85,11 +93,11 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_storage_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--storage",
-        choices=["columnar", "mmap", "rows"],
+        choices=STORAGES,
+        default=DEFAULT_STORAGE,
         help="storage layer for the columnar-capable engines: dictionary-encoded "
-        "columns (default, also via REPRO_STORAGE) or memory-mapped spill files "
-        "for out-of-core workloads; outputs are identical either way "
-        "(rows: deprecated alias of columnar)",
+        "columns (default) or memory-mapped spill files for out-of-core "
+        "workloads; outputs are identical either way",
     )
     parser.add_argument(
         "--spill-dir",
@@ -97,22 +105,17 @@ def _add_storage_argument(parser: argparse.ArgumentParser) -> None:
         "REPRO_SPILL_DIR, then the system temp dir); each run spills into "
         "its own subdirectory, removed on success and preserved on crash",
     )
-    parser.add_argument(
-        "--memory-budget-mb",
-        type=int,
-        help="approximate ingestion memory budget for --storage mmap; sizes "
-        "the streaming chunks so raw rows in flight stay within it",
-    )
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
-        choices=["python", "numpy", "auto"],
+        choices=KERNELS + (AUTO,),
+        default=DEFAULT_KERNEL,
         help="hot-loop implementation for the columnar engines: the pure-Python "
         "reference, the numpy-vectorised kernels (requires the [fast] extra), "
-        "or auto to use numpy when installed (default, also via REPRO_KERNEL); "
-        "outputs are identical either way",
+        "or auto to use numpy when installed (default); outputs are identical "
+        "either way",
     )
 
 
@@ -194,7 +197,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         storage=args.storage,
         kernel=args.kernel,
         spill_dir=args.spill_dir,
-        memory_budget_mb=args.memory_budget_mb,
     )
     report = detect_violations(relation, cfds, config=config)
     payload = _report_payload(report, relation)
@@ -239,7 +241,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         storage=args.storage,
         kernel=args.kernel,
         spill_dir=args.spill_dir,
-        memory_budget_mb=args.memory_budget_mb,
     )
     result = repair(relation, cfds, config=config)
     result.relation.to_csv(args.output)
@@ -269,7 +270,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
             storage=args.storage,
             kernel=args.kernel,
             spill_dir=args.spill_dir,
-            memory_budget_mb=args.memory_budget_mb,
         ),
         repair=RepairConfig(
             method=args.repair_method,
@@ -279,7 +279,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
             storage=args.storage,
             kernel=args.kernel,
             spill_dir=args.spill_dir,
-            memory_budget_mb=args.memory_budget_mb,
         ),
         verify_method=args.verify_method,
     )

@@ -25,7 +25,6 @@ from repro.core.violations import ViolationReport
 from repro.detection.indexed import find_violations_indexed
 from repro.errors import ConfigError, DetectionError, RegistryError
 from repro.registry import (
-    ANY_STORAGE_DETECTORS,
     COLUMNAR_DETECTORS,
     apply_kernel,
     apply_storage,
@@ -130,20 +129,16 @@ def detect_violations(
     except RegistryError as error:
         raise DetectionError(str(error)) from None
     # Columnar-capable backends see the relation in the configured storage
-    # layer (encoded once here; already-encoded input passes through), the
-    # SQL loader sees rows, the oracle reads whatever the caller holds, and
-    # the configured kernel is active for the duration of the backend call.
-    # Reports are byte-identical either way — storage and kernel are speed
-    # knobs, not semantics knobs.
-    if name not in ANY_STORAGE_DETECTORS:
+    # layer (encoded once here; already-encoded input passes through); every
+    # other backend reads whatever the caller holds.  The configured kernel
+    # is active for the duration of the backend call.  Reports are
+    # byte-identical either way — storage and kernel are speed knobs, not
+    # semantics knobs.
+    if name in COLUMNAR_DETECTORS:
         relation = apply_storage(
-            relation,
-            config.effective_storage,
-            name in COLUMNAR_DETECTORS,
-            spill_dir=config.spill_dir,
-            memory_budget_mb=config.memory_budget_mb,
+            relation, config.storage, True, spill_dir=config.spill_dir
         )
-    with apply_kernel(config.effective_kernel):
+    with apply_kernel(config.kernel):
         return backend(relation, cfds, config.with_method(name))
 
 

@@ -37,7 +37,7 @@ from typing import (
     Union,
 )
 
-from repro.config import resolve_storage, storage_from_env
+from repro.config import DEFAULT_KERNEL, DEFAULT_STORAGE, resolve_storage
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternValue
 from repro.core.tableau import PatternTuple
@@ -158,8 +158,8 @@ def detect_stream(
     schema: Schema,
     rows: Iterable[Union[Row, Sequence[Any], Mapping[str, Any]]],
     cfds: Union[CFD, Sequence[CFD]],
-    storage: Optional[str] = None,
-    kernel: Optional[str] = None,
+    storage: str = DEFAULT_STORAGE,
+    kernel: str = DEFAULT_KERNEL,
     spill_dir: Optional[str] = None,
 ) -> ViolationReport:
     """Detect violations over a row *stream* without materialising full rows.
@@ -170,15 +170,13 @@ def detect_stream(
     projection, so peak memory is ``O(N x |attrs(cfds)|)`` rather than
     ``O(N x |schema|)``, and the source (a CSV reader, a DB cursor) is read
     exactly once.  Detection then runs :func:`find_violations_indexed` over
-    the projection.  ``storage`` picks where the encoded projection lives
-    (defaults to ``REPRO_STORAGE``, then ``"columnar"``): ``storage="mmap"``
-    spills it to memory-mapped files under ``spill_dir``
+    the projection.  ``storage`` picks where the encoded projection lives:
+    ``storage="mmap"`` spills it to memory-mapped files under ``spill_dir``
     (:class:`~repro.relation.mmap_store.MmapColumnStore`), so even the
     retained code columns stay out of the Python heap.
 
-    ``kernel`` picks the hot-loop implementation (defaults to
-    ``REPRO_KERNEL``, then ``"auto"``); see :mod:`repro.kernels`.  Every
-    kernel produces byte-identical reports.
+    ``kernel`` picks the hot-loop implementation; see :mod:`repro.kernels`.
+    Every kernel produces byte-identical reports.
 
     Reported tuple indices refer to positions in the input stream.
     """
@@ -187,7 +185,7 @@ def detect_stream(
     cfds = list(cfds)
     if not cfds:
         return ViolationReport()
-    storage = storage_from_env() if storage is None else resolve_storage(storage)
+    resolve_storage(storage)
 
     # Projection: keep only the attributes some CFD constrains.
     needed = [name for name in schema.names if any(name in cfd.attributes for cfd in cfds)]

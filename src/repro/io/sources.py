@@ -66,10 +66,7 @@ class RowSource(abc.ABC):
         """Yield rows as positional tuples in schema attribute order."""
 
     def to_relation(
-        self,
-        storage: Optional[str] = None,
-        spill_dir: Optional[str] = None,
-        chunk_rows: Optional[int] = None,
+        self, storage: Optional[str] = None, spill_dir: Optional[str] = None
     ) -> Relation:
         """Materialise the source into a relation.
 
@@ -78,16 +75,15 @@ class RowSource(abc.ABC):
         keeps the rows pending in a
         :class:`~repro.relation.columnar.ColumnStore`, encoded per column on
         first use.  ``storage="mmap"`` interns each block into code buffers
-        flushed to memory-mapped spill files every ``chunk_rows`` rows
+        flushed to memory-mapped spill files every
+        :data:`~repro.relation.mmap_store.DEFAULT_CHUNK_ROWS` rows
         (:class:`~repro.relation.mmap_store.MmapColumnStore` under
-        ``spill_dir``); a memory budget bounds one in-flight block plus
-        ``chunk_rows`` buffered codes per column.  ``None`` keeps the
-        tuple-list layout.
+        ``spill_dir``), so ingestion holds one in-flight block plus one
+        chunk of buffered codes per column.  ``None`` keeps the tuple-list
+        layout.
         """
         if storage == "mmap":
-            relation: Relation = MmapColumnStore(
-                self.schema, spill_dir=spill_dir, chunk_rows=chunk_rows
-            )
+            relation: Relation = MmapColumnStore(self.schema, spill_dir=spill_dir)
         else:
             relation = _relation_class(storage)(self.schema)
         relation.extend(self)
@@ -118,10 +114,7 @@ class RelationSource(RowSource):
         return iter(self._relation)
 
     def to_relation(
-        self,
-        storage: Optional[str] = None,
-        spill_dir: Optional[str] = None,
-        chunk_rows: Optional[int] = None,
+        self, storage: Optional[str] = None, spill_dir: Optional[str] = None
     ) -> Relation:
         # No copy when the storage already matches: the pipeline copies
         # before mutating (repair works on a copy), so handing back the
@@ -133,9 +126,7 @@ class RelationSource(RowSource):
         if storage == "mmap":
             if isinstance(self._relation, MmapColumnStore):
                 return self._relation
-            return MmapColumnStore.from_relation(
-                self._relation, spill_dir=spill_dir, chunk_rows=chunk_rows
-            )
+            return MmapColumnStore.from_relation(self._relation, spill_dir=spill_dir)
         if isinstance(self._relation, ColumnStore):
             return self._relation
         return ColumnStore.from_relation(self._relation)

@@ -23,18 +23,18 @@ repairs, same partition iteration order.  The grid in
 ``tests/integration/test_kernel_agreement.py`` pins that contract, so a
 kernel is a pure speed knob exactly like the storage layer.
 
-Dispatch follows the storage pattern: configs carry an optional ``kernel=``
-name (:class:`~repro.config.DetectionConfig` /
-:class:`~repro.config.RepairConfig`), defaulting to the ``REPRO_KERNEL``
-environment variable, then ``"auto"``.  The public entry points
-(:func:`~repro.detection.engine.detect_violations`,
+Dispatch follows the storage pattern: configs carry a ``kernel=`` name
+(:class:`~repro.config.DetectionConfig` /
+:class:`~repro.config.RepairConfig`, default ``"auto"``).  The public entry
+points (:func:`~repro.detection.engine.detect_violations`,
 :func:`~repro.repair.heuristic.repair`,
 :func:`~repro.detection.indexed.detect_stream`) activate the configured
 kernel with :func:`use_kernel` for the duration of the call; the hot layers
 read :func:`active_kernel` once per pass and call its primitives directly.
 The active kernel is a module global (engines are processes, not threads);
-worker processes of the parallel backends resolve it from their own
-environment/config — harmless either way, since kernels agree byte for byte.
+outside any activation it is the ``"auto"`` kernel.  Worker processes of
+the parallel backends inherit the activation of a forked parent or fall
+back to ``"auto"`` — harmless either way, since kernels agree byte for byte.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.config import AUTO, KERNELS, kernel_from_env
+from repro.config import AUTO, validate_kernel
 from repro.errors import ConfigError
 from repro.kernels.python_kernels import PYTHON_KERNEL, PythonKernel
 
@@ -60,7 +60,7 @@ __all__ = [
 _numpy_available: Optional[bool] = None
 
 #: The kernel pinned by the innermost :func:`use_kernel`; ``None`` when no
-#: activation is in effect (then the environment default applies).
+#: activation is in effect (then the ``"auto"`` kernel applies).
 _active = None
 
 
@@ -85,21 +85,14 @@ def kernel_names() -> tuple:
 def resolve_kernel_name(name: Optional[str] = None) -> str:
     """Resolve a kernel name (possibly ``None`` or ``"auto"``) to a concrete one.
 
-    ``None`` defers to ``REPRO_KERNEL`` (then ``"auto"``); ``"auto"``
-    degrades cleanly to ``"python"`` when numpy is missing.  An *explicit*
-    ``"numpy"`` without numpy installed raises
-    :class:`~repro.errors.ConfigError` instead of silently computing with
-    the wrong kernel — the caller asked for something the machine lacks.
+    ``None`` means ``"auto"``, which degrades cleanly to ``"python"`` when
+    numpy is missing.  An *explicit* ``"numpy"`` without numpy installed
+    raises :class:`~repro.errors.ConfigError` instead of silently computing
+    with the wrong kernel — the caller asked for something the machine lacks.
     """
-    if name is None:
-        name = kernel_from_env()
-    if name == AUTO:
+    if name is None or name == AUTO:
         return "numpy" if numpy_available() else "python"
-    if name not in KERNELS:
-        raise ConfigError(
-            f"unknown kernel {name!r}; expected one of "
-            f"{', '.join(map(repr, KERNELS + (AUTO,)))}"
-        )
+    validate_kernel(name)
     if name == "numpy" and not numpy_available():
         raise ConfigError(
             "kernel='numpy' requested but numpy is not importable; install "
@@ -122,20 +115,19 @@ def active_kernel():
     """The kernel the hot loops should compute with, right now.
 
     Inside a :func:`use_kernel` activation this is the pinned kernel (a
-    plain global read — the hot path); outside one, the environment default
-    is re-resolved per call, so ``REPRO_KERNEL`` changes are honoured even
-    by low-level entry points that no config ever flows through.
+    plain global read — the hot path); outside one, the ``"auto"`` kernel,
+    for low-level entry points that no config ever flows through.
     """
     if _active is not None:
         return _active
-    return get_kernel(None)
+    return get_kernel(AUTO)
 
 
 @contextmanager
 def use_kernel(name: Optional[str] = None) -> Iterator:
     """Activate a kernel for the duration of a ``with`` block.
 
-    ``name`` follows :func:`resolve_kernel_name` (``None`` → environment →
+    ``name`` follows :func:`resolve_kernel_name` (``None`` means
     ``"auto"``).  Activations nest; the previous kernel is restored on exit
     even when the block raises.  This is what the detection/repair dispatch
     sites wrap around their backend calls.

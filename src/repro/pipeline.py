@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis import AnalysisReport, AnalysisWarning, analyze, require_clean
-from repro.config import AUTO, DetectionConfig, RepairConfig, strictest_analysis
+from repro.config import (
+    ANALYSIS_LEVELS,
+    AUTO,
+    DetectionConfig,
+    RepairConfig,
+    check_choice,
+)
 from repro.core.cfd import CFD
 from repro.core.violations import ViolationReport
 from repro.detection.engine import detect_violations
@@ -45,7 +51,7 @@ from repro.registry import (
     resolve_repairer,
 )
 from repro.relation.columnar import ColumnStore
-from repro.relation.mmap_store import MmapColumnStore, chunk_rows_for_budget
+from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from repro.repair.heuristic import CellChange, RepairResult, repair
@@ -145,6 +151,14 @@ class Cleaner:
         Detect→repair rounds before giving up.  One round normally suffices
         (the repair loop itself iterates to a fixpoint); the re-verify loop
         guards the pipeline contract end to end.
+    analysis:
+        Pre-flight static-analysis level of the gate (:meth:`_preflight`):
+        ``"strict"`` (refuse to clean a rule set with error-severity
+        diagnostics, raising :class:`~repro.errors.AnalysisError` with the
+        report before any ingestion or detection work), ``"warn"``
+        (default: surface findings as warnings and proceed) or ``"off"``.
+        The gate never changes cleaning *results* — only whether a doomed
+        run starts at all.
     """
 
     def __init__(
@@ -153,13 +167,16 @@ class Cleaner:
         repair: Optional[RepairConfig] = None,
         verify_method: str = "inmemory",
         max_rounds: int = 3,
+        analysis: str = "warn",
     ) -> None:
         if max_rounds < 1:
             raise ReproError(f"max_rounds must be at least 1, got {max_rounds}")
+        check_choice("analysis level", analysis, ANALYSIS_LEVELS)
         self.detection = detection or DetectionConfig()
         self.repair = repair or RepairConfig()
         self.verify_method = verify_method
         self.max_rounds = max_rounds
+        self.analysis = analysis
 
     # ------------------------------------------------------------------ stages
     def _preflight(
@@ -169,18 +186,15 @@ class Cleaner:
 
         Runs :func:`repro.analysis.analyze` with ``deep=False`` — the cheap
         structural, consistency and hazard checks whose cost depends only on
-        the rule set, never on the data — at the *strictest* of the two
-        configs' ``analysis`` levels.  ``"strict"`` raises
-        :class:`~repro.errors.AnalysisError` on error-severity diagnostics
-        before any ingestion or detection work; ``"warn"`` surfaces findings
-        as :class:`~repro.analysis.AnalysisWarning` warnings and proceeds
+        the rule set, never on the data — at the ``analysis`` level.
+        ``"strict"`` raises :class:`~repro.errors.AnalysisError` on
+        error-severity diagnostics before any ingestion or detection work;
+        ``"warn"`` surfaces findings as
+        :class:`~repro.analysis.AnalysisWarning` warnings and proceeds
         (results are untouched — the gate never mutates anything);
         ``"off"`` skips the pass and returns ``None``.
         """
-        level = strictest_analysis(
-            self.detection.effective_analysis, self.repair.effective_analysis
-        )
-        if level == "off":
+        if self.analysis == "off":
             return None
         report = analyze(
             cfds,
@@ -189,7 +203,7 @@ class Cleaner:
             repair=self.repair,
             deep=False,
         )
-        if level == "strict":
+        if self.analysis == "strict":
             require_clean(report)
         else:
             for diagnostic in report.errors() + report.warnings():
@@ -238,8 +252,8 @@ class Cleaner:
                     row_source.schema,
                     iter(row_source),
                     cfds,
-                    storage=self.detection.effective_storage,
-                    kernel=self.detection.effective_kernel,
+                    storage=self.detection.storage,
+                    kernel=self.detection.kernel,
                     spill_dir=self.detection.spill_dir,
                 )
         relation = row_source.to_relation()
@@ -261,10 +275,9 @@ class Cleaner:
         cfds = list(cfds)
         stage_seconds: Dict[str, float] = {}
 
-        detect_storage = self.detection.effective_storage
-        repair_storage = self.repair.effective_storage
+        detect_storage = self.detection.storage
+        repair_storage = self.repair.storage
         spill_dir = self.detection.spill_dir or self.repair.spill_dir
-        memory_budget = self.detection.memory_budget_mb or self.repair.memory_budget_mb
 
         row_source = as_source(source, schema=schema)
 
@@ -281,15 +294,7 @@ class Cleaner:
             # Out-of-core ingestion: stream the rows straight into spilled
             # code columns so the relation is never materialised as Python
             # tuples — the whole point of storage="mmap".
-            relation = row_source.to_relation(
-                storage="mmap",
-                spill_dir=spill_dir,
-                chunk_rows=(
-                    chunk_rows_for_budget(memory_budget, len(row_source.schema))
-                    if memory_budget is not None
-                    else None
-                ),
-            )
+            relation = row_source.to_relation(storage="mmap", spill_dir=spill_dir)
         else:
             relation = row_source.to_relation()
         stage_seconds["ingest"] = time.perf_counter() - start
@@ -311,11 +316,7 @@ class Cleaner:
             target = "mmap"
         start = time.perf_counter()
         relation = apply_storage(
-            relation,
-            target,
-            detect_columnar or repair_columnar,
-            spill_dir=spill_dir,
-            memory_budget_mb=memory_budget,
+            relation, target, detect_columnar or repair_columnar, spill_dir=spill_dir
         )
         stage_seconds["ingest"] += time.perf_counter() - start
         if isinstance(relation, MmapColumnStore):
@@ -329,8 +330,8 @@ class Cleaner:
             "repair": repair_name,
             "verify": self.verify_method,
             "storage": storage_name,
-            "kernel": resolve_kernel_name(self.detection.effective_kernel),
-            "repair_kernel": resolve_kernel_name(self.repair.effective_kernel),
+            "kernel": resolve_kernel_name(self.detection.kernel),
+            "repair_kernel": resolve_kernel_name(self.repair.kernel),
         }
 
         start = time.perf_counter()

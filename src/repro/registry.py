@@ -42,7 +42,7 @@ from repro.config import AUTO
 from repro.core.cfd import CFD
 from repro.errors import RegistryError
 from repro.relation.columnar import ColumnStore
-from repro.relation.mmap_store import MmapColumnStore, chunk_rows_for_budget
+from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 
 _Backend = TypeVar("_Backend", bound=Callable)
@@ -56,18 +56,12 @@ _ANALYSIS_CHECKS: Dict[str, Callable] = {}
 AUTO_CELL_THRESHOLD = 50_000
 
 #: Built-in detection backends whose hot loops consume the columnar code
-#: protocol.  The SQL backend loads rows either way; converting for it would
-#: only add decode overhead.  The oracle is in neither set: see
-#: :data:`ANY_STORAGE_DETECTORS`.
+#: protocol; dispatch hands them the relation in the configured storage
+#: (:func:`apply_storage`).  Every other detector reads the storage it is
+#: handed: the oracle reads ``attrs(φ)`` once per CFD through
+#: :meth:`~repro.relation.relation.Relation.project_rows`, and the SQL
+#: loader iterates the rows of any storage once.
 COLUMNAR_DETECTORS = frozenset({"indexed", "parallel"})
-
-#: Built-in detection backends that read whatever storage they are handed,
-#: so dispatch skips :func:`apply_storage` for them.  The oracle reads
-#: ``attrs(φ)`` once per CFD through
-#: :meth:`~repro.relation.relation.Relation.project_rows`
-#: (``O(|I| x |attrs(φ)|)`` cell reads, one CFD's columns in memory at a
-#: time); a row copy of a column store would decode every column first.
-ANY_STORAGE_DETECTORS = frozenset({"inmemory"})
 
 #: Built-in repair engines whose detection layer is columnar-capable.  The
 #: scan engine is the row-semantics correctness baseline and stays on rows.
@@ -79,43 +73,31 @@ def apply_storage(
     storage: str,
     columnar_capable: bool,
     spill_dir: Optional[str] = None,
-    memory_budget_mb: Optional[int] = None,
 ) -> Relation:
     """The relation in the storage layer the resolved backend should see.
 
-    ``storage`` is an *effective* storage name
-    (:attr:`repro.config.DetectionConfig.effective_storage`).  Columnar-
-    capable backends compute over codes only, so they always get a
+    ``storage`` is a config's storage name
+    (:attr:`repro.config.EngineConfig.storage`).  Columnar-capable backends
+    compute over codes only, so they always get a
     :class:`~repro.relation.columnar.ColumnStore`: ``"mmap"`` spills the
-    code columns to memory-mapped files under ``spill_dir``
-    (``memory_budget_mb`` sizes the ingestion chunks), and a
+    code columns to memory-mapped files under ``spill_dir``, and a
     :class:`~repro.relation.mmap_store.MmapColumnStore` passes a
     ``"columnar"`` request through unchanged — it *is* a column store, and
     decoding it back into memory would defeat the out-of-core point.
-    Row-reading backends (the SQL loader, the ``scan`` repair engine)
-    always get materialised rows: one decode pass here is far cheaper than
-    the per-cell reads and writes their passes would otherwise pay against
-    an encoded relation.  The oracle is not converted at all
-    (:data:`ANY_STORAGE_DETECTORS`): it reads the column store or
-    memory-mapped store it is handed through one column projection per
-    CFD.  When no conversion is needed the relation is returned as-is
-    (callers that must not share state copy afterwards, as
-    :func:`repro.repair.heuristic.repair` does).
+    The row-reading ``scan`` repair engine gets materialised rows: one
+    decode pass here is far cheaper than the per-cell reads and writes its
+    passes would otherwise pay against an encoded relation.  Detection
+    dispatch calls this for :data:`COLUMNAR_DETECTORS` only.  When no
+    conversion is needed the relation is returned as-is (callers that must
+    not share state copy afterwards, as :func:`repro.repair.heuristic.repair`
+    does).
     """
     if not columnar_capable:
         if isinstance(relation, ColumnStore):
             return Relation.from_validated_rows(relation.schema, relation)
         return relation
     if storage == "mmap" and not isinstance(relation, MmapColumnStore):
-        return MmapColumnStore.from_relation(
-            relation,
-            spill_dir=spill_dir,
-            chunk_rows=(
-                chunk_rows_for_budget(memory_budget_mb, len(relation.schema))
-                if memory_budget_mb is not None
-                else None
-            ),
-        )
+        return MmapColumnStore.from_relation(relation, spill_dir=spill_dir)
     if not isinstance(relation, ColumnStore):
         return ColumnStore.from_relation(relation)
     return relation
@@ -124,10 +106,9 @@ def apply_storage(
 def apply_kernel(kernel: Optional[str]):
     """Context manager activating the kernel a resolved backend should use.
 
-    The kernel counterpart of :func:`apply_storage`: ``kernel`` is an
-    *effective* kernel name (:attr:`repro.config.DetectionConfig.effective_kernel`
-    — possibly still ``"auto"``, possibly ``None`` to defer to
-    ``REPRO_KERNEL``).  Dispatch sites wrap their backend call in it so every
+    The kernel counterpart of :func:`apply_storage`: ``kernel`` is a
+    config's kernel name (:attr:`repro.config.EngineConfig.kernel`, possibly
+    ``"auto"``).  Dispatch sites wrap their backend call in it so every
     hot loop underneath — partition grouping, ``Q^C``/``Q^V`` checks, the
     repair vote — computes through the same kernel.  Kernels are
     byte-identical by contract (``tests/integration/test_kernel_agreement.py``),

@@ -79,12 +79,6 @@ SPILL_ENV = "REPRO_SPILL_DIR"
 #: resident cost of building an arbitrarily large store.
 DEFAULT_CHUNK_ROWS = 65_536
 
-#: Bytes per cell that :func:`chunk_rows_for_budget` charges each buffered
-#: row.  Ingestion holds one in-flight block of Python rows plus at most
-#: ``chunk_rows`` buffered 4-byte codes per column; charging a buffered cell
-#: like a Python-object cell is pessimistic, so the budget covers the block.
-INGEST_BYTES_PER_CELL = 96
-
 _CODE_ITEMSIZE = array("i").itemsize
 
 _RUN_COUNTER = itertools.count()
@@ -157,23 +151,6 @@ def spill_run(spill_dir: Optional[Union[str, Path]] = None) -> Iterator[Path]:
     run_dir = create_run_dir(base)
     yield run_dir
     shutil.rmtree(str(run_dir), ignore_errors=True)
-
-
-def chunk_rows_for_budget(memory_budget_mb: Optional[int], width: int) -> int:
-    """The ingestion chunk size that keeps a memory budget, given row width.
-
-    A budget bounds the transient memory of ingestion: one in-flight block
-    of Python rows plus at most ``chunk_rows`` buffered codes per column.
-    Each buffered row is charged :data:`INGEST_BYTES_PER_CELL` per cell; the
-    result is clamped to ``[1_024, 1_048_576]`` so a tiny budget still
-    makes progress and a huge one does not defeat the point of chunking.
-    ``None`` keeps :data:`DEFAULT_CHUNK_ROWS`.
-    """
-    if memory_budget_mb is None:
-        return DEFAULT_CHUNK_ROWS
-    cells = max(1, width) * INGEST_BYTES_PER_CELL
-    rows = (memory_budget_mb * 1024 * 1024) // cells
-    return max(1_024, min(1_048_576, int(rows)))
 
 
 def _map_codes(path: Path, count: int) -> Any:
@@ -444,7 +421,6 @@ class MmapColumnStore(ColumnStore):
         rows: Iterable[Row],
         *,
         spill_dir: Optional[Union[str, Path]] = None,
-        chunk_rows: Optional[int] = None,
     ) -> MmapColumnStore:
         """Adopt positional rows for ``schema``, starting at version 0.
 
@@ -452,7 +428,7 @@ class MmapColumnStore(ColumnStore):
         again: they take the block path of :meth:`extend`, whose checks cost
         little next to the encoding, and which flushes and remaps the files.
         """
-        store = cls(schema, rows, spill_dir=spill_dir, chunk_rows=chunk_rows)
+        store = cls(schema, rows, spill_dir=spill_dir)
         store._version = 0
         return store
 
@@ -462,7 +438,6 @@ class MmapColumnStore(ColumnStore):
         relation: Relation,
         *,
         spill_dir: Optional[Union[str, Path]] = None,
-        chunk_rows: Optional[int] = None,
     ) -> MmapColumnStore:
         """Mapped copy of an existing relation.
 
@@ -476,9 +451,9 @@ class MmapColumnStore(ColumnStore):
             return relation.copy()
         if not isinstance(relation, ColumnStore):
             return cls.from_validated_rows(
-                relation.schema, relation, spill_dir=spill_dir, chunk_rows=chunk_rows
+                relation.schema, relation, spill_dir=spill_dir
             )
-        store = cls(relation.schema, spill_dir=spill_dir, chunk_rows=chunk_rows)
+        store = cls(relation.schema, spill_dir=spill_dir)
         store._adopt_columnar(relation)
         return store
 
@@ -502,8 +477,6 @@ class MmapColumnStore(ColumnStore):
         directory: Union[str, Path],
         length: int,
         dictionaries: Sequence[Sequence[Any]],
-        *,
-        chunk_rows: Optional[int] = None,
     ) -> MmapColumnStore:
         """Open shard files written by :func:`repro.parallel.sharding.spill_shards`.
 
@@ -531,9 +504,7 @@ class MmapColumnStore(ColumnStore):
         store._explicit = True
         store._dir = run_dir
         store._gens = [0] * width
-        store._chunk_rows = (
-            max(1, int(chunk_rows)) if chunk_rows else DEFAULT_CHUNK_ROWS
-        )
+        store._chunk_rows = DEFAULT_CHUNK_ROWS
         store._finalizer = None
         store._buffers = [array("i") for _ in range(width)]
         store._codes = [
@@ -553,10 +524,8 @@ class MmapColumnStore(ColumnStore):
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "INGEST_BYTES_PER_CELL",
     "MmapColumnStore",
     "SPILL_ENV",
-    "chunk_rows_for_budget",
     "create_run_dir",
     "resolve_spill_base",
     "spill_run",

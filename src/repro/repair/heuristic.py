@@ -222,18 +222,14 @@ def repair(
     # converts it already built a fresh object, otherwise copy — either way
     # the caller's relation is never mutated.
     converted = apply_storage(
-        relation,
-        config.effective_storage,
-        name in COLUMNAR_REPAIRERS,
-        spill_dir=config.spill_dir,
-        memory_budget_mb=config.memory_budget_mb,
+        relation, config.storage, name in COLUMNAR_REPAIRERS, spill_dir=config.spill_dir
     )
     work = relation.copy() if converted is relation else converted
     # The configured kernel (see repro.kernels) is active for the whole
     # fixpoint: every engine's detection passes and the heuristic's own
     # distinct-projection votes all compute through it.  Kernels are
     # byte-identical, so this changes speed only.
-    with use_kernel(config.effective_kernel):
+    with use_kernel(config.kernel):
         engine = engine_factory(work, cfds, config)
         runner = getattr(engine, "run", None)
         if callable(runner):

@@ -1,17 +1,11 @@
-"""The Cleaner pre-flight gate: analysis="strict" | "warn" | "off"."""
+"""The Cleaner pre-flight gate: Cleaner(analysis="strict" | "warn" | "off")."""
 
 import warnings
 
 import pytest
 
 from repro.analysis import AnalysisReport, AnalysisWarning
-from repro.config import (
-    ANALYSIS_LEVELS,
-    DetectionConfig,
-    RepairConfig,
-    analysis_from_env,
-    strictest_analysis,
-)
+from repro.config import ANALYSIS_LEVELS
 from repro.core.cfd import CFD
 from repro.errors import AnalysisError, ConfigError
 from repro.pipeline import Cleaner
@@ -38,35 +32,20 @@ def abc_relation(relation_factory):
 
 
 class TestLevelResolution:
-    def test_strictest_of_two_levels(self):
-        assert strictest_analysis("warn", "strict") == "strict"
-        assert strictest_analysis("off", "warn") == "warn"
-        assert strictest_analysis("off", "off") == "off"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
-        assert analysis_from_env() == "warn"
-
-    def test_env_override(self, monkeypatch):
+    def test_default_ignores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS", "strict")
-        assert analysis_from_env() == "strict"
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "everything-is-fine")
-        assert analysis_from_env() == "warn"
+        assert Cleaner().analysis == "warn"
 
     def test_config_validates_level(self):
         with pytest.raises(ConfigError):
-            DetectionConfig(analysis="pedantic")
-        with pytest.raises(ConfigError):
-            RepairConfig(analysis="pedantic")
+            Cleaner(analysis="pedantic")
         for level in ANALYSIS_LEVELS:
-            assert DetectionConfig(analysis=level).effective_analysis == level
+            assert Cleaner(analysis=level).analysis == level
 
 
 class TestStrictGate:
     def test_refuses_inconsistent_rules_before_detection(self, abc_relation):
-        cleaner = Cleaner(detection=DetectionConfig(analysis="strict"))
+        cleaner = Cleaner(analysis="strict")
         with pytest.raises(AnalysisError) as excinfo:
             cleaner.clean(abc_relation, clashing_rules())
         # The gate, not the repair engine, refused: the error carries the
@@ -74,13 +53,14 @@ class TestStrictGate:
         (diagnostic,) = excinfo.value.report.by_code("CFD001")
         assert diagnostic.witness["conflicting_cfds"] == ["p1", "p2"]
 
-    def test_strict_on_either_config_wins(self, abc_relation):
-        cleaner = Cleaner(repair=RepairConfig(analysis="strict"))
-        with pytest.raises(AnalysisError):
+    def test_refuses_error_findings_of_consistent_rules(self, abc_relation):
+        cleaner = Cleaner(analysis="strict")
+        with pytest.raises(AnalysisError) as excinfo:
             cleaner.clean(abc_relation, duplicate_name_rules())
+        assert excinfo.value.report.by_code("CFD004")
 
     def test_clean_rules_pass_strict(self, cust, cust_constraints):
-        cleaner = Cleaner(detection=DetectionConfig(analysis="strict"))
+        cleaner = Cleaner(analysis="strict")
         result = cleaner.clean(cust, cust_constraints)
         assert result.clean
         assert isinstance(result.analysis_report, AnalysisReport)
@@ -91,7 +71,7 @@ class TestWarnGate:
     def test_error_findings_become_warnings_and_the_run_proceeds(
         self, abc_relation
     ):
-        cleaner = Cleaner(detection=DetectionConfig(analysis="warn"))
+        cleaner = Cleaner(analysis="warn")
         with pytest.warns(AnalysisWarning, match="CFD004"):
             result = cleaner.clean(abc_relation, duplicate_name_rules())
         assert result.clean
@@ -114,33 +94,24 @@ class TestWarnGate:
 
 class TestOffGate:
     def test_no_report_is_stored(self, cust, cust_constraints):
-        cleaner = Cleaner(
-            detection=DetectionConfig(analysis="off"),
-            repair=RepairConfig(analysis="off"),
-        )
-        result = cleaner.clean(cust, cust_constraints)
+        result = Cleaner(analysis="off").clean(cust, cust_constraints)
         assert result.clean
         assert result.analysis_report is None
 
     def test_byte_identical_output_across_levels(self, cust, cust_constraints):
-        off = Cleaner(
-            detection=DetectionConfig(analysis="off"),
-            repair=RepairConfig(analysis="off"),
-        ).clean(cust, cust_constraints)
+        off = Cleaner(analysis="off").clean(cust, cust_constraints)
         warn = Cleaner().clean(cust, cust_constraints)
-        strict = Cleaner(detection=DetectionConfig(analysis="strict")).clean(
-            cust, cust_constraints
-        )
+        strict = Cleaner(analysis="strict").clean(cust, cust_constraints)
         assert off.relation == warn.relation == strict.relation
         assert off.changes == warn.changes == strict.changes
 
-    def test_env_can_switch_the_gate_off(self, cust, cust_constraints, monkeypatch):
+    def test_env_cannot_switch_the_gate_off(self, cust, cust_constraints, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS", "off")
         result = Cleaner().clean(cust, cust_constraints)
-        assert result.analysis_report is None
+        assert result.analysis_report is not None
 
     def test_explicit_config_beats_env(self, abc_relation, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS", "off")
-        cleaner = Cleaner(detection=DetectionConfig(analysis="strict"))
+        cleaner = Cleaner(analysis="strict")
         with pytest.raises(AnalysisError):
             cleaner.clean(abc_relation, clashing_rules())

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.config import DetectionConfig
+from repro.datagen.cfd_catalog import experiment_cfd_set
+from repro.datagen.generator import TaxRecordGenerator
 from repro.detection.engine import CrossCheckResult, cross_check, detect_violations
 from repro.errors import DetectionError
+from repro.relation.columnar import ColumnStore
+from repro.relation.mmap_store import MmapColumnStore
+from repro.relation.relation import Relation
 
 
 class TestDetectViolations:
@@ -74,6 +79,30 @@ class TestDetectViolations:
     def test_form_with_non_sql_method_warns(self, cust, cust_constraints):
         with pytest.warns(DeprecationWarning):
             detect_violations(cust, cust_constraints, method="inmemory", form="cnf")
+
+
+@pytest.mark.parametrize("storage", ["columnar", "mmap"])
+def test_sql_detection_reads_the_store_it_is_handed(storage, tmp_path, monkeypatch):
+    relation = TaxRecordGenerator(size=500, noise=0.05, seed=7).generate_relation()
+    cfds = experiment_cfd_set(num_cfds=5, tabsz=50, seed=7)
+    expected = detect_violations(relation, cfds, method="sql")
+    assert not expected.is_clean()
+    store = (
+        MmapColumnStore.from_relation(relation, spill_dir=tmp_path)
+        if storage == "mmap"
+        else ColumnStore.from_relation(relation)
+    )
+
+    def refuse(cls, schema, rows):
+        raise AssertionError("the relation was copied into rows")
+
+    monkeypatch.setattr(Relation, "from_validated_rows", classmethod(refuse))
+    try:
+        report = detect_violations(store, cfds, method="sql")
+    finally:
+        if isinstance(store, MmapColumnStore):
+            store.release()
+    assert list(report.violations) == list(expected.violations)
 
 
 class TestCrossCheck:

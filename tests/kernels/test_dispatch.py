@@ -1,11 +1,11 @@
-"""Unit tests for the kernel dispatch layer (resolution, env, activation)."""
+"""Unit tests for the kernel dispatch layer (resolution, defaults, activation)."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.kernels as kernels
-from repro.config import DetectionConfig, RepairConfig, kernel_from_env, validate_kernel
+from repro.config import DetectionConfig, RepairConfig, validate_kernel
 from repro.errors import ConfigError
 from repro.kernels import (
     active_kernel,
@@ -17,13 +17,14 @@ from repro.kernels import (
 
 
 def test_validate_kernel_accepts_known_names():
-    for name in ("python", "numpy", "auto", None):
+    for name in ("python", "numpy", "auto"):
         validate_kernel(name)
 
 
 def test_validate_kernel_rejects_garbage():
-    with pytest.raises(ConfigError):
-        validate_kernel("fortran")
+    for name in ("fortran", None):
+        with pytest.raises(ConfigError):
+            validate_kernel(name)
 
 
 def test_configs_carry_and_validate_kernel():
@@ -35,19 +36,13 @@ def test_configs_carry_and_validate_kernel():
         RepairConfig(kernel="fortran")
 
 
-def test_effective_kernel_defers_to_env(monkeypatch):
+def test_kernel_default_ignores_env(monkeypatch):
+    # The kernel is set by its keyword only: an exported REPRO_KERNEL changes
+    # neither the config default nor what None or an unpinned hot loop uses.
     monkeypatch.setenv("REPRO_KERNEL", "python")
-    assert DetectionConfig().effective_kernel == "python"
-    assert DetectionConfig(kernel="auto").effective_kernel == "auto"
-    monkeypatch.delenv("REPRO_KERNEL")
-    assert RepairConfig().effective_kernel == "auto"
-
-
-def test_kernel_from_env_is_forgiving(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-    assert kernel_from_env() == "auto"
-    monkeypatch.setenv("REPRO_KERNEL", "  NumPy ")
-    assert kernel_from_env() == "numpy"
+    assert DetectionConfig().kernel == RepairConfig().kernel == "auto"
+    assert resolve_kernel_name(None) == resolve_kernel_name("auto")
+    assert active_kernel() is get_kernel("auto")
 
 
 def test_resolve_unknown_kernel_raises():
@@ -71,9 +66,9 @@ def test_get_kernel_returns_named_singletons():
         assert get_kernel("numpy").name == "numpy"
 
 
-def test_use_kernel_activates_and_restores(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    assert active_kernel().name == "python"
+def test_use_kernel_activates_and_restores():
+    unpinned = active_kernel()
+    assert unpinned is get_kernel("auto")
     with use_kernel("python") as outer:
         assert active_kernel() is outer
         if kernels.numpy_available():
@@ -81,7 +76,7 @@ def test_use_kernel_activates_and_restores(monkeypatch):
                 assert active_kernel() is inner
                 assert inner.name == "numpy"
             assert active_kernel() is outer
-    assert active_kernel().name == "python"
+    assert active_kernel() is unpinned
 
 
 def test_use_kernel_restores_on_error():

@@ -184,7 +184,7 @@ class TestAnonymousSpillBase:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         return tmp_path / "repro-spill"
 
-    @pytest.mark.parametrize("storage", ["rows", "columnar", "mmap"])
+    @pytest.mark.parametrize("storage", ["columnar", "mmap"])
     def test_successful_runs_leave_nothing_behind(self, temp_base, storage):
         relation = Relation(SCHEMA, list(_workload()))
         detect_violations(

@@ -1,14 +1,15 @@
 """DetectionConfig / RepairConfig: validation and defaults."""
 
+import dataclasses
+import inspect
 import warnings
 
 import pytest
 
 from repro.config import AUTO, STORAGES, DetectionConfig, RepairConfig
-from repro.datagen.cfd_catalog import zip_state_cfd
-from repro.datagen.generator import TaxRecordGenerator
+from repro.datagen.cust import cust_cfds, cust_relation
 from repro.errors import ConfigError
-from repro.pipeline import clean
+from repro.pipeline import Cleaner
 from repro.repair.cost import CostModel
 
 
@@ -87,43 +88,61 @@ class TestRepairConfig:
 
 
 class TestRowsStorageAlias:
-    """``storage="rows"`` is a deprecated alias of ``"columnar"``."""
+    """The retired ``storage="rows"`` alias is an unknown storage name."""
 
     def test_storages_and_unknown_names(self):
         assert STORAGES == ("columnar", "mmap")
         with pytest.raises(ConfigError):
             DetectionConfig(storage="bogus")
 
-    def test_explicit_alias_warns_and_resolves(self):
+    def test_explicit_alias_is_rejected(self):
         for config_class in (DetectionConfig, RepairConfig):
-            with pytest.warns(DeprecationWarning, match="rows"):
-                config = config_class(storage="rows")
-            assert config.storage == "columnar"
+            with pytest.raises(ConfigError, match="unknown storage 'rows'"):
+                config_class(storage="rows")
 
-    def test_environment_alias_warns_and_resolves(self, monkeypatch):
+    def test_environment_alias_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORAGE", "rows")
-        with pytest.warns(DeprecationWarning, match="rows"):
-            assert DetectionConfig().effective_storage == "columnar"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DetectionConfig().storage == RepairConfig().storage == "columnar"
 
-    @pytest.mark.parametrize("via", ["config", "environment"])
-    def test_alias_warns_once_and_cleans_like_columnar(self, via, monkeypatch):
-        relation = TaxRecordGenerator(size=300, noise=0.05, seed=3).generate_relation()
-        cfds = [zip_state_cfd()]
-        expected = clean(relation, cfds)
-        configs = {}
-        if via == "environment":
-            monkeypatch.setenv("REPRO_STORAGE", "rows")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            if via == "config":
-                configs = {
-                    "detection": DetectionConfig(storage="rows"),
-                    "repair": RepairConfig(storage="rows"),
-                }
-            result = clean(relation, cfds, **configs)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert result.relation.rows == expected.relation.rows
-        assert result.changes == expected.changes
-        assert result.total_cost == expected.total_cost
-        assert result.backends == expected.backends
+
+class TestConfigSurface:
+    """Each engine knob is set one way: a keyword on one of these three."""
+
+    SHARED = ["method", "workers", "shard_count", "storage", "kernel", "spill_dir"]
+
+    def test_knobs_are_pinned(self):
+        def names(config_class):
+            return [field.name for field in dataclasses.fields(config_class)]
+
+        assert names(DetectionConfig) == self.SHARED + [
+            "strategy",
+            "form",
+            "expand_variable_violations",
+        ]
+        assert names(RepairConfig) == self.SHARED + [
+            "max_passes",
+            "check_consistency",
+            "cost_model",
+        ]
+        assert list(inspect.signature(Cleaner.__init__).parameters) == [
+            "self",
+            "detection",
+            "repair",
+            "verify_method",
+            "max_rounds",
+            "analysis",
+        ]
+
+    def test_engine_environment_variables_change_nothing(self, monkeypatch):
+        def run():
+            result = Cleaner().clean(cust_relation(), cust_cfds())
+            report = result.analysis_report
+            return result.backends, result.clean, report.to_dict()["diagnostics"]
+
+        unset = run()
+        monkeypatch.setenv("REPRO_STORAGE", "mmap")
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv("REPRO_ANALYSIS", "strict")
+        assert run() == unset

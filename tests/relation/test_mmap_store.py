@@ -25,7 +25,6 @@ from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import (
     SPILL_ENV,
     MmapColumnStore,
-    chunk_rows_for_budget,
     create_run_dir,
     resolve_spill_base,
     spill_run,
@@ -161,14 +160,6 @@ def test_create_run_dir_unique(tmp_path):
     second = create_run_dir(tmp_path)
     assert first != second
     assert first.parent == second.parent == tmp_path
-
-
-def test_chunk_rows_for_budget():
-    assert chunk_rows_for_budget(None, 15) == chunk_rows_for_budget(None, 1)
-    small = chunk_rows_for_budget(1, 15)
-    large = chunk_rows_for_budget(1024, 15)
-    assert 1_024 <= small <= large <= 1_048_576
-    assert chunk_rows_for_budget(1_000_000, 1) == 1_048_576  # clamped
 
 
 def test_from_relation_conversions(schema, tmp_path):

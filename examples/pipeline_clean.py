@@ -5,8 +5,8 @@ then runs ``Cleaner.clean`` — detect, repair, verify — three ways:
 
 1. from the in-memory relation with every backend on ``auto``;
 2. from a CSV file on disk (any ``RowSource`` works the same);
-3. with a custom detection backend registered under a new name, showing the
-   registry is genuinely pluggable.
+3. with two other named built-ins — the paper's SQL detection queries and
+   the full-rescan repair engine — which must reach the same repair.
 
 Run with:  python examples/pipeline_clean.py
 """
@@ -22,9 +22,7 @@ from repro import (
     DetectionConfig,
     RepairConfig,
     detect_violations,
-    register_detector,
 )
-from repro.core.satisfaction import find_all_violations
 from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.datagen.generator import TaxRecordGenerator
 
@@ -60,19 +58,17 @@ def main() -> None:
     assert csv_result.clean
     assert len(csv_result.changes) == len(result.changes)
 
-    # ---------------------------------------------- 3. a custom backend by name
-    @register_detector("oracle_with_logging")
-    def logging_oracle(relation, cfds, config):
-        report = find_all_violations(relation, cfds)
-        print(f"  [oracle_with_logging] scanned {len(relation)} tuples, "
-              f"found {len(report)} violations")
-        return report
-
-    print("\nA registered custom backend drives the same pipeline:")
-    custom = Cleaner(detection=DetectionConfig(method="oracle_with_logging"))
-    assert custom.clean(relation, cfds).clean
-    print("Clean again - the registry makes backends pluggable end to end.")
-
+    # ------------------------------------------- 3. other built-ins by name
+    named = Cleaner(
+        detection=DetectionConfig(method="sql"),
+        repair=RepairConfig(method="scan"),
+    ).clean(relation, cfds)
+    print(f"\nSQL detection + scan repair: clean = {named.clean}, "
+          f"backends {named.backends['detect']}/{named.backends['repair']}")
+    assert named.clean
+    assert named.relation.rows == result.relation.rows
+    assert len(named.changes) == len(result.changes)
+    print("Same repair - every backend computes the same CFD semantics.")
 
 if __name__ == "__main__":
     main()

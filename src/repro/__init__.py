@@ -23,8 +23,8 @@ evaluation depends on:
   equivalence classes so no violation spans two shards.
 * ``repro.pipeline`` — the ``Cleaner`` facade running the full
   detect → repair → verify loop over any row source.
-* ``repro.registry`` — named, pluggable detection/repair backends
-  (``@register_detector`` / ``@register_repairer``, ``method="auto"``).
+* ``repro.registry`` — ``method="auto"`` backend selection over the fixed
+  detection and repair backend tables.
 * ``repro.datagen`` — the ``cust`` running example and the tax-records
   generator used in the experimental study.
 * ``repro.bench`` — the experiment harness that regenerates Figure 9.
@@ -67,13 +67,7 @@ from repro.pipeline import Cleaner, CleaningResult, clean
 from repro.reasoning.consistency import is_consistent
 from repro.reasoning.implication import implies
 from repro.reasoning.mincover import minimal_cover
-from repro.registry import (
-    register_analysis_check,
-    register_detector,
-    register_repairer,
-    select_detection_method,
-    select_repair_method,
-)
+from repro.registry import select_detection_method, select_repair_method
 from repro.relation.attribute import Attribute
 from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore, spill_run
@@ -128,9 +122,6 @@ __all__ = [
     "kernel_names",
     "minimal_cover",
     "numpy_available",
-    "register_analysis_check",
-    "register_detector",
-    "register_repairer",
     "repair",
     "select_detection_method",
     "select_repair_method",

@@ -17,9 +17,8 @@ True
 Three front doors share it: the ``repro lint`` CLI subcommand, the
 ``repro check`` consistency shortcut, and the
 :class:`repro.pipeline.Cleaner` pre-flight gate
-(``Cleaner(analysis="strict"|"warn"|"off")``).  Checks live in a
-registry (:func:`repro.registry.register_analysis_check`) so backends can
-ship their own hazard analyses; the built-ins and the diagnostic code
+(``Cleaner(analysis="strict"|"warn"|"off")``).  The checks are the fixed
+tuple :data:`repro.analysis.checks.CHECKS`; they and the diagnostic code
 table are documented in ``docs/analysis.md``.
 """
 

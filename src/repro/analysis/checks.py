@@ -1,9 +1,7 @@
 """The built-in analysis checks (diagnostic codes CFD001–CFD102).
 
-Each check is a callable ``check(ctx) -> Iterable[Diagnostic]`` registered
-under a name via :func:`repro.registry.register_analysis_check` — the same
-side-effect-on-import pattern the detection and repair backends use, so
-future backends can ship their own hazard checks alongside their engines.
+Each check is a callable ``check(ctx) -> Iterable[Diagnostic]``; the fixed
+:data:`CHECKS` tuple names them.
 
 Codes group by family:
 
@@ -26,7 +24,7 @@ meaningless noise once CFD001 fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.config import PARALLEL, DetectionConfig, RepairConfig
@@ -36,7 +34,6 @@ from repro.detection.indexed import lhs_free_attributes
 from repro.reasoning.consistency import is_consistent
 from repro.reasoning.implication import implies
 from repro.reasoning.mincover import _drop_lhs_attribute
-from repro.registry import register_analysis_check
 from repro.relation.schema import Schema
 
 #: Normalised-CFD count above which the deep implication checks are skipped
@@ -143,7 +140,6 @@ def _inconsistency_core(ctx: AnalysisContext) -> List[Tuple[CFD, str]]:
     return core
 
 
-@register_analysis_check("consistency")
 def check_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD001: the rule set admits no nonempty satisfying instance."""
     if ctx.consistent:
@@ -173,7 +169,6 @@ def check_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # CFD002 / CFD003 / CFD009 — implication-based redundancy (deep)
 # ---------------------------------------------------------------------------
-@register_analysis_check("redundancy")
 def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD002 (redundant CFD), CFD003 (redundant LHS attribute), CFD009 (skipped).
 
@@ -241,7 +236,6 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # CFD004 — duplicate names
 # ---------------------------------------------------------------------------
-@register_analysis_check("names")
 def check_names(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD004: two CFDs share a name.
 
@@ -269,7 +263,6 @@ def check_names(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # CFD005 — non-normal-form CFDs
 # ---------------------------------------------------------------------------
-@register_analysis_check("normal-form")
 def check_normal_form(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD005: a CFD with several RHS attributes or pattern rows."""
     for cfd in ctx.cfds:
@@ -300,7 +293,6 @@ def _pattern_cells(cfd: CFD, row: PatternTuple):
         yield attribute, row.rhs_cell(attribute)
 
 
-@register_analysis_check("schema")
 def check_schema(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD006 (constant outside a finite domain), CFD007 (unknown attribute).
 
@@ -362,7 +354,6 @@ def check_schema(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # CFD008 — duplicate pattern rows
 # ---------------------------------------------------------------------------
-@register_analysis_check("patterns")
 def check_patterns(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD008: identical pattern rows within one tableau.
 
@@ -397,7 +388,6 @@ def check_patterns(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # CFD101 / CFD102 — parallel-engine hazards
 # ---------------------------------------------------------------------------
-@register_analysis_check("parallel-hazards")
 def check_parallel_hazards(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD101 (cross-shard reconcile forced), CFD102 (single-shard degenerate).
 
@@ -453,3 +443,16 @@ def check_parallel_hazards(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             'method="indexed" and repair method="incremental" for this rule set',
             witness={"pattern_row": row_index},
         )
+
+
+#: Every check by name, sorted: the order :func:`repro.analysis.analyze`
+#: runs them in by default.
+CHECKS = (
+    ("consistency", check_consistency),
+    ("names", check_names),
+    ("normal-form", check_normal_form),
+    ("parallel-hazards", check_parallel_hazards),
+    ("patterns", check_patterns),
+    ("redundancy", check_redundancy),
+    ("schema", check_schema),
+)

@@ -48,8 +48,8 @@ class Diagnostic:
     message:
         One-line human description of the finding.
     check:
-        Name of the registered check that produced it (see
-        :func:`repro.registry.register_analysis_check`).
+        Name of the check that produced it (see
+        :data:`repro.analysis.checks.CHECKS`).
     cfd:
         Name of the CFD the finding is located in, when it is about one CFD.
     attribute:
@@ -129,7 +129,7 @@ class AnalysisReport:
 
     #: The findings, in canonical order (errors first, then by code/location).
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: Names of the checks that ran (sorted; the registry order).
+    #: Names of the checks that ran (by default all of them, sorted).
     checks_run: Tuple[str, ...] = ()
     #: Whether the implication-based deep checks (CFD002/CFD003) were enabled.
     deep: bool = False

@@ -1,4 +1,4 @@
-"""The analysis driver: run every registered check over a rule set.
+"""The analysis driver: run every check over a rule set.
 
 :func:`analyze` is the one entry point behind the three front doors —
 ``repro lint``, ``repro check`` and the :class:`repro.pipeline.Cleaner`
@@ -11,13 +11,12 @@ from __future__ import annotations
 import time
 from typing import Iterable, List, Optional, Sequence
 
-from repro.analysis.checks import AnalysisContext
+from repro.analysis.checks import CHECKS, AnalysisContext
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, sort_diagnostics
 from repro.config import DetectionConfig, RepairConfig
 from repro.core.cfd import CFD
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RegistryError
 from repro.reasoning.mincover import minimal_cover
-from repro.registry import analysis_check_names, get_analysis_check
 from repro.relation.schema import Schema
 
 
@@ -53,8 +52,9 @@ def analyze(
         as :attr:`AnalysisReport.optimized`.  Skipped (left ``None``) when
         the rule set is inconsistent — an inconsistent set has no cover.
     checks:
-        Names of the checks to run (default: every registered one, sorted).
-        Unknown names raise :class:`~repro.errors.RegistryError`.
+        Names of the checks to run (default: every one in
+        :data:`~repro.analysis.checks.CHECKS`, sorted).  Unknown names raise
+        :class:`~repro.errors.RegistryError`.
 
     >>> from repro.core.cfd import CFD
     >>> clash = [CFD.build(["A"], ["B"], [["_", "b"]], name="p1"),
@@ -63,13 +63,19 @@ def analyze(
     'error'
     """
     start = time.perf_counter()
-    names = tuple(checks) if checks is not None else analysis_check_names()
+    by_name = dict(CHECKS)
+    names = tuple(checks) if checks is not None else tuple(by_name)
     ctx = AnalysisContext.build(
         cfds, schema=schema, detection=detection, repair=repair, deep=deep
     )
     diagnostics: List[Diagnostic] = []
     for name in names:
-        diagnostics.extend(get_analysis_check(name)(ctx))
+        if name not in by_name:
+            raise RegistryError(
+                f"unknown analysis check {name!r}; expected one of "
+                f"{', '.join(map(repr, by_name))}"
+            )
+        diagnostics.extend(by_name[name](ctx))
     report = AnalysisReport(
         diagnostics=sort_diagnostics(diagnostics),
         checks_run=names,

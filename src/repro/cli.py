@@ -14,9 +14,9 @@ The CLI turns the library into a small standalone data-cleaning tool::
     python -m repro show     --cfds rules.cfd --json
 
 ``detect``/``repair``/``clean`` sit on top of the pipeline API
-(:mod:`repro.pipeline`): backends are resolved through the registry — any
-name from :func:`repro.registry.detector_names` /
-:func:`repro.registry.repairer_names`, or ``auto`` to pick per workload.
+(:mod:`repro.pipeline`): backends are named by
+:data:`repro.config.DETECTION_BACKENDS` /
+:data:`repro.config.REPAIR_BACKENDS`, or ``auto`` to pick per workload.
 
 CSV files must have a header row; every column is treated as a string
 attribute.  CFD rule files use the text format of
@@ -35,7 +35,9 @@ from repro.config import (
     AUTO,
     DEFAULT_KERNEL,
     DEFAULT_STORAGE,
+    DETECTION_BACKENDS,
     KERNELS,
+    REPAIR_BACKENDS,
     STORAGES,
     DetectionConfig,
     RepairConfig,
@@ -53,7 +55,6 @@ from repro.io.text_format import format_cfds, read_cfd_file, write_cfd_file
 from repro.analysis import analyze
 from repro.pipeline import Cleaner
 from repro.relation.mmap_store import MmapColumnStore
-from repro.registry import detector_names, repairer_names
 from repro.relation.relation import Relation
 from repro.repair.heuristic import repair
 
@@ -445,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional functional dependencies for data cleaning (ICDE 2007 reproduction).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    detect_choices = list(detector_names()) + [AUTO]
-    repair_choices = list(repairer_names()) + [AUTO]
+    detect_choices = DETECTION_BACKENDS + (AUTO,)
+    repair_choices = REPAIR_BACKENDS + (AUTO,)
 
     detect = subparsers.add_parser("detect", help="detect CFD violations")
     _add_data_arguments(detect)
@@ -456,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=detect_choices,
         default="sql",
         help="detection backend: the SQL queries of Section 4 (default), the "
-        "pure-Python oracle, the partition-index engine, any registered "
-        "backend, or 'auto' to pick per workload",
+        "pure-Python oracle, the partition-index engine, its sharded "
+        "parallel variant, or 'auto' to pick per workload",
     )
     detect.add_argument("--strategy", choices=["per_cfd", "merged"], default="per_cfd")
     detect.add_argument("--form", choices=["cnf", "dnf"], default="dnf")
@@ -479,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=repair_choices,
         default="incremental",
         help="detection engine driving the repair passes: the delta-maintained "
-        "incremental state (default), full re-detection over partition "
-        "indexes, the pure-Python scan oracle, any registered engine, or "
-        "'auto' to pick per workload; all produce the same repair",
+        "incremental state (default), its sharded parallel variant, the "
+        "pure-Python scan oracle, or 'auto' to pick per workload; all "
+        "produce the same repair",
     )
     repair_cmd.add_argument("--changes", action="store_true", help="print every cell change")
     _add_storage_argument(repair_cmd)

@@ -15,9 +15,10 @@ keyword.  No environment variable changes a default; the one variable read
 at all, ``REPRO_SPILL_DIR``, names a deployment path
 (:func:`repro.relation.mmap_store.resolve_spill_base`).
 
-Backend *names* are not validated here (the registry owns the set of names,
-including ones registered by user code); they are resolved by
-:mod:`repro.registry` at dispatch time.
+The backend names are a closed set, one tuple per stage
+(:data:`DETECTION_BACKENDS`, :data:`REPAIR_BACKENDS`), so an unknown
+``method`` fails here too; ``"auto"`` is resolved to one of them at
+dispatch time by :mod:`repro.registry`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,19 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.repair.cost import CostModel
 
-#: Sentinel method name meaning "let the registry pick a backend per workload".
+#: Sentinel method name meaning "pick a backend per workload".
 AUTO = "auto"
 
-#: Name of the sharded process-pool backend (registered for both kinds).
+#: Name of the sharded process-pool backend (a method of both stages).
 PARALLEL = "parallel"
+
+#: Every detection backend (:data:`repro.detection.engine.DETECTORS`):
+#: the §4 SQL queries, the pure-Python oracle, the partition-index engine
+#: and its sharded variant.
+DETECTION_BACKENDS = ("indexed", "inmemory", PARALLEL, "sql")
+
+#: Every repair engine (:data:`repro.repair.heuristic.REPAIRERS`).
+REPAIR_BACKENDS = ("incremental", PARALLEL, "scan")
 
 #: SQL WHERE-clause formulations accepted by the SQL backend.
 SQL_FORMS = ("cnf", "dnf")
@@ -114,8 +123,8 @@ class EngineConfig:
     Parameters
     ----------
     method:
-        Name of a registered backend, or ``"auto"`` (default) to let the
-        registry pick one from the workload shape.
+        Name of a backend of the stage, or ``"auto"`` (default) to pick one
+        from the workload shape.
     workers, shard_count:
         Parallel-only knobs: they take effect with ``method="parallel"``
         and are accepted, then dropped, on ``"auto"`` (which resolves to a
@@ -155,8 +164,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         check_choice("storage", self.storage, STORAGES)
         validate_kernel(self.kernel)
-        # Unlike the SQL knobs, the parallel values are range-checked here:
-        # the registry never sees them.
+        # The parallel values are range-checked here: dispatch never sees them.
         for name, value in (
             ("workers", self.workers),
             ("shard_count", self.shard_count),
@@ -200,10 +208,8 @@ class DetectionConfig(EngineConfig):
     """How violation detection should run.
 
     Takes the shared execution knobs of :class:`EngineConfig`; ``method``
-    names a registered detection backend (``"inmemory"``, ``"sql"``,
-    ``"indexed"``, ``"parallel"``, or anything registered via
-    :func:`repro.registry.register_detector`) or ``"auto"``, which picks
-    from the relation size and CFD count.
+    names a detection backend (one of :data:`DETECTION_BACKENDS`) or
+    ``"auto"``, which picks from the relation size and CFD count.
 
     Parameters
     ----------
@@ -231,6 +237,7 @@ class DetectionConfig(EngineConfig):
     expand_variable_violations: bool = True
 
     def __post_init__(self) -> None:
+        check_choice("detection method", self.method, DETECTION_BACKENDS + (AUTO,))
         super().__post_init__()
         for what, value, allowed in (
             ("SQL strategy", self.strategy, SQL_STRATEGIES),
@@ -264,12 +271,10 @@ class RepairConfig(EngineConfig):
     """How the repair loop should run.
 
     Takes the shared execution knobs of :class:`EngineConfig`; ``method``
-    names a registered repair engine (``"scan"``, ``"incremental"``,
-    ``"parallel"``, or anything registered via
-    :func:`repro.registry.register_repairer`) or ``"auto"``, which picks
-    from the relation size.  Every engine produces the identical repair;
-    they differ only in speed.  The repaired relation comes back in the
-    configured ``storage``; its rows are byte-identical either way.
+    names a repair engine (one of :data:`REPAIR_BACKENDS`) or ``"auto"``,
+    which picks from the relation size.  Every engine produces the identical
+    repair; they differ only in speed.  The repaired relation comes back in
+    the configured ``storage``; its rows are byte-identical either way.
 
     Parameters
     ----------
@@ -292,6 +297,7 @@ class RepairConfig(EngineConfig):
     cost_model: Optional[CostModel] = None
 
     def __post_init__(self) -> None:
+        check_choice("repair method", self.method, REPAIR_BACKENDS + (AUTO,))
         super().__post_init__()
         if self.max_passes < 1:
             raise ConfigError(f"max_passes must be at least 1, got {self.max_passes}")

@@ -1,7 +1,7 @@
 """A single façade over the in-memory, SQL and class-indexed detectors.
 
-Backends are dispatched through :mod:`repro.registry`; importing this
-package registers the built-ins (``inmemory``, ``sql``, ``indexed``).
+Backends are dispatched through the fixed
+:data:`repro.detection.engine.DETECTORS` table.
 """
 
 from repro.detection.engine import DETECTION_METHODS, CrossCheckResult, cross_check, detect_violations

@@ -1,68 +1,85 @@
 """Unified violation detection API.
 
-``detect_violations`` dispatches through the backend registry
-(:mod:`repro.registry`) between the pure-Python detector
-(:mod:`repro.core.satisfaction`), the SQL detector
-(:mod:`repro.sql.engine`) and the partition-indexed detector
-(:mod:`repro.detection.indexed`) — plus any backend user code registers.
-The pure-Python detector serves as the correctness oracle; ``cross_check``
-compares all three pairwise and is used heavily in the integration tests.
-
-This module also registers the built-in detection backends, so importing it
-(or anything that imports it, e.g. :mod:`repro`) populates the registry.
+``detect_violations`` dispatches through the fixed :data:`DETECTORS` table
+between the pure-Python detector (:mod:`repro.core.satisfaction`), the SQL
+detector (:mod:`repro.sql.engine`), the partition-indexed detector
+(:mod:`repro.detection.indexed`) and its sharded variant
+(:mod:`repro.parallel.engine`).  The pure-Python detector serves as the
+correctness oracle; ``cross_check`` compares the three serial detectors
+pairwise and is used heavily in the integration tests.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 from repro.config import DetectionConfig
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
 from repro.core.violations import ViolationReport
 from repro.detection.indexed import find_violations_indexed
-from repro.errors import ConfigError, DetectionError, RegistryError
-from repro.registry import (
-    COLUMNAR_DETECTORS,
-    apply_kernel,
-    apply_storage,
-    register_detector,
-    resolve_detector,
-)
+from repro.errors import ConfigError, DetectionError
+from repro.kernels import use_kernel
+from repro.registry import apply_storage, resolve_detector
 from repro.relation.relation import Relation
 from repro.sql.engine import SQLDetector
 
-#: The built-in backends (the ``"auto"`` selector is not a backend).  Kept
-#: for backward compatibility; the authoritative list is
-#: ``repro.registry.detector_names()``.
+#: The serial backends, every one :func:`cross_check` compares.
 DETECTION_METHODS = ("inmemory", "sql", "indexed")
 
 
 # ---------------------------------------------------------------------------
-# built-in backends (self-registering)
+# the backends
 # ---------------------------------------------------------------------------
-@register_detector("inmemory")
 def _detect_inmemory(
     relation: Relation, cfds: Sequence[CFD], config: DetectionConfig
 ) -> ViolationReport:
     return find_all_violations(relation, cfds)
 
 
-@register_detector("indexed")
 def _detect_indexed(
     relation: Relation, cfds: Sequence[CFD], config: DetectionConfig
 ) -> ViolationReport:
     return find_violations_indexed(relation, cfds)
 
 
-@register_detector("sql")
 def _detect_sql(
     relation: Relation, cfds: Sequence[CFD], config: DetectionConfig
 ) -> ViolationReport:
     with SQLDetector(relation) as detector:
         return detector.detect(cfds, config=config).report
+
+
+def _detect_parallel(
+    relation: Relation, cfds: Sequence[CFD], config: DetectionConfig
+) -> ViolationReport:
+    # Imported on first use: repro.parallel builds on the serial engines,
+    # which therefore do not import it at load time.
+    from repro.parallel.engine import find_violations_parallel
+
+    return find_violations_parallel(
+        relation,
+        cfds,
+        shard_count=config.shard_count,
+        workers=config.workers,
+        spill_dir=config.spill_dir,
+    )
+
+
+#: Every detection backend (the names of
+#: :data:`repro.config.DETECTION_BACKENDS`) and whether it computes over
+#: codes.  Dispatch hands the code-computing ones the relation in the
+#: configured storage (:func:`repro.registry.apply_storage`); the oracle
+#: reads ``attrs(φ)`` of any storage through
+#: :meth:`~repro.relation.relation.Relation.project_rows`, and the SQL
+#: loader iterates the rows of any storage once.
+DETECTORS: Dict[str, Tuple[Callable[..., ViolationReport], bool]] = {
+    "indexed": (_detect_indexed, True),
+    "inmemory": (_detect_inmemory, False),
+    "parallel": (_detect_parallel, True),
+    "sql": (_detect_sql, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +88,7 @@ def _detect_sql(
 def detect_violations(
     relation: Relation,
     cfds: Union[CFD, Sequence[CFD]],
-    method: str = "inmemory",
+    method: Optional[str] = None,
     strategy: Optional[str] = None,
     form: Optional[str] = None,
     config: Optional[DetectionConfig] = None,
@@ -85,13 +102,11 @@ def detect_violations(
         ``"sql"`` loads the data into SQLite and runs the paper's detection
         queries; ``"indexed"`` uses the partition-index backend, which
         groups tuples once per distinct LHS attribute set, over dictionary
-        codes; ``"auto"`` picks a backend
-        from the workload shape.  Any name registered via
-        :func:`repro.registry.register_detector` also works.
+        codes; ``"parallel"`` shards the indexed backend over a process
+        pool; ``"auto"`` picks a backend from the workload shape.
     strategy, form:
-        SQL-only knobs.  Passing them with a non-SQL ``method`` used to be
-        silently ignored; it now raises a :class:`DeprecationWarning` (the
-        config API rejects the combination outright).
+        SQL-only knobs; with any other ``method`` they raise
+        :class:`~repro.errors.DetectionError`.
     config:
         A :class:`~repro.config.DetectionConfig` carrying the same options;
         mutually exclusive with explicit ``method``/``strategy``/``form``.
@@ -105,40 +120,33 @@ def detect_violations(
         cfds = [cfds]
     cfds = list(cfds)
     if config is not None:
-        if method != "inmemory" or strategy is not None or form is not None:
+        if method is not None or strategy is not None or form is not None:
             raise DetectionError(
                 "pass either a DetectionConfig or explicit method/strategy/form "
                 "keywords, not both"
             )
     else:
-        if method != "sql" and (strategy is not None or form is not None):
-            warnings.warn(
-                f"strategy/form only apply to the SQL backend and are ignored for "
-                f"method={method!r}; this will become an error "
-                f"(DetectionConfig already rejects the combination)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            strategy = form = None
         try:
-            config = DetectionConfig(method=method, strategy=strategy, form=form)
+            config = DetectionConfig(
+                method="inmemory" if method is None else method,
+                strategy=strategy,
+                form=form,
+            )
         except ConfigError as error:
             raise DetectionError(str(error)) from None
-    try:
-        name, backend = resolve_detector(config.method, relation, cfds)
-    except RegistryError as error:
-        raise DetectionError(str(error)) from None
-    # Columnar-capable backends see the relation in the configured storage
+    name = resolve_detector(config.method, relation, cfds)
+    backend, columnar = DETECTORS[name]
+    # Code-computing backends see the relation in the configured storage
     # layer (encoded once here; already-encoded input passes through); every
     # other backend reads whatever the caller holds.  The configured kernel
     # is active for the duration of the backend call.  Reports are
     # byte-identical either way — storage and kernel are speed knobs, not
     # semantics knobs.
-    if name in COLUMNAR_DETECTORS:
+    if columnar:
         relation = apply_storage(
             relation, config.storage, True, spill_dir=config.spill_dir
         )
-    with apply_kernel(config.kernel):
+    with use_kernel(config.kernel):
         return backend(relation, cfds, config.with_method(name))
 
 

@@ -46,7 +46,7 @@ class ConfigError(ReproError):
 
 
 class RegistryError(ReproError):
-    """A backend name does not resolve, or a registration clashes with an existing one."""
+    """``method="auto"`` cannot be resolved, or an analysis check name is unknown."""
 
 
 class DetectionError(ReproError):

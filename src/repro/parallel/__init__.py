@@ -11,9 +11,9 @@ merges the shard results back into the ordinary
 :class:`~repro.repair.heuristic.RepairResult` types
 (:mod:`repro.parallel.engine`, :mod:`repro.parallel.repairer`).
 
-Importing this package registers both backends, making
-``method="parallel"`` available everywhere backends are named.  It is only
-ever an explicit choice: ``method="auto"`` resolves to the serial engines at
+Both backends are the ``"parallel"`` entries of the fixed detection and
+repair tables, imported on first use.  ``method="parallel"`` is only ever
+an explicit choice: ``method="auto"`` resolves to the serial engines at
 every size (see :func:`repro.registry.select_detection_method`).  See
 ``docs/parallel.md`` for the sharding invariant and its limits.
 """

@@ -13,10 +13,8 @@ violation-for-violation identical to a serial run; the Hypothesis
 properties in ``tests/parallel/test_parallel_properties.py`` pin that down
 across random shard and worker counts.
 
-This module registers the backend, so importing it (or anything that calls
-:func:`repro.registry.detector_names`) makes ``method="parallel"`` available
-to :func:`repro.detection.engine.detect_violations`, the pipeline and the
-CLI.
+It is the ``"parallel"`` entry of :data:`repro.detection.engine.DETECTORS`,
+which imports this module on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import DetectionConfig
 from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
 from repro.detection.indexed import canonical_order, find_violations_indexed
@@ -42,7 +39,6 @@ from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
     shard_relation,
     spill_shards,
 )
-from repro.registry import register_detector
 from repro.relation.relation import Relation
 
 
@@ -211,15 +207,3 @@ def find_violations_parallel(
         relation, cfds, shard_count=shard_count, workers=workers, spill_dir=spill_dir
     ).report
 
-
-@register_detector("parallel")
-def _detect_parallel(
-    relation: Relation, cfds: Sequence[CFD], config: DetectionConfig
-) -> ViolationReport:
-    return find_violations_parallel(
-        relation,
-        cfds,
-        shard_count=config.shard_count,
-        workers=config.workers,
-        spill_dir=config.spill_dir,
-    )

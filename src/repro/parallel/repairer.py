@@ -46,7 +46,6 @@ from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
     shard_relation,
     spill_shards,
 )
-from repro.registry import register_repairer
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.repair.cost import CostModel
@@ -251,6 +250,3 @@ class ParallelRepairEngine:
             resolve_shard_count(self._config.shard_count, self._config.workers),
             self._config.spill_dir,
         )
-
-
-register_repairer("parallel")(ParallelRepairEngine)

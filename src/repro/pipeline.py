@@ -16,9 +16,9 @@ True
 >>> result.final_report.is_clean()
 True
 
-Backends are picked through :mod:`repro.registry` — by name via
-:class:`~repro.config.DetectionConfig` / :class:`~repro.config.RepairConfig`,
-or automatically with ``method="auto"`` (the default).
+Backends are picked by name via :class:`~repro.config.DetectionConfig` /
+:class:`~repro.config.RepairConfig`, or automatically with ``method="auto"``
+(the default; see :mod:`repro.registry`).
 """
 
 from __future__ import annotations
@@ -43,14 +43,7 @@ from repro.detection.indexed import detect_stream
 from repro.errors import ReproError
 from repro.io.sources import RelationSource, RowSource, as_source
 from repro.kernels import resolve_kernel_name
-from repro.registry import (
-    COLUMNAR_DETECTORS,
-    COLUMNAR_REPAIRERS,
-    apply_storage,
-    resolve_detector,
-    resolve_repairer,
-)
-from repro.relation.columnar import ColumnStore
+from repro.registry import resolve_detector, resolve_repairer
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -90,7 +83,7 @@ class CleaningResult:
     rounds: int = 0
     #: Wall-clock seconds per stage: ingest, detect, repair, verify.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Backend names the registry resolved, e.g. ``{"detect": "indexed", ...}``;
+    #: Backend names each stage ran, e.g. ``{"detect": "indexed", ...}``;
     #: ``"kernel"`` is the detection stage's kernel, ``"repair_kernel"`` the
     #: repair stage's.
     backends: Dict[str, str] = field(default_factory=dict)
@@ -275,8 +268,6 @@ class Cleaner:
         cfds = list(cfds)
         stage_seconds: Dict[str, float] = {}
 
-        detect_storage = self.detection.storage
-        repair_storage = self.repair.storage
         spill_dir = self.detection.spill_dir or self.repair.spill_dir
 
         row_source = as_source(source, schema=schema)
@@ -289,47 +280,25 @@ class Cleaner:
         analysis_report = self._preflight(cfds, row_source.schema)
         stage_seconds["analyze"] = time.perf_counter() - start
 
+        # Ingest once, straight into the one store every stage shares: the
+        # spilled code columns when either stage asks for "mmap" (the rows
+        # are never materialised as Python tuples), else a column store.
+        # Detection, every repair round and the audit read it as it is; only
+        # the row-reading scan repair engine decodes a copy.
+        storage = "columnar"
+        if "mmap" in (self.detection.storage, self.repair.storage):
+            storage = "mmap"
         start = time.perf_counter()
-        if "mmap" in (detect_storage, repair_storage):
-            # Out-of-core ingestion: stream the rows straight into spilled
-            # code columns so the relation is never materialised as Python
-            # tuples — the whole point of storage="mmap".
-            relation = row_source.to_relation(storage="mmap", spill_dir=spill_dir)
-        else:
-            relation = row_source.to_relation()
+        relation = row_source.to_relation(storage=storage, spill_dir=spill_dir)
         stage_seconds["ingest"] = time.perf_counter() - start
 
-        detect_name, _ = resolve_detector(self.detection.method, relation, cfds)
-        repair_name, _ = resolve_repairer(self.repair.method, relation, cfds)
-        # Encode once, up front — but only when some resolved stage runs a
-        # columnar-capable backend; then detection, every repair round and
-        # the audit share one encoded relation instead of re-encoding per
-        # stage.  A stage asking for "mmap" escalates the shared target to
-        # the spilled backing (an MmapColumnStore satisfies "columnar"
-        # requests unchanged — see apply_storage).
-        detect_columnar = detect_name in COLUMNAR_DETECTORS
-        repair_columnar = repair_name in COLUMNAR_REPAIRERS
-        target = "columnar"
-        if (detect_columnar and detect_storage == "mmap") or (
-            repair_columnar and repair_storage == "mmap"
-        ):
-            target = "mmap"
-        start = time.perf_counter()
-        relation = apply_storage(
-            relation, target, detect_columnar or repair_columnar, spill_dir=spill_dir
-        )
-        stage_seconds["ingest"] += time.perf_counter() - start
-        if isinstance(relation, MmapColumnStore):
-            storage_name = "mmap"
-        elif isinstance(relation, ColumnStore):
-            storage_name = "columnar"
-        else:
-            storage_name = "rows"
+        detect_name = resolve_detector(self.detection.method, relation, cfds)
+        repair_name = resolve_repairer(self.repair.method, relation, cfds)
         backends = {
             "detect": detect_name,
             "repair": repair_name,
             "verify": self.verify_method,
-            "storage": storage_name,
+            "storage": "mmap" if isinstance(relation, MmapColumnStore) else "columnar",
             "kernel": resolve_kernel_name(self.detection.kernel),
             "repair_kernel": resolve_kernel_name(self.repair.kernel),
         }

@@ -1,71 +1,42 @@
-"""Named registries of detection and repair backends.
+"""Backend names, ``method="auto"`` selection and the storage rule.
 
-This module replaces the stringly-typed ``method=`` dispatch that used to be
-hard-coded into :func:`repro.detection.engine.detect_violations` and
-:func:`repro.repair.heuristic.repair`.  Backends are plain callables keyed by
-name:
+The backends are a fixed set, one table per stage, each entry holding the
+backend and whether it computes over dictionary codes:
 
-* a **detector** maps ``(relation, cfds, config)`` to a
-  :class:`~repro.core.violations.ViolationReport`;
-* a **repair engine** maps ``(relation, cfds, config)`` to an engine object
-  exposing ``relation``, ``report()`` and ``update(index, attribute, value)``
-  — the protocol the greedy repair loop drives (see
-  :mod:`repro.repair.heuristic`) — or, for *self-driving* engines, a single
-  ``run(cost_model)`` method that owns the whole fixpoint and returns the
-  :class:`~repro.repair.heuristic.RepairResult` itself (the sharded
-  parallel engine works this way).
+* :data:`repro.detection.engine.DETECTORS` maps a name to a detector
+  ``(relation, cfds, config) -> ViolationReport``;
+* :data:`repro.repair.heuristic.REPAIRERS` maps a name to a repair engine
+  factory ``(relation, cfds, config)`` whose engine exposes ``relation``,
+  ``report()`` and ``update(index, attribute, value)`` — the protocol the
+  greedy repair loop drives — or, for the *self-driving* sharded engine, a
+  single ``run(cost_model)`` method that owns the whole fixpoint.
 
-The built-in backends register themselves when their home modules import
-(``repro.detection.engine`` registers ``inmemory``/``sql``/``indexed``;
-``repro.repair.heuristic`` registers ``scan``/``incremental``;
-``repro.parallel`` registers ``parallel`` for both kinds);
-user code adds its own with the same decorators:
-
->>> from repro.registry import register_detector, unregister_detector
->>> @register_detector("noop")
-... def detect_nothing(relation, cfds, config):
-...     from repro.core.violations import ViolationReport
-...     return ViolationReport()
->>> unregister_detector("noop")
-
+Their names are :data:`repro.config.DETECTION_BACKENDS` and
+:data:`repro.config.REPAIR_BACKENDS`, which the configs validate against.
 The special name ``"auto"`` is not a backend: :func:`resolve_detector` and
-:func:`resolve_repairer` translate it to a concrete registered name from the
-workload shape (relation size x pattern count), mirroring the dynamic
-strategy-selection idea the ISSUE cites.
+:func:`resolve_repairer` translate it to a concrete name from the workload
+shape (relation size x pattern count).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple
 
-from repro.config import AUTO
+from repro.config import AUTO, DETECTION_BACKENDS, REPAIR_BACKENDS
 from repro.core.cfd import CFD
 from repro.errors import RegistryError
 from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 
-_Backend = TypeVar("_Backend", bound=Callable)
-
-_DETECTORS: Dict[str, Callable] = {}
-_REPAIRERS: Dict[str, Callable] = {}
-_ANALYSIS_CHECKS: Dict[str, Callable] = {}
-
-#: Detection workload size (rows x pattern tuples) below which the in-memory
-#: oracle's full scans beat building partition maps.
+#: Detection workload size (rows x pattern tuples) up to which ``auto``
+#: picks the in-memory oracle over the indexed backend.  The value was sized
+#: when the oracle scanned the relation once per pattern tuple, so its cost
+#: grew with this product.  The oracle now scans once per constant-LHS mask
+#: and the value has not been re-measured: on 10K tax rows x 100 patterns
+#: (20x the threshold) the oracle read 0.009 s against ``indexed``'s
+#: 0.013 s on a 2-CPU VM.
 AUTO_CELL_THRESHOLD = 50_000
-
-#: Built-in detection backends whose hot loops consume the columnar code
-#: protocol; dispatch hands them the relation in the configured storage
-#: (:func:`apply_storage`).  Every other detector reads the storage it is
-#: handed: the oracle reads ``attrs(φ)`` once per CFD through
-#: :meth:`~repro.relation.relation.Relation.project_rows`, and the SQL
-#: loader iterates the rows of any storage once.
-COLUMNAR_DETECTORS = frozenset({"indexed", "parallel"})
-
-#: Built-in repair engines whose detection layer is columnar-capable.  The
-#: scan engine is the row-semantics correctness baseline and stays on rows.
-COLUMNAR_REPAIRERS = frozenset({"incremental", "parallel"})
 
 
 def apply_storage(
@@ -87,7 +58,7 @@ def apply_storage(
     The row-reading ``scan`` repair engine gets materialised rows: one
     decode pass here is far cheaper than the per-cell reads and writes its
     passes would otherwise pay against an encoded relation.  Detection
-    dispatch calls this for :data:`COLUMNAR_DETECTORS` only.  When no
+    dispatch calls this for the code-computing detectors only.  When no
     conversion is needed the relation is returned as-is (callers that must
     not share state copy afterwards, as :func:`repro.repair.heuristic.repair`
     does).
@@ -103,148 +74,14 @@ def apply_storage(
     return relation
 
 
-def apply_kernel(kernel: Optional[str]):
-    """Context manager activating the kernel a resolved backend should use.
-
-    The kernel counterpart of :func:`apply_storage`: ``kernel`` is a
-    config's kernel name (:attr:`repro.config.EngineConfig.kernel`, possibly
-    ``"auto"``).  Dispatch sites wrap their backend call in it so every
-    hot loop underneath — partition grouping, ``Q^C``/``Q^V`` checks, the
-    repair vote — computes through the same kernel.  Kernels are
-    byte-identical by contract (``tests/integration/test_kernel_agreement.py``),
-    so this is a speed knob, never a semantics knob.  Raises
-    :class:`~repro.errors.ConfigError` when an explicitly requested kernel is
-    not importable (``"auto"`` degrades instead).
-    """
-    from repro.kernels import use_kernel
-
-    return use_kernel(kernel)
-
-
-def _ensure_builtins() -> None:
-    """Import the modules whose import side-effect registers the built-ins."""
-    import repro.detection.engine  # noqa: F401
-    import repro.parallel.engine  # noqa: F401
-    import repro.parallel.repairer  # noqa: F401
-    import repro.repair.heuristic  # noqa: F401
-
-
-def _ensure_analysis_builtins() -> None:
-    """Import the built-in analysis checks (deferred: they import back here)."""
-    import repro.analysis.checks  # noqa: F401
-
-
-def _register(table: Dict[str, Callable], kind: str, name: str, replace: bool):
-    if name == AUTO:
-        raise RegistryError(f'"{AUTO}" is reserved for automatic backend selection')
-
-    def decorator(fn: _Backend) -> _Backend:
-        if not replace and name in table:
-            raise RegistryError(
-                f"a {kind} named {name!r} is already registered; "
-                f"pass replace=True to overwrite it"
-            )
-        table[name] = fn
-        return fn
-
-    return decorator
-
-
-def register_detector(name: str, *, replace: bool = False):
-    """Decorator registering a detection backend under ``name``."""
-    return _register(_DETECTORS, "detector", name, replace)
-
-
-def register_repairer(name: str, *, replace: bool = False):
-    """Decorator registering a repair engine factory under ``name``."""
-    return _register(_REPAIRERS, "repairer", name, replace)
-
-
-def register_analysis_check(name: str, *, replace: bool = False):
-    """Decorator registering a static-analysis check under ``name``.
-
-    A check is a callable ``check(ctx)`` taking an
-    :class:`repro.analysis.AnalysisContext` and yielding
-    :class:`repro.analysis.Diagnostic` findings.  The built-in checks
-    (``repro.analysis.checks``) register themselves this way; backends that
-    ship their own hazard analyses use the same decorator:
-
-    >>> from repro.registry import register_analysis_check, unregister_analysis_check
-    >>> @register_analysis_check("my-hazard")
-    ... def my_hazard(ctx):
-    ...     return []
-    >>> unregister_analysis_check("my-hazard")
-    """
-    return _register(_ANALYSIS_CHECKS, "analysis check", name, replace)
-
-
-def unregister_analysis_check(name: str) -> None:
-    """Remove a registered analysis check (primarily for tests)."""
-    _ANALYSIS_CHECKS.pop(name, None)
-
-
-def analysis_check_names() -> Tuple[str, ...]:
-    """Every registered analysis check name, sorted."""
-    _ensure_analysis_builtins()
-    return tuple(sorted(_ANALYSIS_CHECKS))
-
-
-def get_analysis_check(name: str) -> Callable:
-    """The analysis check registered under ``name``."""
-    _ensure_analysis_builtins()
-    try:
-        return _ANALYSIS_CHECKS[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown analysis check {name!r}; expected one of "
-            f"{', '.join(map(repr, analysis_check_names()))}"
-        ) from None
-
-
-def unregister_detector(name: str) -> None:
-    """Remove a registered detector (primarily for tests)."""
-    _DETECTORS.pop(name, None)
-
-
-def unregister_repairer(name: str) -> None:
-    """Remove a registered repair engine (primarily for tests)."""
-    _REPAIRERS.pop(name, None)
-
-
 def detector_names() -> Tuple[str, ...]:
-    """Every registered detection backend name, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_DETECTORS))
+    """Every detection backend name, sorted."""
+    return DETECTION_BACKENDS
 
 
 def repairer_names() -> Tuple[str, ...]:
-    """Every registered repair engine name, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_REPAIRERS))
-
-
-def get_detector(name: str) -> Callable:
-    """The detection backend registered under ``name`` (not ``"auto"``)."""
-    _ensure_builtins()
-    try:
-        return _DETECTORS[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown detection method {name!r}; expected one of "
-            f"{', '.join(map(repr, detector_names() + (AUTO,)))}"
-        ) from None
-
-
-def get_repairer(name: str) -> Callable:
-    """The repair engine factory registered under ``name`` (not ``"auto"``)."""
-    _ensure_builtins()
-    try:
-        return _REPAIRERS[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown repair method {name!r}; expected one of "
-            f"{', '.join(map(repr, repairer_names() + (AUTO,)))}"
-        ) from None
+    """Every repair engine name, sorted."""
+    return REPAIR_BACKENDS
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +130,24 @@ def select_repair_method(relation: Relation, cfds: Sequence[CFD]) -> str:
 
 def resolve_detector(
     method: str, relation: Optional[Relation] = None, cfds: Sequence[CFD] = ()
-) -> Tuple[str, Callable]:
-    """Resolve ``method`` (possibly ``"auto"``) to ``(name, backend)``.
+) -> str:
+    """The detection backend ``method`` (possibly ``"auto"``) names.
 
     ``"auto"`` requires ``relation`` so the workload shape can be inspected.
     """
-    if method == AUTO:
-        if relation is None:
-            raise RegistryError('method="auto" needs the relation to pick a backend')
-        method = select_detection_method(relation, cfds)
-    return method, get_detector(method)
+    if method != AUTO:
+        return method
+    if relation is None:
+        raise RegistryError('method="auto" needs the relation to pick a backend')
+    return select_detection_method(relation, cfds)
 
 
 def resolve_repairer(
     method: str, relation: Optional[Relation] = None, cfds: Sequence[CFD] = ()
-) -> Tuple[str, Callable]:
-    """Resolve ``method`` (possibly ``"auto"``) to ``(name, engine factory)``."""
-    if method == AUTO:
-        if relation is None:
-            raise RegistryError('method="auto" needs the relation to pick a backend')
-        method = select_repair_method(relation, cfds)
-    return method, get_repairer(method)
+) -> str:
+    """The repair engine ``method`` (possibly ``"auto"``) names."""
+    if method != AUTO:
+        return method
+    if relation is None:
+        raise RegistryError('method="auto" needs the relation to pick a backend')
+    return select_repair_method(relation, cfds)

@@ -19,7 +19,7 @@ cites:
 
 The algorithm re-checks satisfaction after every pass and stops when the
 relation is clean or a pass budget is exhausted.  *How* satisfaction is
-re-checked is pluggable (``method``):
+re-checked is chosen by ``method``, one of the engines of :data:`REPAIRERS`:
 
 * ``"incremental"`` (default) maintains the violation state under each cell
   change via :class:`repro.repair.incremental.RepairState` — the relation is
@@ -27,11 +27,11 @@ re-checked is pluggable (``method``):
   report, so a pass costs work proportional to the cells it changed;
 * ``"scan"`` re-runs the pure-Python scan oracle from scratch on every check —
   the seed behaviour, kept as the correctness baseline;
-* ``"parallel"`` (registered by :mod:`repro.parallel.repairer`) is
-  *self-driving*: instead of exposing ``report()``/``update()`` it implements
-  the optional ``run(cost_model)`` hook, and :func:`repair` delegates the
-  whole fixpoint to it — it shards the relation by LHS equivalence classes
-  and runs the incremental engine per shard in a process pool.
+* ``"parallel"`` (:mod:`repro.parallel.repairer`) is *self-driving*:
+  instead of exposing ``report()``/``update()`` it implements the optional
+  ``run(cost_model)`` hook, and :func:`repair` delegates the whole fixpoint
+  to it — it shards the relation by LHS equivalence classes and runs the
+  incremental engine per shard in a process pool.
 
 Every method feeds the greedy policy the same violations in the same
 canonical order (:func:`repro.repair.incremental.canonical_order`), so they
@@ -46,24 +46,22 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import RepairConfig
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
 from repro.core.violations import ConstantViolation, VariableViolation, ViolationReport
-from repro.errors import ConfigError, InconsistentCFDsError, RegistryError, RepairError
+from repro.errors import ConfigError, InconsistentCFDsError, RepairError
 from repro.kernels import active_kernel, use_kernel
 from repro.reasoning.consistency import is_consistent
-from repro.registry import COLUMNAR_REPAIRERS, apply_storage, register_repairer, resolve_repairer
+from repro.registry import apply_storage, resolve_repairer
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 from repro.repair.cost import CodeDistanceCache, CostModel
 from repro.repair.incremental import RepairState, canonical_order
 
-#: The built-in engines (the ``"auto"`` selector is not an engine).  Kept
-#: for backward compatibility; the authoritative list is
-#: ``repro.registry.repairer_names()``.
+#: The serial engines (every engine but the sharded ``parallel`` one).
 REPAIR_METHODS = ("scan", "incremental")
 
 
@@ -116,7 +114,7 @@ _FRESH_PREFIX = "__repaired"
 
 
 # ---------------------------------------------------------------------------
-# detection engines driving the repair loop (self-registering backends)
+# detection engines driving the repair loop
 # ---------------------------------------------------------------------------
 class _ScanEngine:
     """Full re-detection through the pure-Python oracle (the seed behaviour)."""
@@ -156,8 +154,23 @@ class _IncrementalEngine:
         self._state.apply_changes(changes)
 
 
-register_repairer("scan")(_ScanEngine)
-register_repairer("incremental")(_IncrementalEngine)
+def _parallel_engine(relation: Relation, cfds: Sequence[CFD], config: RepairConfig):
+    # Imported on first use: repro.parallel.repairer imports this module.
+    from repro.parallel.repairer import ParallelRepairEngine
+
+    return ParallelRepairEngine(relation, cfds, config)
+
+
+#: Every repair engine factory (the names of
+#: :data:`repro.config.REPAIR_BACKENDS`) and whether it computes over codes.
+#: :func:`repair` hands the code-computing ones a column store in the
+#: configured storage; the scan engine, the row-semantics correctness
+#: baseline, gets rows.
+REPAIRERS: Dict[str, Tuple[Callable[..., Any], bool]] = {
+    "incremental": (_IncrementalEngine, True),
+    "parallel": (_parallel_engine, True),
+    "scan": (_ScanEngine, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +180,23 @@ def repair(
     relation: Relation,
     cfds: Sequence[CFD],
     cost_model: Optional[CostModel] = None,
-    max_passes: int = 25,
-    check_consistency: bool = True,
-    method: str = "incremental",
+    max_passes: Optional[int] = None,
+    check_consistency: Optional[bool] = None,
+    method: Optional[str] = None,
     config: Optional[RepairConfig] = None,
 ) -> RepairResult:
     """Produce a repaired copy of ``relation`` satisfying ``cfds``.
 
     The input relation is not modified.  ``method`` selects the detection
-    engine driving the passes — any name registered via
-    :func:`repro.registry.register_repairer`, or ``"auto"`` to pick from the
-    workload shape; every engine yields the same repaired relation, differing
-    only in speed.  A :class:`~repro.config.RepairConfig` may be passed
-    instead of the individual keywords (mutually exclusive with them).
-    Raises :class:`~repro.errors.InconsistentCFDsError` when the CFD set has
-    no satisfying instance at all (no repair can exist then).
+    engine driving the passes — one of :data:`repro.config.REPAIR_BACKENDS`
+    (default ``"incremental"``), or ``"auto"`` to pick from the workload
+    shape; every engine yields the same repaired relation, differing only
+    in speed.  ``max_passes`` and ``check_consistency`` default to the
+    :class:`~repro.config.RepairConfig` defaults (25 and true).  A
+    ``RepairConfig`` may be passed instead of the individual keywords
+    (mutually exclusive with them).  Raises
+    :class:`~repro.errors.InconsistentCFDsError` when the CFD set has no
+    satisfying instance at all (no repair can exist then).
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> result = repair(cust_relation(), cust_cfds())
@@ -189,30 +204,28 @@ def repair(
     True
     """
     cfds = list(cfds)
+    options = {
+        key: value
+        for key, value in (
+            ("cost_model", cost_model),
+            ("max_passes", max_passes),
+            ("check_consistency", check_consistency),
+            ("method", method),
+        )
+        if value is not None
+    }
     if config is not None:
-        if (
-            cost_model is not None
-            or max_passes != 25
-            or check_consistency is not True
-            or method != "incremental"
-        ):
+        if options:
             raise RepairError(
                 "pass either a RepairConfig or explicit keyword options, not both"
             )
     else:
         try:
-            config = RepairConfig(
-                method=method,
-                max_passes=max_passes,
-                check_consistency=check_consistency,
-                cost_model=cost_model,
-            )
+            config = RepairConfig(**{"method": "incremental", **options})
         except ConfigError as error:
             raise RepairError(str(error)) from None
-    try:
-        name, engine_factory = resolve_repairer(config.method, relation, cfds)
-    except RegistryError as error:
-        raise RepairError(str(error)) from None
+    name = resolve_repairer(config.method, relation, cfds)
+    engine_factory, columnar = REPAIRERS[name]
     config = config.with_method(name)
     if config.check_consistency and cfds and not is_consistent(cfds):
         raise InconsistentCFDsError("the CFD set is inconsistent; no repair exists")
@@ -222,7 +235,7 @@ def repair(
     # converts it already built a fresh object, otherwise copy — either way
     # the caller's relation is never mutated.
     converted = apply_storage(
-        relation, config.storage, name in COLUMNAR_REPAIRERS, spill_dir=config.spill_dir
+        relation, config.storage, columnar, spill_dir=config.spill_dir
     )
     work = relation.copy() if converted is relation else converted
     # The configured kernel (see repro.kernels) is active for the whole

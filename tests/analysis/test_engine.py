@@ -1,16 +1,12 @@
-"""The analyze() driver: check selection, optimize mode, require_clean, registry."""
+"""The analyze() driver: check selection, optimize mode, require_clean."""
 
 import pytest
 
-from repro.analysis import AnalysisReport, Diagnostic, analyze, require_clean
+from repro.analysis import AnalysisReport, analyze, require_clean
+from repro.analysis.checks import CHECKS
 from repro.core.cfd import CFD
 from repro.errors import AnalysisError, RegistryError
 from repro.reasoning.implication import equivalent
-from repro.registry import (
-    analysis_check_names,
-    register_analysis_check,
-    unregister_analysis_check,
-)
 
 
 def clash():
@@ -29,7 +25,8 @@ class TestAnalyze:
 
     def test_runs_every_registered_check_by_default(self, cust_constraints):
         report = analyze(cust_constraints)
-        assert report.checks_run == analysis_check_names()
+        assert report.checks_run == tuple(name for name, _check in CHECKS)
+        assert report.checks_run == tuple(sorted(report.checks_run))
         assert report.deep
 
     def test_check_subset_selection(self):
@@ -75,28 +72,5 @@ class TestRequireClean:
 
 
 class TestCustomChecks:
-    def test_registered_check_runs_and_unregisters(self):
-        @register_analysis_check("always-grumpy")
-        def grumpy(ctx):
-            yield Diagnostic(
-                code="CFD900",
-                severity="info",
-                message=f"saw {len(ctx.cfds)} CFDs",
-                check="always-grumpy",
-            )
-
-        try:
-            assert "always-grumpy" in analysis_check_names()
-            report = analyze(clash()[:1])
-            (diagnostic,) = report.by_code("CFD900")
-            assert diagnostic.message == "saw 1 CFDs"
-        finally:
-            unregister_analysis_check("always-grumpy")
-        assert "always-grumpy" not in analysis_check_names()
-
-    def test_duplicate_registration_requires_replace(self):
-        with pytest.raises(RegistryError):
-            register_analysis_check("consistency")(lambda ctx: iter(()))
-
     def test_report_type(self):
         assert isinstance(analyze([]), AnalysisReport)

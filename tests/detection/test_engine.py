@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DetectionConfig
+from repro.core.satisfaction import find_all_violations
 from repro.datagen.cfd_catalog import experiment_cfd_set
 from repro.datagen.generator import TaxRecordGenerator
 from repro.detection.engine import CrossCheckResult, cross_check, detect_violations
@@ -67,17 +68,24 @@ class TestDetectViolations:
             detect_violations(
                 cust, cust_constraints, method="sql", config=DetectionConfig()
             )
+        # A keyword equal to its default is still a keyword.
+        with pytest.raises(DetectionError):
+            detect_violations(
+                cust,
+                cust_constraints,
+                method="inmemory",
+                config=DetectionConfig(method="sql"),
+            )
 
-    def test_strategy_with_non_sql_method_warns(self, cust, cust_constraints):
+    def test_strategy_with_non_sql_method_raises(self, cust, cust_constraints):
         # The old API silently ignored SQL-only knobs off the SQL path.
-        with pytest.warns(DeprecationWarning):
-            report = detect_violations(
+        with pytest.raises(DetectionError, match="strategy='merged'"):
+            detect_violations(
                 cust, cust_constraints, method="indexed", strategy="merged"
             )
-        assert report.violating_indices() == frozenset({0, 1, 2, 3})
 
-    def test_form_with_non_sql_method_warns(self, cust, cust_constraints):
-        with pytest.warns(DeprecationWarning):
+    def test_form_with_non_sql_method_raises(self, cust, cust_constraints):
+        with pytest.raises(DetectionError, match="form='cnf'"):
             detect_violations(cust, cust_constraints, method="inmemory", form="cnf")
 
 
@@ -102,6 +110,25 @@ def test_sql_detection_reads_the_store_it_is_handed(storage, tmp_path, monkeypat
     finally:
         if isinstance(store, MmapColumnStore):
             store.release()
+    assert list(report.violations) == list(expected.violations)
+
+
+@pytest.mark.parametrize("method", ["inmemory", "sql"])
+def test_row_readers_make_no_store(method, monkeypatch):
+    relation = TaxRecordGenerator(size=500, noise=0.05, seed=7).generate_relation()
+    cfds = experiment_cfd_set(num_cfds=5, tabsz=50, seed=7)
+    expected = detect_violations(relation, cfds, method=method)
+    assert expected.violating_indices() == (
+        find_all_violations(relation, cfds).violating_indices()
+    )
+    assert not expected.is_clean()
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the relation was copied into a column store")
+
+    for store in (ColumnStore, MmapColumnStore):
+        monkeypatch.setattr(store, "from_relation", classmethod(refuse))
+    report = detect_violations(relation, cfds, method=method)
     assert list(report.violations) == list(expected.violations)
 
 

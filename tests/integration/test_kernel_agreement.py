@@ -197,7 +197,12 @@ def test_auto_kernel_repair_degrades_gracefully():
 
 def test_kernel_agreement_covers_every_columnar_builtin():
     """Guard: the method lists above cover every kernel-capable builtin."""
-    from repro.registry import COLUMNAR_DETECTORS, COLUMNAR_REPAIRERS
+    from repro.detection.engine import DETECTORS
+    from repro.repair.heuristic import REPAIRERS
 
-    assert COLUMNAR_DETECTORS <= set(DETECTION_METHODS)
-    assert COLUMNAR_REPAIRERS <= set(REPAIR_METHODS)
+    assert {name for name, (_, codes) in DETECTORS.items() if codes} <= set(
+        DETECTION_METHODS
+    )
+    assert {name for name, (_, codes) in REPAIRERS.items() if codes} <= set(
+        REPAIR_METHODS
+    )

@@ -214,14 +214,12 @@ def test_mutation_script_equivalence(rows, ops):
 
 def test_storage_agreement_is_exercised_for_every_builtin():
     """Guard: every builtin is a grid cell or one of the row oracles."""
-    from repro.registry import (
-        COLUMNAR_DETECTORS,
-        COLUMNAR_REPAIRERS,
-        detector_names,
-        repairer_names,
-    )
+    from repro.detection.engine import DETECTORS
+    from repro.repair.heuristic import REPAIRERS
 
-    assert set(DETECTION_METHODS) == COLUMNAR_DETECTORS
-    assert set(REPAIR_METHODS) == COLUMNAR_REPAIRERS
-    assert set(detector_names()) == COLUMNAR_DETECTORS | {"inmemory", "sql"}
-    assert set(repairer_names()) == COLUMNAR_REPAIRERS | {"scan"}
+    columnar_detectors = {name for name, (_, codes) in DETECTORS.items() if codes}
+    columnar_repairers = {name for name, (_, codes) in REPAIRERS.items() if codes}
+    assert set(DETECTION_METHODS) == columnar_detectors
+    assert set(REPAIR_METHODS) == columnar_repairers
+    assert set(DETECTORS) == columnar_detectors | {"inmemory", "sql"}
+    assert set(REPAIRERS) == columnar_repairers | {"scan"}

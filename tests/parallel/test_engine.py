@@ -136,9 +136,9 @@ class TestParallelDetection:
         assert run.stats.summary()["components"] == 4
 
     def test_registered_as_backend(self):
-        from repro.registry import detector_names
+        from repro.detection.engine import DETECTORS
 
-        assert "parallel" in detector_names()
+        assert DETECTORS["parallel"][1], "parallel detection computes over codes"
         report = detect_violations(
             cust_relation(),
             cust_cfds(),

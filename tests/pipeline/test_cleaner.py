@@ -14,6 +14,31 @@ from repro.errors import InconsistentCFDsError, ReproError
 from repro.io.sources import CSVSource, IterableSource, RelationSource
 from repro.kernels import numpy_available
 from repro.pipeline import Cleaner, CleaningResult, clean
+from repro.relation.columnar import ColumnStore
+from repro.relation.mmap_store import MmapColumnStore
+from repro.relation.relation import Relation
+
+
+@pytest.mark.parametrize("storage", ["columnar", "mmap"])
+def test_clean_ingests_straight_into_its_store(
+    storage, cust, cust_constraints, monkeypatch, tmp_path
+):
+    expected = Cleaner().clean(cust, cust_constraints).relation.rows
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the ingested relation was converted")
+
+    for store in (ColumnStore, MmapColumnStore):
+        monkeypatch.setattr(store, "from_relation", classmethod(refuse))
+    monkeypatch.setattr(Relation, "from_validated_rows", classmethod(refuse))
+    source = IterableSource(cust.schema, list(cust))
+    config = RepairConfig(storage=storage, spill_dir=str(tmp_path))
+    result = Cleaner(repair=config).clean(source, cust_constraints)
+    assert result.clean
+    assert result.backends["storage"] == storage
+    assert result.relation.rows == expected
+    if isinstance(result.relation, MmapColumnStore):
+        result.relation.release()
 
 
 class TestCleanOnCust:

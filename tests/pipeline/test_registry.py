@@ -1,97 +1,32 @@
-"""The backend registry: registration, auto-selection, compat wrappers."""
+"""The fixed backend tables, auto-selection, compat wrappers."""
 
 import pytest
 
 from repro import registry
-from repro.config import RepairConfig
-from repro.core.violations import ViolationReport
+from repro.config import DetectionConfig, RepairConfig
 from repro.datagen.generator import TaxRecordGenerator
 from repro.datagen.cfd_catalog import zip_state_cfd
-from repro.detection.engine import detect_violations
-from repro.errors import DetectionError, RegistryError, RepairError
-from repro.repair.heuristic import repair
-from repro.core.satisfaction import find_all_violations
+from repro.detection.engine import DETECTORS, detect_violations
+from repro.errors import ConfigError, DetectionError, RegistryError, RepairError
+from repro.repair.heuristic import REPAIRERS, repair
 
 
 class TestDetectorRegistration:
     def test_builtins_are_registered(self):
-        assert set(registry.detector_names()) >= {"inmemory", "sql", "indexed"}
-        assert set(registry.repairer_names()) >= {"scan", "incremental", "parallel"}
-        assert "indexed" not in registry.repairer_names()
-
-    def test_custom_detector_dispatches_through_the_facade(self, cust, cust_constraints):
-        calls = []
-
-        @registry.register_detector("custom_oracle")
-        def custom(relation, cfds, config):
-            calls.append(config.method)
-            return find_all_violations(relation, cfds)
-
-        try:
-            report = detect_violations(cust, cust_constraints, method="custom_oracle")
-            assert report.violating_indices() == frozenset({0, 1, 2, 3})
-            assert calls == ["custom_oracle"]
-        finally:
-            registry.unregister_detector("custom_oracle")
-        with pytest.raises(DetectionError):
-            detect_violations(cust, cust_constraints, method="custom_oracle")
-
-    def test_custom_repair_engine_drives_the_loop(self, cust, cust_constraints):
-        class RecordingScanEngine:
-            """A scan engine that counts report() calls."""
-
-            reports = 0
-
-            def __init__(self, relation, cfds, config):
-                self.relation = relation
-                self._cfds = cfds
-
-            def report(self):
-                from repro.repair.incremental import canonical_order
-
-                type(self).reports += 1
-                report = find_all_violations(self.relation, self._cfds)
-                return ViolationReport(canonical_order(report, self._cfds))
-
-            def update(self, tuple_index, attribute, new_value):
-                self.relation.update(tuple_index, attribute, new_value)
-
-        registry.register_repairer("recording")(RecordingScanEngine)
-        try:
-            result = repair(cust, cust_constraints, method="recording")
-            assert result.clean
-            assert RecordingScanEngine.reports > 0
-            baseline = repair(cust, cust_constraints, method="scan")
-            assert result.relation == baseline.relation
-        finally:
-            registry.unregister_repairer("recording")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(RegistryError):
-            registry.register_detector("inmemory")(lambda r, c, cfg: None)
-        with pytest.raises(RegistryError):
-            registry.register_repairer("scan")(object)
-
-    def test_replace_allows_overwriting(self):
-        original = registry.get_detector("inmemory")
-        try:
-            registry.register_detector("inmemory", replace=True)(original)
-            assert registry.get_detector("inmemory") is original
-        finally:
-            registry.register_detector("inmemory", replace=True)(original)
-
-    def test_auto_is_a_reserved_name(self):
-        with pytest.raises(RegistryError):
-            registry.register_detector("auto")
-        with pytest.raises(RegistryError):
-            registry.register_repairer("auto")
+        assert registry.detector_names() == ("indexed", "inmemory", "parallel", "sql")
+        assert registry.repairer_names() == ("incremental", "parallel", "scan")
+        assert tuple(DETECTORS) == registry.detector_names()
+        assert tuple(REPAIRERS) == registry.repairer_names()
 
     def test_unknown_names_raise_with_choices(self):
-        with pytest.raises(RegistryError) as excinfo:
-            registry.get_detector("psychic")
-        assert "auto" in str(excinfo.value)
-        with pytest.raises(RegistryError):
-            registry.get_repairer("psychic")
+        with pytest.raises(ConfigError) as excinfo:
+            DetectionConfig(method="psychic")
+        for method in registry.detector_names() + ("auto",):
+            assert repr(method) in str(excinfo.value)
+        with pytest.raises(ConfigError) as excinfo:
+            RepairConfig(method="psychic")
+        for method in registry.repairer_names() + ("auto",):
+            assert repr(method) in str(excinfo.value)
 
 
 class TestAutoSelection:
@@ -151,6 +86,15 @@ class TestCompatWrappers:
     def test_repair_config_and_keywords_are_mutually_exclusive(self, cust, cust_constraints):
         with pytest.raises(RepairError):
             repair(cust, cust_constraints, max_passes=3, config=RepairConfig())
+        # Keywords equal to their defaults are still keywords.
+        with pytest.raises(RepairError):
+            repair(
+                cust,
+                cust_constraints,
+                max_passes=25,
+                method="incremental",
+                config=RepairConfig(method="scan", max_passes=1),
+            )
 
     def test_repair_records_pass_violation_counts(self, cust, cust_constraints):
         result = repair(cust, cust_constraints)

@@ -49,9 +49,6 @@ EXPECTED_REPRO_ALL = [
     "kernel_names",
     "minimal_cover",
     "numpy_available",
-    "register_analysis_check",
-    "register_detector",
-    "register_repairer",
     "repair",
     "select_detection_method",
     "select_repair_method",

@@ -1,7 +1,7 @@
 """The pure-Python reference kernels (always available).
 
 These are the loops the hot layers ran inline before the kernel split:
-dictionary-code grouping (:meth:`ColumnStore.group_indices`), the ``Q^V``
+dictionary-code grouping (:meth:`PythonKernel.group_codes`), the ``Q^V``
 code-disagreement check (:meth:`PythonKernel.codes_disagree`) and
 the ``Q^C`` constant-mismatch scan.  They are the *semantics definition* —
 the numpy kernels (:mod:`repro.kernels.numpy_kernels`) must reproduce their

@@ -203,24 +203,6 @@ class Cleaner:
                 warnings.warn(diagnostic.render(), AnalysisWarning, stacklevel=4)
         return report
 
-    def ingest(
-        self,
-        source: Union[RowSource, Relation, str, Iterable],
-        schema: Optional[Schema] = None,
-        storage: Optional[str] = None,
-        spill_dir: Optional[str] = None,
-    ) -> Relation:
-        """Materialise any supported source into a relation.
-
-        ``storage="columnar"`` dictionary-encodes at ingestion;
-        ``storage="mmap"`` additionally spills the code columns to
-        memory-mapped files under ``spill_dir``; ``None`` keeps whatever
-        layout the source naturally produces.
-        """
-        return as_source(source, schema=schema).to_relation(
-            storage=storage, spill_dir=spill_dir
-        )
-
     def detect(
         self,
         source: Union[RowSource, Relation, str, Iterable],

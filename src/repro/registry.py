@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.config import AUTO, DETECTION_BACKENDS, REPAIR_BACKENDS
+from repro.config import AUTO, DETECTION_BACKENDS
 from repro.core.cfd import CFD
 from repro.errors import RegistryError
 from repro.relation.columnar import ColumnStore
@@ -77,11 +77,6 @@ def apply_storage(
 def detector_names() -> Tuple[str, ...]:
     """Every detection backend name, sorted."""
     return DETECTION_BACKENDS
-
-
-def repairer_names() -> Tuple[str, ...]:
-    """Every repair engine name, sorted."""
-    return REPAIR_BACKENDS
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ dictionary-encodes each attribute at most once:
 * the attribute's cells become one **code column** — an ``array('i')`` of
   small ints, not a slice of value tuples.
 
-Work is **lazy per column**.  Adopting an existing row block
-(:meth:`from_validated_rows`, :meth:`from_relation`) keeps the rows as a
-*pending* block; a column is split out of it only when touched, and
-dictionary-encoded only when something asks for its codes — which in
-practice means exactly the attributes some CFD groups or checks on.  A
-near-unique free-text column that no constraint mentions is never extracted,
-let alone encoded; it would cost a dictionary as large as the column and buy
-nothing.  Extraction and encoding change no observable content, so neither
-bumps the mutation :attr:`~Relation.version`.
+Work is **lazy per column**.  The store keeps the ingested rows as one
+*pending* block, and a column is dictionary-encoded only when something asks
+for its codes — which in practice means exactly the attributes some CFD
+groups or checks on.  Every other column is read from the pending block.  A
+near-unique free-text column that no constraint mentions is never encoded;
+it would cost a dictionary as large as the column and buy nothing.  Encoding
+changes no observable content, so it does not bump the mutation
+:attr:`~Relation.version`.
 
 Two properties make the encoding invisible to everything above it:
 
@@ -38,7 +37,7 @@ mutator, so all existing call sites keep working; the hot layers
 (:mod:`repro.detection.partition_index`, :mod:`repro.repair.incremental`,
 :mod:`repro.parallel.sharding`) detect the columnar storage and consume the
 fast-path protocol — :meth:`codes`, :meth:`project_codes`, :meth:`encode`,
-:meth:`decode`, :meth:`group_indices` — directly.  ``docs/columnar.md``
+:meth:`decode` — directly.  ``docs/columnar.md``
 covers the encoding model, the invariants above, and when the row backend
 still wins.
 """
@@ -75,12 +74,12 @@ class ColumnStore(Relation):
     methods, equality across storage classes compares decoded rows), plus
     the code-level protocol the hot layers use.
 
-    Each column is in one of three states, promoted on demand and never
-    demoted: *pending* (served from the adopted row block), *raw* (its own
-    value list), or *encoded* (code array + dictionary).  A cell written to
-    a column leaves its stale copy in the pending block; reads of that
-    column come from its own storage from then on, so the staleness is
-    unobservable.
+    Each column is in one of two states, promoted on demand and never
+    demoted: *pending* (read from the ingested row block) or *encoded* (code
+    array + dictionary).  The row block is ``None`` only when every column
+    is encoded.  A cell written to an encoded column leaves its stale copy
+    in the row block; reads of that column come from its codes, so the
+    staleness is unobservable.
 
     >>> from repro.relation.schema import Schema
     >>> store = ColumnStore(Schema("r", ["A", "B"]), [("x", 1), ("y", 2), ("x", 2)])
@@ -94,7 +93,7 @@ class ColumnStore(Relation):
     True
     """
 
-    __slots__ = ("_pending", "_raw", "_codes", "_values", "_value_maps", "_length")
+    __slots__ = ("_pending", "_codes", "_values", "_value_maps", "_length")
 
     def __init__(
         self,
@@ -104,11 +103,9 @@ class ColumnStore(Relation):
         self._schema = schema
         self._version = 0
         width = len(schema)
-        #: The adopted-but-unsplit row block; ``None`` once every column owns
-        #: its cells (or when the store was built row by row).
-        self._pending: Optional[List[Row]] = None
-        #: Per column: the raw value list, ``None`` while pending or encoded.
-        self._raw: List[Optional[List[Any]]] = [[] for _ in range(width)]
+        #: The ingested rows, current in every column not encoded; ``None``
+        #: only when every column is encoded.
+        self._pending: Optional[List[Row]] = []
         self._codes: List[Optional[array]] = [None] * width
         self._values: List[List[Any]] = [[] for _ in range(width)]
         self._value_maps: List[Dict[Any, int]] = [{} for _ in range(width)]
@@ -116,16 +113,7 @@ class ColumnStore(Relation):
         if rows is not None:
             self.extend(rows)
 
-    # ------------------------------------------------------------------ lazy states
-    def _extract_raw(self, position: int) -> List[Any]:
-        """The raw value list of a not-yet-encoded column, splitting it out
-        of the pending block on first demand."""
-        raw = self._raw[position]
-        if raw is None:
-            raw = list(map(itemgetter(position), self._pending))
-            self._raw[position] = raw
-        return raw
-
+    # ------------------------------------------------------------------ lazy encoding
     def _ensure_encoded(self, position: int) -> array:
         """The code column at ``position``, encoding it on first demand.
 
@@ -135,9 +123,7 @@ class ColumnStore(Relation):
         codes = self._codes[position]
         if codes is not None:
             return codes
-        raw = self._raw[position]
-        if raw is None:
-            raw = list(map(itemgetter(position), self._pending))
+        raw = list(map(itemgetter(position), self._pending))
         # A column's dictionary starts empty, so one pass both assigns codes
         # in first-occurrence order and maps every cell: a missing value gets
         # the next code from the defaultdict's factory.
@@ -149,7 +135,6 @@ class ColumnStore(Relation):
         self._value_maps[position] = dict(interner)
         self._values[position] = list(interner)
         self._codes[position] = codes
-        self._raw[position] = None
         return codes
 
     def is_encoded(self, attribute: str) -> bool:
@@ -179,9 +164,6 @@ class ColumnStore(Relation):
                 block = codes[start : start + INGEST_BLOCK_ROWS]
                 values.extend(map(decode, block.tolist()))
             return values
-        raw = self._raw[position]
-        if raw is not None:
-            return raw
         return list(map(itemgetter(position), self._pending))
 
     # ------------------------------------------------------------------ basics
@@ -197,19 +179,12 @@ class ColumnStore(Relation):
         return self.project_rows(self._schema.names)
 
     def __getitem__(self, index: int) -> Row:
-        cells = []
         pending = self._pending
-        for position in range(len(self._schema)):
-            codes = self._codes[position]
-            if codes is not None:
-                cells.append(self._values[position][codes[index]])
-                continue
-            raw = self._raw[position]
-            if raw is not None:
-                cells.append(raw[index])
-            else:
-                cells.append(pending[index][position])
-        return tuple(cells)
+        columns = zip(self._codes, self._values)
+        return tuple(
+            pending[index][position] if codes is None else values[codes[index]]
+            for position, (codes, values) in enumerate(columns)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
@@ -234,8 +209,10 @@ class ColumnStore(Relation):
         self._schema[attribute].check(value)
         codes = self._codes[position]
         if codes is None:
-            raw = self._extract_raw(position)
-            raw[index] = value  # IndexError on a bad index, like the row backend
+            # Replace the row's tuple.  Encoding the column instead would
+            # change is_encoded and collapse equal values such as 1 and 1.0.
+            row = self._pending[index]  # IndexError on a bad index
+            self._pending[index] = (*row[:position], value, *row[position + 1 :])
         else:
             # Probe the array bound first: an out-of-range index must fail
             # the way the row backend does, before a dictionary entry is
@@ -255,47 +232,26 @@ class ColumnStore(Relation):
         row = self[index]
         if self._pending is not None:
             self._pending.pop(index)
-        for position in range(len(self._schema)):
-            codes = self._codes[position]
+        for codes in self._codes:
             if codes is not None:
                 codes.pop(index)
-                continue
-            raw = self._raw[position]
-            if raw is not None:
-                raw.pop(index)
         self._length -= 1
         self._version += 1
         return row
 
     def _extend_validated(self, block: List[Row]) -> None:
-        """Store a validated block: pending while no column is split out.
-
-        After a split the other pending columns are split out too, so the
-        rows are not kept twice, and each block is stored column-wise.
-        """
-        unsplit: List[Any] = [None] * len(self._schema)
-        if self._length == 0 and self._codes == unsplit:
-            self._pending, self._raw = [], list(unsplit)
-        if self._pending is not None:
-            if self._raw == unsplit and self._codes == unsplit:
-                self._pending.extend(block)
-                self._length += len(block)
-                return
-            for position in range(len(unsplit)):
-                if self._codes[position] is None:
-                    self._extract_raw(position)
-            self._pending = None
-        columns = list(zip(*block))
+        """Store a validated block: interned into the encoded columns first,
+        so a cell that cannot be interned fails the whole block, then
+        appended to the pending rows."""
         self._intern_columns(
             [
-                (position, column, codes)
-                for position, (column, codes) in enumerate(zip(columns, self._codes))
+                (position, list(map(itemgetter(position), block)), codes)
+                for position, codes in enumerate(self._codes)
                 if codes is not None
             ]
         )
-        for column, codes, raw in zip(columns, self._codes, self._raw):
-            if codes is None:
-                raw.extend(column)
+        if self._pending is not None:
+            self._pending.extend(block)
         self._length += len(block)
 
     def _intern_columns(self, jobs: List[Tuple[int, Sequence[Any], array]]) -> None:
@@ -329,9 +285,6 @@ class ColumnStore(Relation):
         codes = self._codes[position]
         if codes is not None:
             return self._values[position][codes[index]]
-        raw = self._raw[position]
-        if raw is not None:
-            return raw[index]
         return self._pending[index][position]
 
     def row_dict(self, index: int) -> Dict[str, Any]:
@@ -345,15 +298,14 @@ class ColumnStore(Relation):
     def project_rows(self, attributes: Sequence[str]) -> Iterator[Row]:
         """Every row projected onto ``attributes``, in row order.
 
-        Columns still in the pending block are read row-wise from it; any
-        other requested column is decoded whole (no column is split out or
-        encoded by reading) and the columns are zipped.
+        When no requested column is encoded they are read row-wise from the
+        pending block; otherwise each requested column is read whole (no
+        column is encoded by reading) and the columns are zipped.
         """
         positions = self._schema.positions(attributes)
         pending = self._pending
         if pending is not None and all(
-            self._codes[position] is None and self._raw[position] is None
-            for position in positions
+            self._codes[position] is None for position in positions
         ):
             if positions == tuple(range(len(self._schema))):
                 # The pending block *is* the rows.
@@ -422,12 +374,9 @@ class ColumnStore(Relation):
         return self.dictionary_size(attribute)
 
     def group_indices(
-        self,
-        attributes: Sequence[str],
-        start: int = 0,
-        stop: Optional[int] = None,
+        self, attributes: Sequence[str]
     ) -> Iterator[Tuple[Row, List[int]]]:
-        """Group the row indices in ``[start, stop)`` by their projection.
+        """Group the row indices by their projection onto ``attributes``.
 
         The grouping pass runs entirely over codes — delegated to the active
         kernel (:func:`repro.kernels.active_kernel`) — and each group key is
@@ -435,23 +384,22 @@ class ColumnStore(Relation):
         ``(value_key, indices)`` pairs are indistinguishable from
         :meth:`Relation.group_by` output: same keys, same members in
         ascending row order, same first-occurrence iteration order.  This is
-        the pass behind the partition-indexed detector and the sharding
-        planner on columnar storage.
+        the pass behind :meth:`group_by`.
         """
         positions = self._schema.positions(attributes)
-        if stop is None:
-            stop = self._length
         if not positions:
             # A pattern whose LHS is all don't-care groups every tuple
             # together (the row backend's key is () for every row).
-            if stop > start:
-                yield (), list(range(start, stop))
+            if self._length:
+                yield (), list(range(self._length))
             return
         columns = [self._ensure_encoded(position) for position in positions]
         value_lists = [self._values[position] for position in positions]
         sizes = [len(values) for values in value_lists]
         kernel = active_kernel()
-        for key_codes, members in kernel.group_codes(columns, start, stop, sizes=sizes):
+        for key_codes, members in kernel.group_codes(
+            columns, 0, self._length, sizes=sizes
+        ):
             yield (
                 tuple(values[code] for values, code in zip(value_lists, key_codes)),
                 members,
@@ -463,24 +411,28 @@ class ColumnStore(Relation):
         projected_schema = self._schema.project(attributes)
         positions = self._schema.positions(attributes)
         result = ColumnStore(projected_schema)
-        if not distinct:
-            for target, position in enumerate(positions):
-                self._copy_column(position, result, target, None)
-            result._length = self._length
-            return result
-        # Distinct over code tuples is distinct over value tuples (bijection),
-        # keeping first occurrences in row order like the row backend.
-        seen = set()
-        keep: List[int] = []
-        key_columns = [self._ensure_encoded(position) for position in positions]
-        for index, key in enumerate(zip(*key_columns)):
-            if key in seen:
-                continue
-            seen.add(key)
-            keep.append(index)
+        result._pending = None
+        keep: Optional[List[int]] = None
+        if distinct:
+            # Distinct over code tuples is distinct over value tuples
+            # (bijection), keeping first occurrences in row order like the
+            # row backend.  Every projected column is encoded by then.
+            seen = set()
+            keep = []
+            key_columns = [self._ensure_encoded(position) for position in positions]
+            for index, key in enumerate(zip(*key_columns)):
+                if key in seen:
+                    continue
+                seen.add(key)
+                keep.append(index)
+        elif self._pending is not None:
+            result._pending = list(
+                project_tuples(self._pending, positions, self._length)
+            )
         for target, position in enumerate(positions):
-            self._copy_column(position, result, target, keep)
-        result._length = len(keep)
+            if self._codes[position] is not None:
+                self._copy_column(position, result, target, keep)
+        result._length = self._length if keep is None else len(keep)
         return result
 
     def group_by(self, attributes: Sequence[str]) -> Dict[Row, List[int]]:
@@ -494,43 +446,27 @@ class ColumnStore(Relation):
         target_position: int,
         indices: Optional[Sequence[int]],
     ) -> None:
-        """Copy one column into ``target_store``, preserving its encoding state.
+        """Copy one encoded column into ``target_store``.
 
         ``indices`` of ``None`` copies the column whole; otherwise the listed
-        rows are gathered in order.  Encoded columns travel as code arrays
-        plus copied dictionaries (codes stay valid even when the subset
-        references only part of the dictionary); raw and pending columns
-        travel as value lists.
+        rows are gathered in order.  The column travels as a code array plus
+        a copy of its dictionary (codes stay valid even when the subset
+        references only part of the dictionary).
         """
         codes = self._codes[position]
-        if codes is not None:
-            target_store._raw[target_position] = None
-            target_store._codes[target_position] = (
-                codes[:]
-                if indices is None
-                else array("i", (codes[index] for index in indices))
-            )
-            target_store._values[target_position] = list(self._values[position])
-            target_store._value_maps[target_position] = dict(self._value_maps[position])
-            return
-        raw = self._raw[position]
-        if raw is None:
-            cell = itemgetter(position)
-            pending = self._pending
-            column = (
-                list(map(cell, pending))
-                if indices is None
-                else [cell(pending[index]) for index in indices]
-            )
-        else:
-            column = list(raw) if indices is None else [raw[index] for index in indices]
-        target_store._raw[target_position] = column
+        target_store._codes[target_position] = (
+            codes[:]
+            if indices is None
+            else array("i", (codes[index] for index in indices))
+        )
+        target_store._values[target_position] = list(self._values[position])
+        target_store._value_maps[target_position] = dict(self._value_maps[position])
 
     def copy(self) -> ColumnStore:
         """An independent copy sharing no mutable state.
 
-        Column states are preserved: copying must not force a split or an
-        encode the original never needed.
+        Column states are preserved: copying must not encode a column the
+        original never needed encoded.
         """
         return self._gather(None)
 
@@ -540,8 +476,8 @@ class ColumnStore(Relation):
         Encoded columns are gathered code-wise with their dictionaries copied
         as-is, so a shard of an encoded relation ships to a worker process as
         small int arrays plus one dictionary per attribute — not as
-        re-materialised value tuples.  A still-pending block is gathered in
-        one row pass and stays pending in the result.
+        re-materialised value tuples.  The pending rows are gathered in one
+        row pass, and the columns read from them stay pending in the result.
         """
         return self._gather(list(indices))
 
@@ -550,28 +486,16 @@ class ColumnStore(Relation):
         every column keeping its current state."""
         clone = ColumnStore(self._schema)
         pending = self._pending
+        clone._pending = None
         if pending is not None:
             clone._pending = (
                 list(pending)
                 if indices is None
                 else [pending[index] for index in indices]
             )
-        clone._raw = [None] * len(self._schema)
-        for position in range(len(self._schema)):
-            codes = self._codes[position]
-            raw = self._raw[position]
+        for position, codes in enumerate(self._codes):
             if codes is not None:
-                clone._codes[position] = (
-                    codes[:]
-                    if indices is None
-                    else array("i", (codes[index] for index in indices))
-                )
-                clone._values[position] = list(self._values[position])
-                clone._value_maps[position] = dict(self._value_maps[position])
-            elif raw is not None:
-                clone._raw[position] = (
-                    list(raw) if indices is None else [raw[index] for index in indices]
-                )
+                self._copy_column(position, clone, position, indices)
         clone._length = self._length if indices is None else len(indices)
         return clone
 

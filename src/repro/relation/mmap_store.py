@@ -14,10 +14,9 @@ memory pressure.
 Differences from the in-memory parent, none of them observable through the
 :class:`~repro.relation.relation.Relation` API:
 
-* **always encoded** — there is no pending or raw column state; every
-  column is a mapped code array from the first row on (an empty relation
-  holds empty ``array('i')`` placeholders, since a zero-length file cannot
-  be mapped);
+* **always encoded** — there is no pending row block; every column is a
+  mapped code array from the first row on (an empty relation holds empty
+  ``array('i')`` placeholders, since a zero-length file cannot be mapped);
 * **block-wise ingestion** — :meth:`extend` interns each column of a
   validated block into small code buffers and flushes them to the column
   files every ``chunk_rows`` rows, so the full relation is never
@@ -231,10 +230,9 @@ class MmapColumnStore(ColumnStore):
     ) -> None:
         super().__init__(schema)
         width = len(schema)
-        # Always-encoded: no pending block, no raw columns, and empty
-        # array('i') placeholders standing in for unmappable zero-row files.
+        # Always-encoded: no pending block, and empty array('i')
+        # placeholders standing in for unmappable zero-row files.
         self._pending = None
-        self._raw = [None] * width
         self._codes = [array("i") for _ in range(width)]
         base, explicit = resolve_spill_base(spill_dir)
         self._base = base
@@ -408,7 +406,6 @@ class MmapColumnStore(ColumnStore):
             gathered.frombytes(_code_bytes(codes))
         else:
             gathered.extend(int(codes[index]) for index in indices)
-        target_store._raw[target_position] = None
         target_store._codes[target_position] = gathered
         target_store._values[target_position] = list(self._values[position])
         target_store._value_maps[target_position] = dict(self._value_maps[position])
@@ -492,7 +489,6 @@ class MmapColumnStore(ColumnStore):
         store._schema = schema
         store._version = 0
         store._pending = None
-        store._raw = [None] * width
         store._values = [list(values) for values in dictionaries]
         store._value_maps = [
             {value: code for code, value in enumerate(values)}

@@ -12,7 +12,7 @@ identity but ``==`` does not match.
 
 The oracle reads any storage through ``project_rows``: the same report
 must come back from rows, from a column store with its columns pending,
-raw, encoded or mixed, and from memory-mapped columns, and neither
+encoded or mixed, and from memory-mapped columns, and neither
 detection nor ``Cleaner``'s verify may copy a store into rows.
 """
 
@@ -130,8 +130,8 @@ def test_oracle_matches_the_per_pattern_scan(relation, cfd_list):
     assert list(oracle.violations) == list(spec.violations)
 
 
-#: The three states a column-store column can be in.
-COLUMN_STATES = ("pending", "raw", "encoded")
+#: The two states a column-store column can be in.
+COLUMN_STATES = ("pending", "encoded")
 
 column_states = st.lists(
     st.sampled_from(COLUMN_STATES), min_size=len(ATTRIBUTES), max_size=len(ATTRIBUTES)
@@ -141,22 +141,17 @@ column_states = st.lists(
 def _column_store(relation, states):
     """``relation`` as a column store whose columns are in ``states``."""
     store = ColumnStore.from_relation(relation)
-    for position, (attribute, state) in enumerate(zip(store.schema.names, states)):
-        if state == "raw":
-            store._extract_raw(position)
-        elif state == "encoded":
+    for attribute, state in zip(store.schema.names, states):
+        if state == "encoded":
             store.codes(attribute)
     return store
 
 
 def _column_states(stored):
-    """Per column, whether it is raw and whether it is encoded."""
+    """Per column, whether it is encoded."""
     if not isinstance(stored, ColumnStore):
         return None
-    return [
-        (raw is not None, codes is not None)
-        for raw, codes in zip(stored._raw, stored._codes)
-    ]
+    return [codes is not None for codes in stored._codes]
 
 
 def _storages(relation, states):
@@ -177,7 +172,7 @@ def _storages(relation, states):
         CFD.build(["A"], ["B"], [[NAN, "b1"], [NAN, "_"]]),
         CFD.build(["A", "C"], ["B"], [[NAN, "c", "b1"], ["_", "c", "_"]]),
     ],
-    ["encoded", "pending", "raw", "encoded"],
+    ["encoded", "pending", "pending", "encoded"],
 )
 def test_oracle_reads_every_storage_alike(relation, cfd_list, states):
     """Rows, a column store in each column state and mixed, and spilled

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import registry
-from repro.config import DetectionConfig, RepairConfig
+from repro.config import REPAIR_BACKENDS, DetectionConfig, RepairConfig
 from repro.datagen.generator import TaxRecordGenerator
 from repro.datagen.cfd_catalog import zip_state_cfd
 from repro.detection.engine import DETECTORS, detect_violations
@@ -14,9 +14,9 @@ from repro.repair.heuristic import REPAIRERS, repair
 class TestDetectorRegistration:
     def test_builtins_are_registered(self):
         assert registry.detector_names() == ("indexed", "inmemory", "parallel", "sql")
-        assert registry.repairer_names() == ("incremental", "parallel", "scan")
+        assert REPAIR_BACKENDS == ("incremental", "parallel", "scan")
         assert tuple(DETECTORS) == registry.detector_names()
-        assert tuple(REPAIRERS) == registry.repairer_names()
+        assert tuple(REPAIRERS) == REPAIR_BACKENDS
 
     def test_unknown_names_raise_with_choices(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -25,7 +25,7 @@ class TestDetectorRegistration:
             assert repr(method) in str(excinfo.value)
         with pytest.raises(ConfigError) as excinfo:
             RepairConfig(method="psychic")
-        for method in registry.repairer_names() + ("auto",):
+        for method in REPAIR_BACKENDS + ("auto",):
             assert repr(method) in str(excinfo.value)
 
 

@@ -116,11 +116,11 @@ class TestRelationAPI:
         version = store.version
         assert list(store.codes("A")) == [0, 0, 1]
         assert store.is_encoded("A")
-        assert not store.is_encoded("B")  # untouched columns stay raw
+        assert not store.is_encoded("B")  # untouched columns stay pending
         assert store.version == version  # encoding changes no content
 
-    def test_mutations_work_on_raw_and_encoded_columns_alike(self, store):
-        store.codes("A")  # A encoded, B raw
+    def test_mutations_work_on_pending_and_encoded_columns_alike(self, store):
+        store.codes("A")  # A encoded, B pending
         store.update(0, "A", "a9")
         store.update(0, "B", "b9")
         assert store[0] == ("a9", "b9", "c1")
@@ -169,10 +169,6 @@ class TestAlgebra:
 
     def test_group_indices_empty_attribute_tuple(self, store):
         assert list(store.group_indices(())) == [((), [0, 1, 2])]
-
-    def test_group_indices_range(self, store):
-        groups = dict(store.group_indices(["A"], start=1, stop=3))
-        assert groups == {("a1",): [1], ("a2",): [2]}
 
     def test_take_preserves_class_and_order(self, store):
         taken = store.take([2, 0])

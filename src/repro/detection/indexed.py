@@ -277,10 +277,6 @@ class PatternSpec:
     #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
     rhs_free: Tuple[str, ...]
 
-    def key_matches(self, key: Tuple[Any, ...]) -> bool:
-        """Whether a partition key matches this pattern's LHS constants."""
-        return all(cell.matches(value) for cell, value in zip(self.cells, key))
-
 
 def build_specs(schema: Schema, cfds: Sequence[CFD]) -> List[PatternSpec]:
     """One :class:`PatternSpec` per pattern tuple, CFD by CFD in tableau order."""

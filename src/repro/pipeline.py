@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis import AnalysisReport, AnalysisWarning, analyze, require_clean
 from repro.config import (
@@ -38,16 +38,17 @@ from repro.config import (
 )
 from repro.core.cfd import CFD
 from repro.core.violations import ViolationReport
-from repro.detection.engine import detect_violations
+from repro.detection.engine import DETECTORS, detect_violations
 from repro.detection.indexed import detect_stream
 from repro.errors import ReproError
 from repro.io.sources import RelationSource, RowSource, as_source
 from repro.kernels import resolve_kernel_name
 from repro.registry import resolve_detector, resolve_repairer
+from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
-from repro.repair.heuristic import CellChange, RepairResult, repair
+from repro.repair.heuristic import REPAIRERS, CellChange, RepairResult, repair
 
 __all__ = [
     "CleaningResult",
@@ -266,10 +267,17 @@ class Cleaner:
         # spilled code columns when either stage asks for "mmap" (the rows
         # are never materialised as Python tuples), else a column store.
         # Detection, every repair round and the audit read it as it is; only
-        # the row-reading scan repair engine decodes a copy.
-        storage = "columnar"
+        # the row-reading scan repair engine decodes a copy.  When both
+        # stages are named and neither computes over codes, nothing would
+        # read the codes: the rows are kept as they are.
+        storage: Optional[str] = "columnar"
         if "mmap" in (self.detection.storage, self.repair.storage):
             storage = "mmap"
+        elif not (
+            _reads_codes(self.detection.method, DETECTORS)
+            or _reads_codes(self.repair.method, REPAIRERS)
+        ):
+            storage = None
         start = time.perf_counter()
         relation = row_source.to_relation(storage=storage, spill_dir=spill_dir)
         stage_seconds["ingest"] = time.perf_counter() - start
@@ -280,7 +288,7 @@ class Cleaner:
             "detect": detect_name,
             "repair": repair_name,
             "verify": self.verify_method,
-            "storage": "mmap" if isinstance(relation, MmapColumnStore) else "columnar",
+            "storage": _storage_name(relation),
             "kernel": resolve_kernel_name(self.detection.kernel),
             "repair_kernel": resolve_kernel_name(self.repair.kernel),
         }
@@ -304,6 +312,17 @@ class Cleaner:
         stage_seconds["repair"] = 0.0
         stage_seconds["verify"] = 0.0
 
+        repair_config = self.repair.with_method(repair_name)
+        if (
+            analysis_report is not None
+            and "consistency" in analysis_report.checks_run
+            and not analysis_report.by_code("CFD001")
+        ):
+            # The pre-flight already found the set consistent, under the
+            # schema's finite domains at that: a set consistent with them is
+            # consistent without.  Repair need not decide it again.
+            repair_config = replace(repair_config, check_consistency=False)
+
         report = initial_report
         for _ in range(self.max_rounds):
             if report.is_clean():
@@ -311,9 +330,7 @@ class Cleaner:
             result.rounds += 1
 
             start = time.perf_counter()
-            repaired: RepairResult = repair(
-                result.relation, cfds, config=self.repair.with_method(repair_name)
-            )
+            repaired: RepairResult = repair(result.relation, cfds, config=repair_config)
             stage_seconds["repair"] += time.perf_counter() - start
             result.relation = repaired.relation
             result.changes.extend(repaired.changes)
@@ -338,6 +355,21 @@ class Cleaner:
         ):
             relation.release()
         return result
+
+
+def _reads_codes(method: str, backends: Mapping[str, Tuple[Any, bool]]) -> bool:
+    """Whether ``method`` of a stage's backend table may compute over codes.
+
+    ``"auto"`` may: it resolves from the ingested relation.
+    """
+    return method == AUTO or backends[method][1]
+
+
+def _storage_name(relation: Relation) -> str:
+    """The layer ``relation`` lives in: ``"mmap"``, ``"columnar"`` or ``"rows"``."""
+    if isinstance(relation, MmapColumnStore):
+        return "mmap"
+    return "columnar" if isinstance(relation, ColumnStore) else "rows"
 
 
 def clean(

@@ -8,12 +8,20 @@ But a repair pass changes a handful of *cells*, and a single cell change can
 only affect
 
 * the patterns whose ``@``-free LHS or non-``@`` RHS mentions the changed
-  attribute, and
+  attribute *and* whose LHS constants the tuple's old or new LHS key
+  matches, and
 * within such a pattern, the tuples of the changed tuple's *old* and *new*
   equivalence classes under the pattern's LHS partition.
 
-:class:`RepairState` exploits exactly that.  It computes over the dictionary
-codes of a :class:`~repro.relation.columnar.ColumnStore` (a plain relation
+:class:`RepairState` exploits exactly that.  At build it buckets the
+patterns mentioning each attribute by ``@``-free LHS and constant mask (the
+positions of the constant LHS cells), keyed by those constants, as the
+oracle's ``_matching_indices`` does; a change then costs one dict probe per
+mask, not one check per pattern, and only the patterns it hits are
+re-evaluated.
+
+It computes over the dictionary codes of a
+:class:`~repro.relation.columnar.ColumnStore` (a plain relation
 is encoded once on entry) with the indexed detector's own per-pattern
 evaluation (:func:`~repro.detection.indexed.evaluate_pattern`): one class
 index per distinct LHS, and the *entire dirty class set* of a change batch
@@ -37,7 +45,8 @@ engine feeds it.  See ``docs/repair.md`` for the complexity analysis.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
@@ -55,6 +64,64 @@ from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 
 __all__ = ["RepairState", "canonical_order"]
+
+
+class _MaskBucket(NamedTuple):
+    """The patterns over one ``@``-free LHS that share one constant mask."""
+
+    #: The offsets of the constant cells in ``lhs_free``.
+    mask: Tuple[int, ...]
+    #: Projects an LHS key onto the mask: a scalar for one constant cell.
+    project: Callable[[Tuple[Any, ...]], Any]
+    #: Projected constants -> the patterns holding them.
+    by_key: Dict[Any, List[PatternSpec]]
+    #: Whether the changed attribute is a constant cell of the mask, so the
+    #: old and new keys project apart; otherwise one probe serves both.
+    moves: bool
+
+
+class _LhsGroup(NamedTuple):
+    """The patterns over one ``@``-free LHS that mention one attribute."""
+
+    lhs_free: Tuple[str, ...]
+    #: The attribute's offset in ``lhs_free``; ``-1`` when only the RHS
+    #: names it, so a change leaves the LHS key as it is.
+    slot: int
+    #: The patterns with no constant LHS cell: every key matches them.
+    wildcard: List[PatternSpec]
+    masks: Dict[Tuple[int, ...], _MaskBucket]
+
+
+def _group_specs(specs: Sequence[PatternSpec]) -> Dict[str, List[_LhsGroup]]:
+    """Bucket the patterns mentioning each attribute by LHS and constant mask.
+
+    Keyed as in the oracle's ``_matching_indices``: a scalar for a
+    one-constant mask, the tuple of constants otherwise.
+    """
+    groups: Dict[Tuple[str, Tuple[str, ...]], _LhsGroup] = {}
+    by_attr: Dict[str, List[_LhsGroup]] = {}
+    for spec in specs:
+        lhs_free = spec.lhs_free
+        mask = tuple(
+            offset for offset, cell in enumerate(spec.cells) if cell.is_constant
+        )
+        values = tuple(spec.cells[offset].value for offset in mask)
+        key = values[0] if len(values) == 1 else values
+        for attr in dict.fromkeys(lhs_free + spec.rhs_free):
+            group = groups.get((attr, lhs_free))
+            if group is None:
+                slot = lhs_free.index(attr) if attr in lhs_free else -1
+                group = groups[attr, lhs_free] = _LhsGroup(lhs_free, slot, [], {})
+                by_attr.setdefault(attr, []).append(group)
+            if not mask:
+                group.wildcard.append(spec)
+                continue
+            bucket = group.masks.get(mask)
+            if bucket is None:
+                bucket = _MaskBucket(mask, itemgetter(*mask), {}, group.slot in mask)
+                group.masks[mask] = bucket
+            bucket.by_key.setdefault(key, []).append(spec)
+    return by_attr
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +164,9 @@ class RepairState:
         self._cfds = list(cfds)
         self._specs = build_specs(relation.schema, self._cfds)
 
-        # attribute -> specs whose LHS ∪ RHS mention it (the dirty-spec map).
-        self._specs_by_attr: Dict[str, List[PatternSpec]] = {}
-        for spec in self._specs:
-            for attr in dict.fromkeys(spec.lhs_free + spec.rhs_free):
-                self._specs_by_attr.setdefault(attr, []).append(spec)
+        # attribute -> the specs whose LHS ∪ RHS mention it, bucketed by LHS
+        # and constant mask (the dirty-spec map).
+        self._groups_by_attr = _group_specs(self._specs)
 
         # spec_id -> partition key -> violations of that pattern in that class.
         self._store: List[Dict[Tuple[Any, ...], List[Violation]]] = [
@@ -182,7 +247,14 @@ class RepairState:
         return ViolationReport(canonical_order(violations, self._cfds))
 
     def stats(self) -> Dict[str, int]:
-        """Delta-maintenance counters (how little work apply_change did)."""
+        """Delta-maintenance counters (how little work apply_change did).
+
+        ``patterns_reevaluated`` counts one per (applied change, pattern it
+        dirtied): a pattern mentioning the changed attribute is dirtied only
+        when the tuple's old or new LHS key matches its LHS constants.
+        ``partitions_reevaluated`` counts the (pattern, class) pairs
+        re-evaluated, at most two per dirtied pattern and change.
+        """
         return {
             "changes_applied": self._changes_applied,
             "patterns_reevaluated": self._patterns_reevaluated,
@@ -196,8 +268,8 @@ class RepairState:
         Returns ``False`` (and changes nothing) when the cell already holds
         ``new_value``.  Otherwise the affected partition indexes move the
         tuple between equivalence classes in place, and only the patterns
-        mentioning ``attribute`` are re-evaluated — over only the tuple's old
-        and new classes.
+        mentioning ``attribute`` whose LHS constants the tuple's old or new
+        key matches are re-evaluated — over only those classes.
         """
         return self.apply_changes([(tuple_index, attribute, new_value)]) > 0
 
@@ -218,11 +290,7 @@ class RepairState:
         """
         self._check_synchronized()
         encoded = self._encoded
-        schema = encoded.schema
-        # Evolving row snapshots: each change's old/new keys are computed
-        # against the rows as they stand mid-batch (a tuple changed twice
-        # dirties its intermediate class too).
-        rows_now: Dict[int, List[Any]] = {}
+        value = encoded.value
         changed_attrs: Dict[int, Set[str]] = {}
         dirty: Dict[int, Dict[Tuple[Any, ...], None]] = {}
         applied = 0
@@ -231,22 +299,22 @@ class RepairState:
                 attribute, new_value
             ):
                 continue
-            row = rows_now.get(tuple_index)
-            if row is None:
-                row = list(encoded[tuple_index])
-            old_row = tuple(row)
+            # The old keys are read before the write, from the store as it
+            # stands mid-batch: a tuple changed twice dirties its
+            # intermediate class too.
+            for group in self._groups_by_attr.get(attribute, ()):
+                old_key = tuple(value(tuple_index, attr) for attr in group.lhs_free)
+                slot = group.slot
+                if slot < 0:
+                    new_key = old_key
+                else:
+                    new_key = (*old_key[:slot], new_value, *old_key[slot + 1 :])
+                self._dirty(group, old_key, new_key, dirty)
             encoded.update(tuple_index, attribute, new_value)
             if encoded is not self._relation:
                 self._relation.update(tuple_index, attribute, new_value)
-            row[schema.position(attribute)] = new_value
-            rows_now[tuple_index] = row
             changed_attrs.setdefault(tuple_index, set()).add(attribute)
             applied += 1
-            for spec in self._specs_by_attr.get(attribute, ()):
-                self._patterns_reevaluated += 1
-                keys = dirty.setdefault(spec.spec_id, {})
-                keys[tuple(old_row[p] for p in spec.lhs_positions)] = None
-                keys[tuple(row[p] for p in spec.lhs_positions)] = None
         if not applied:
             return 0
         self._changes_applied += applied
@@ -261,28 +329,70 @@ class RepairState:
             ]
             if moved:
                 index.apply_moves(moved)
-        for spec in self._specs:
-            keys = dirty.get(spec.spec_id)
-            if keys:
-                self._reevaluate_batched(spec, list(keys))
+        for spec_id in sorted(dirty):
+            self._reevaluate_batched(self._specs[spec_id], list(dirty[spec_id]))
         return applied
+
+    def _dirty(
+        self,
+        group: _LhsGroup,
+        old_key: Tuple[Any, ...],
+        new_key: Tuple[Any, ...],
+        dirty: Dict[int, Dict[Tuple[Any, ...], None]],
+    ) -> None:
+        """Add one change's (pattern, class) pairs in ``group`` to ``dirty``.
+
+        Wildcard-LHS patterns take both keys unprobed.  The others are found
+        by one dict probe per mask, or two when the change moves one of the
+        mask's cells.
+        """
+        for spec in group.wildcard:
+            self._patterns_reevaluated += 1
+            keys = dirty.setdefault(spec.spec_id, {})
+            keys[old_key] = None
+            keys[new_key] = None
+        for bucket in group.masks.values():
+            if bucket.moves:
+                self._probe(bucket, old_key, (old_key,), dirty)
+                self._probe(bucket, new_key, (new_key,), dirty)
+            else:
+                self._probe(bucket, old_key, (old_key, new_key), dirty)
+
+    def _probe(
+        self,
+        bucket: _MaskBucket,
+        key: Tuple[Any, ...],
+        dirtied: Tuple[Tuple[Any, ...], ...],
+        dirty: Dict[int, Dict[Tuple[Any, ...], None]],
+    ) -> None:
+        """Dirty ``dirtied`` in every pattern of ``bucket`` that ``key`` matches.
+
+        Each hit is confirmed with the cells' own ``matches``: a dict lookup
+        is not ``==`` (a NaN shared by the pattern and the cell is found, but
+        does not match).
+        """
+        for spec in bucket.by_key.get(bucket.project(key), ()):
+            cells = spec.cells
+            if all(cells[offset].matches(key[offset]) for offset in bucket.mask):
+                self._patterns_reevaluated += 1
+                keys = dirty.setdefault(spec.spec_id, {})
+                for dirtied_key in dirtied:
+                    keys[dirtied_key] = None
 
     def _reevaluate_batched(
         self, spec: PatternSpec, keys: List[Tuple[Any, ...]]
     ) -> None:
-        """Recompute one pattern over its dirty classes — one kernel call."""
+        """Recompute one pattern over its dirty classes — one kernel call.
+
+        Every key already matches the pattern's LHS constants (see
+        :meth:`_dirty`).
+        """
         store = self._encoded
         spec_store = self._store[spec.spec_id]
         index = self._indexes[spec.lhs_free]
         live: Dict[Tuple[Any, ...], int] = {}
         for key in keys:
             self._partitions_reevaluated += 1
-            if not spec.key_matches(key):
-                # The class fell outside the pattern's LHS constants (e.g.
-                # the changed tuple moved into a non-matching class): nothing
-                # of this pattern can be violated there.
-                spec_store.pop(key, None)
-                continue
             position = index.find(
                 tuple(store.encode(attr, value) for attr, value in zip(spec.lhs_free, key))
             )

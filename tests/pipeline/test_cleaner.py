@@ -14,6 +14,7 @@ from repro.errors import InconsistentCFDsError, ReproError
 from repro.io.sources import CSVSource, IterableSource, RelationSource
 from repro.kernels import numpy_available
 from repro.pipeline import Cleaner, CleaningResult, clean
+from repro.reasoning.consistency import is_consistent
 from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
@@ -117,6 +118,71 @@ class TestCleanOnCust:
     def test_max_rounds_validated(self):
         with pytest.raises(ReproError):
             Cleaner(max_rounds=0)
+
+
+class TestOneConsistencyVerdict:
+    """The pre-flight's consistency verdict is the only one a clean() makes."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.analysis import checks
+        from repro.repair import heuristic
+
+        calls = []
+
+        def counting(cfds, schema=None):
+            calls.append(len(cfds))
+            return is_consistent(cfds, schema)
+
+        monkeypatch.setattr(checks, "is_consistent", counting)
+        monkeypatch.setattr(heuristic, "is_consistent", counting)
+        return calls
+
+    def test_dirty_consistent_set_is_decided_once(
+        self, cust, cust_constraints, counted
+    ):
+        result = Cleaner(analysis="warn").clean(cust, cust_constraints)
+        assert result.changes and result.clean
+        assert "consistency" in result.analysis_report.checks_run
+        assert len(counted) == 1
+
+    def test_inconsistent_set_still_raises_without_analysis(
+        self, relation_factory, counted
+    ):
+        relation = relation_factory(["A", "B"], [("a", "b")])
+        contradictory = [
+            CFD.build(["A"], ["B"], [["_", "b"]], name="p1"),
+            CFD.build(["A"], ["B"], [["_", "c"]], name="p2"),
+        ]
+        with pytest.raises(InconsistentCFDsError):
+            Cleaner(analysis="off").clean(relation, contradictory)
+        assert len(counted) == 1
+
+
+def test_row_engines_ingest_no_column_store(monkeypatch):
+    cfds = [
+        zip_state_cfd(),
+        CFD.build(["ZIP", "MR"], ["STX"], [["_"] * 3], name="zip_mr_stx"),
+    ]
+    rows = TaxRecordGenerator(size=500, noise=0.05, seed=5).iter_rows()
+    relation = Relation(tax_schema(), list(rows))
+    cleaner = Cleaner(
+        detection=DetectionConfig(method="inmemory"),
+        repair=RepairConfig(method="scan"),
+    )
+    # The old path: a column store ingested, then decoded by the scan engine.
+    before = cleaner.clean(ColumnStore.from_relation(relation), cfds)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a ColumnStore was built")
+
+    monkeypatch.setattr(ColumnStore, "__init__", refuse)
+    result = cleaner.clean(IterableSource(tax_schema(), list(relation)), cfds)
+    assert result.backends["storage"] == "rows"
+    assert result.changes, "the input must actually need repairs"
+    assert result.clean
+    assert result.changes == before.changes
+    assert result.relation.rows == before.relation.rows
 
 
 class TestSourcesThroughThePipeline:

@@ -23,18 +23,18 @@ meaningless noise once CFD001 fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.config import PARALLEL, DetectionConfig, RepairConfig
 from repro.core.cfd import CFD
 from repro.core.tableau import PatternTuple
-from repro.detection.indexed import lhs_free_attributes
 from repro.reasoning.consistency import is_consistent
 from repro.reasoning.implication import implies
 from repro.reasoning.mincover import _drop_lhs_attribute
 from repro.relation.schema import Schema
+from repro.rules import CompiledRules
 
 #: Normalised-CFD count above which the deep implication checks are skipped
 #: (CFD009).  The chase behind :func:`~repro.reasoning.implication.implies`
@@ -51,54 +51,18 @@ CORE_SHRINK_LIMIT = 60
 
 @dataclass
 class AnalysisContext:
-    """Everything a check may inspect, computed once per :func:`analyze` run.
+    """Everything a check may inspect, for one :func:`analyze` run.
 
-    ``normalized`` carries provenance: each entry is ``(part, origin)`` where
-    ``origin`` is the *user-facing* name of the CFD the normal-form part came
-    from, so diagnostics locate findings in the rule set the user wrote, not
-    in the derived ``<name>_r<row>_<attr>`` parts.
+    ``cfds`` is compiled, so the facts the checks share are derived once.
+    Its ``normal_form`` carries provenance: ``origin`` in ``(part, origin)``
+    names the CFD the user wrote, not the derived ``<name>_r<row>_<attr>``.
     """
 
-    cfds: List[CFD]
-    normalized: List[Tuple[CFD, str]]
+    cfds: CompiledRules
     schema: Optional[Schema] = None
     detection: Optional[DetectionConfig] = None
     repair: Optional[RepairConfig] = None
     deep: bool = False
-    _consistent: Optional[bool] = field(default=None, repr=False)
-
-    @classmethod
-    def build(
-        cls,
-        cfds: Sequence[CFD],
-        schema: Optional[Schema] = None,
-        detection: Optional[DetectionConfig] = None,
-        repair: Optional[RepairConfig] = None,
-        deep: bool = False,
-    ) -> AnalysisContext:
-        normalized = [
-            (part, cfd.name) for cfd in cfds for part in cfd.normalize()
-        ]
-        return cls(
-            cfds=list(cfds),
-            normalized=normalized,
-            schema=schema,
-            detection=detection,
-            repair=repair,
-            deep=deep,
-        )
-
-    @property
-    def parts(self) -> List[CFD]:
-        """The normal-form parts without provenance."""
-        return [part for part, _ in self.normalized]
-
-    @property
-    def consistent(self) -> bool:
-        """Whether the rule set is consistent — computed once, shared by checks."""
-        if self._consistent is None:
-            self._consistent = is_consistent(self.parts, self.schema)
-        return self._consistent
 
     @property
     def parallel_requested(self) -> bool:
@@ -127,7 +91,7 @@ def _inconsistency_core(ctx: AnalysisContext) -> List[Tuple[CFD, str]]:
     useful witness a user can get — typically two or three patterns whose
     constants clash, out of a rule set of hundreds.
     """
-    core = list(ctx.normalized)
+    core = list(ctx.cfds.normal_form)
     if len(core) > CORE_SHRINK_LIMIT:
         return core
     index = 0
@@ -142,7 +106,7 @@ def _inconsistency_core(ctx: AnalysisContext) -> List[Tuple[CFD, str]]:
 
 def check_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD001: the rule set admits no nonempty satisfying instance."""
-    if ctx.consistent:
+    if ctx.cfds.consistent(ctx.schema):
         return
     core = _inconsistency_core(ctx)
     origins = sorted({origin for _, origin in core})
@@ -159,8 +123,10 @@ def check_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         "every tuple matching their patterns would violate one of them",
         witness={
             "conflicting_cfds": origins,
-            "core": [str(part.embedded_fd) + " | " + part.tableau.render().splitlines()[-1]
-                     for part, _ in core],
+            "core": [
+                f"{part.embedded_fd} | {part.tableau.render().splitlines()[-1]}"
+                for part, _ in core
+            ],
             "core_size": len(core),
         },
     )
@@ -176,18 +142,19 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     but *reports* instead of rewriting; ``analyze(optimize=True)`` does the
     rewrite via :func:`~repro.reasoning.mincover.minimal_cover`.
     """
-    if not ctx.deep or not ctx.normalized:
+    normalized = ctx.cfds.normal_form
+    if not ctx.deep or not normalized:
         return
-    if not ctx.consistent:
+    if not ctx.cfds.consistent(ctx.schema):
         # Implication from an inconsistent Σ is vacuously true; CFD001
         # already tells the real story.
         return
-    if len(ctx.normalized) > DEEP_CHECK_LIMIT:
+    if len(normalized) > DEEP_CHECK_LIMIT:
         yield Diagnostic(
             code="CFD009",
             severity="info",
             message=(
-                f"deep implication checks skipped: {len(ctx.normalized)} "
+                f"deep implication checks skipped: {len(normalized)} "
                 f"normalised CFDs exceed the limit of {DEEP_CHECK_LIMIT}"
             ),
             check="redundancy",
@@ -195,9 +162,9 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         )
         return
 
-    parts = ctx.parts
+    parts = [part for part, _origin in normalized]
     reported_redundant: Set[str] = set()
-    for index, (part, origin) in enumerate(ctx.normalized):
+    for index, (part, origin) in enumerate(normalized):
         rest = parts[:index] + parts[index + 1 :]
         if rest and implies(rest, part, ctx.schema):
             if origin not in reported_redundant:
@@ -391,27 +358,14 @@ def check_patterns(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 def check_parallel_hazards(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """CFD101 (cross-shard reconcile forced), CFD102 (single-shard degenerate).
 
-    Mirrors the sharded engine's own predicates — the overlap test of
-    ``repro.parallel.repairer._repairs_may_cross_shards`` and the
+    Reads the sharded engine's own predicates off the compiled specs — the
+    overlap the parallel repairer tests
+    (:attr:`repro.rules.CompiledRules.cross_shard_attributes`) and the
     empty-grouping degenerate case of ``repro.parallel.sharding.components``
     — so the linter can never drift from what the engine actually does.
     """
     severity = ctx.hazard_severity()
-
-    grouping: Set[str] = set()
-    written: Set[str] = set()
-    degenerate: List[Tuple[str, int]] = []
-    for cfd in ctx.cfds:
-        for row_index, pattern in enumerate(cfd.tableau):
-            free = lhs_free_attributes(cfd, pattern)
-            grouping.update(free)
-            written.update(
-                attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare
-            )
-            if not free:
-                degenerate.append((cfd.name, row_index))
-
-    overlap = sorted(grouping & written)
+    overlap = ctx.cfds.cross_shard_attributes
     if overlap:
         yield Diagnostic(
             code="CFD101",
@@ -428,20 +382,22 @@ def check_parallel_hazards(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             "see docs/parallel.md",
             witness={"overlap": overlap},
         )
-    for name, row_index in degenerate:
+    for spec in ctx.cfds.specs:
+        if spec.lhs_free:
+            continue
         yield Diagnostic(
             code="CFD102",
             severity=severity,
             message=(
-                f"pattern row {row_index} of CFD {name} has no @-free LHS "
-                "attribute: it groups every tuple together, so "
+                f"pattern row {spec.pattern_index} of CFD {spec.cfd.name} has "
+                "no @-free LHS attribute: it groups every tuple together, so "
                 'method="parallel" degenerates to a single shard'
             ),
             check="parallel-hazards",
-            cfd=name,
+            cfd=spec.cfd.name,
             hint="such a rule serialises the sharded engine; prefer detection "
             'method="indexed" and repair method="incremental" for this rule set',
-            witness={"pattern_row": row_index},
+            witness={"pattern_row": spec.pattern_index},
         )
 
 

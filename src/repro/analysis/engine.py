@@ -18,6 +18,7 @@ from repro.core.cfd import CFD
 from repro.errors import AnalysisError, RegistryError
 from repro.reasoning.mincover import minimal_cover
 from repro.relation.schema import Schema
+from repro.rules import compile_rules
 
 
 def analyze(
@@ -65,9 +66,7 @@ def analyze(
     start = time.perf_counter()
     by_name = dict(CHECKS)
     names = tuple(checks) if checks is not None else tuple(by_name)
-    ctx = AnalysisContext.build(
-        cfds, schema=schema, detection=detection, repair=repair, deep=deep
-    )
+    ctx = AnalysisContext(compile_rules(cfds), schema, detection, repair, deep)
     diagnostics: List[Diagnostic] = []
     for name in names:
         if name not in by_name:
@@ -81,7 +80,7 @@ def analyze(
         checks_run=names,
         deep=deep,
     )
-    if optimize and ctx.consistent:
+    if optimize and ctx.cfds.consistent(schema):
         report.optimized = minimal_cover(list(cfds), schema)
     report.seconds = time.perf_counter() - start
     return report

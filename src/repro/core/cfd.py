@@ -250,8 +250,8 @@ class CFD:
 
 
 def normalize_all(cfds: Iterable[CFD]) -> List[CFD]:
-    """Normalise every CFD in ``cfds`` and concatenate the results."""
+    """The normal form of ``cfds``: a CFD already in it is kept as is."""
     result: List[CFD] = []
     for cfd in cfds:
-        result.extend(cfd.normalize())
+        result.extend([cfd] if cfd.is_normal_form() else cfd.normalize())
     return result

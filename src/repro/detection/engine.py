@@ -23,6 +23,7 @@ from repro.errors import ConfigError, DetectionError
 from repro.kernels import use_kernel
 from repro.registry import apply_storage, resolve_detector
 from repro.relation.relation import Relation
+from repro.rules import compile_rules
 from repro.sql.engine import SQLDetector
 
 #: The serial backends, every one :func:`cross_check` compares.
@@ -116,9 +117,7 @@ def detect_violations(
     >>> report.is_clean()
     False
     """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
+    cfds = compile_rules(cfds)
     if config is not None:
         if method is not None or strategy is not None or form is not None:
             raise DetectionError(
@@ -209,9 +208,7 @@ def cross_check(
     are always all run and verified pairwise (the two-way
     ``include_indexed=False`` shape of PR 1 is gone).
     """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
+    cfds = compile_rules(cfds)
     inmemory = find_all_violations(relation, cfds)
     with SQLDetector(relation) as detector:
         sql_report = detector.detect(cfds, strategy=strategy, form=form).report

@@ -15,7 +15,9 @@ value grouping with one class index per distinct ``@``-free LHS attribute tuple
 
 :func:`evaluate_pattern` is the one evaluation of this package: the
 incremental repair state (:class:`~repro.repair.incremental.RepairState`)
-builds its initial report with it too.  Reports come out in
+builds its initial report with it too.  Both read the pattern specs from
+the compiled rule set (:attr:`repro.rules.CompiledRules.specs`), so one
+``clean()`` builds them once.  Reports come out in
 :func:`canonical_order`, the oracle's order, so they are
 violation-for-violation identical to the oracle's, sequence included.  See
 ``docs/detection.md`` for the complexity analysis.
@@ -23,7 +25,6 @@ violation-for-violation identical to the oracle's, sequence included.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -39,8 +40,6 @@ from typing import (
 
 from repro.config import DEFAULT_KERNEL, DEFAULT_STORAGE, resolve_storage
 from repro.core.cfd import CFD
-from repro.core.pattern import PatternValue
-from repro.core.tableau import PatternTuple
 from repro.core.violations import (
     ConstantViolation,
     VariableViolation,
@@ -53,6 +52,7 @@ from repro.kernels import active_kernel, use_kernel
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation, Row
 from repro.relation.schema import Schema
+from repro.rules import PatternSpec, compile_rules
 
 #: One encoded ``Q^C`` check: ``(attribute, code column, expected code,
 #: expected value)``; the code is ``None`` when no cell holds the value.
@@ -76,10 +76,11 @@ def find_violations_indexed(
     encoded once, by the cache.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
-    >>> sorted(find_violations_indexed(cust_relation(), cust_cfds()).violating_indices())
+    >>> report = find_violations_indexed(cust_relation(), cust_cfds())
+    >>> sorted(report.violating_indices())
     [0, 1, 2, 3]
     """
-    cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
+    rules = compile_rules(cfds)
     if cache is None:
         cache = PartitionIndexCache(relation)
     elif cache.relation is not relation:
@@ -89,12 +90,12 @@ def find_violations_indexed(
         )
     store = cache.store
     violations: List[Violation] = []
-    for spec in build_specs(store.schema, cfds):
+    for spec in rules.specs:
         index = cache.get(spec.lhs_free)
         checks = encode_checks(store, spec)
         for _key, found in evaluate_pattern(store, spec, index, checks):
             violations.extend(found)
-    return ViolationReport(canonical_order(violations, cfds))
+    return ViolationReport(canonical_order(violations, rules))
 
 
 def find_cfd_violations_indexed(
@@ -180,15 +181,15 @@ def detect_stream(
 
     Reported tuple indices refer to positions in the input stream.
     """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
+    cfds = compile_rules(cfds)
     if not cfds:
         return ViolationReport()
     resolve_storage(storage)
 
     # Projection: keep only the attributes some CFD constrains.
-    needed = [name for name in schema.names if any(name in cfd.attributes for cfd in cfds)]
+    needed = [
+        name for name in schema.names if any(name in cfd.attributes for cfd in cfds)
+    ]
     for cfd in cfds:
         schema.validate_attributes(cfd.attributes)
     slim_schema = schema.project(needed)
@@ -215,7 +216,9 @@ def detect_stream(
 # ---------------------------------------------------------------------------
 # canonical violation order
 # ---------------------------------------------------------------------------
-def canonical_order(violations: Iterable[Violation], cfds: Sequence[CFD]) -> List[Violation]:
+def canonical_order(
+    violations: Iterable[Violation], cfds: Sequence[CFD]
+) -> List[Violation]:
     """Sort ``violations`` into the order the scan oracle reports them.
 
     The oracle (:func:`repro.core.satisfaction.find_all_violations`) emits,
@@ -237,10 +240,12 @@ def canonical_order(violations: Iterable[Violation], cfds: Sequence[CFD]) -> Lis
 
     def key(violation: Violation) -> Tuple[int, int, int, int, int]:
         cfd_rank = cfd_position.get(violation.cfd_name, len(cfd_position))
+        pattern_index = violation.pattern_index
         if isinstance(violation, ConstantViolation):
-            attr_rank = rhs_position.get(violation.cfd_name, {}).get(violation.attribute, 0)
-            return (cfd_rank, violation.pattern_index, 0, violation.tuple_indices[0], attr_rank)
-        return (cfd_rank, violation.pattern_index, 1, min(violation.tuple_indices), 0)
+            ranks = rhs_position.get(violation.cfd_name, {})
+            attr_rank = ranks.get(violation.attribute, 0)
+            return (cfd_rank, pattern_index, 0, violation.tuple_indices[0], attr_rank)
+        return (cfd_rank, pattern_index, 1, min(violation.tuple_indices), 0)
 
     return sorted(violations, key=key)
 
@@ -248,65 +253,6 @@ def canonical_order(violations: Iterable[Violation], cfds: Sequence[CFD]) -> Lis
 # ---------------------------------------------------------------------------
 # per-pattern evaluation against a class index
 # ---------------------------------------------------------------------------
-def lhs_free_attributes(cfd: CFD, pattern: PatternTuple) -> Tuple[str, ...]:
-    """The ``@``-free LHS attributes in LHS order (the partition attributes).
-
-    This projection *defines* a pattern's grouping semantics: the oracle,
-    this backend, the incremental repair state and the parallel sharding
-    planner must all agree on it (the planner's "no violation spans two
-    shards" invariant is stated in terms of exactly these attribute sets),
-    which is why it is public — reuse it rather than re-deriving it.
-    """
-    return tuple(attr for attr in cfd.lhs if not pattern.lhs_cell(attr).is_dontcare)
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Everything needed to evaluate one pattern tuple against its class index."""
-
-    spec_id: int
-    cfd: CFD
-    pattern_index: int
-    #: ``@``-free LHS attributes in LHS order — the partition attributes.
-    lhs_free: Tuple[str, ...]
-    lhs_positions: Tuple[int, ...]
-    #: LHS pattern cells aligned with ``lhs_free``.
-    cells: Tuple[PatternValue, ...]
-    #: ``(attribute, expected constant)`` per constant RHS cell.
-    constant_rhs: Tuple[Tuple[str, Any], ...]
-    #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
-    rhs_free: Tuple[str, ...]
-
-
-def build_specs(schema: Schema, cfds: Sequence[CFD]) -> List[PatternSpec]:
-    """One :class:`PatternSpec` per pattern tuple, CFD by CFD in tableau order."""
-    specs: List[PatternSpec] = []
-    for cfd in cfds:
-        for pattern_index, pattern in enumerate(cfd.tableau):
-            lhs_free = lhs_free_attributes(cfd, pattern)
-            specs.append(
-                PatternSpec(
-                    spec_id=len(specs),
-                    cfd=cfd,
-                    pattern_index=pattern_index,
-                    lhs_free=lhs_free,
-                    lhs_positions=schema.positions(lhs_free),
-                    cells=tuple(pattern.lhs_cell(attr) for attr in lhs_free),
-                    constant_rhs=tuple(
-                        (attr, pattern.rhs_cell(attr).value)
-                        for attr in cfd.rhs
-                        if pattern.rhs_cell(attr).is_constant
-                    ),
-                    rhs_free=tuple(
-                        attr
-                        for attr in cfd.rhs
-                        if not pattern.rhs_cell(attr).is_dontcare
-                    ),
-                )
-            )
-    return specs
-
-
 def encode_checks(store: ColumnStore, spec: PatternSpec) -> List[ConstCheck]:
     """The pattern's ``Q^C`` checks against ``store``'s current dictionaries."""
     return [

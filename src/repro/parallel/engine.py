@@ -40,6 +40,7 @@ from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
     spill_shards,
 )
 from repro.relation.relation import Relation
+from repro.rules import compile_rules
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def resolve_shard_count(shard_count: Optional[int], workers: Optional[int]) -> i
 
 
 def _detect_shard(
-    payload: Tuple[SpilledShardPlan, int, List[CFD]],
+    payload: Tuple[SpilledShardPlan, int, Sequence[CFD]],
 ) -> Tuple[List[Violation], float]:
     """Worker body: detect one spilled shard, report global-index violations.
 
@@ -160,9 +161,7 @@ def detect_sharded(
     >>> sorted(run.report.violating_indices())
     [0, 1, 2, 3]
     """
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
+    cfds = compile_rules(cfds)
     layout = plan_shards(relation, cfds, resolve_shard_count(shard_count, workers))
     if len(layout) < 2:
         start = time.perf_counter()

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.config import RepairConfig
 from repro.core.cfd import CFD
-from repro.detection.indexed import find_violations_indexed, lhs_free_attributes
+from repro.detection.indexed import find_violations_indexed
 from repro.parallel.engine import ParallelStats, resolve_shard_count
 from repro.parallel.executor import SERIAL, run_tasks
 from repro.parallel.sharding import (  # noqa: F401 - shard_relation re-exported
@@ -50,29 +50,7 @@ from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.repair.cost import CostModel
 from repro.repair.heuristic import CellChange, RepairResult, repair
-
-
-def _repairs_may_cross_shards(cfds: Sequence[CFD]) -> bool:
-    """Whether a repair could move a tuple into another shard's class.
-
-    Constant and variable fixes write a pattern's non-``@`` RHS cells; only
-    when such a written attribute is also some pattern's grouping attribute
-    can a fix change a tuple's equivalence class and create an agreement the
-    shard planner never saw.  (The last-resort LHS modification writes
-    grouping attributes too, but its deterministic fresh values cannot
-    produce a *new* cross-shard agreement — see ``docs/parallel.md``.)
-    When this returns ``False`` the merged relation needs no re-verification:
-    per-shard cleanliness is global cleanliness.
-    """
-    grouping = set()
-    written = set()
-    for cfd in cfds:
-        for pattern in cfd.tableau:
-            grouping.update(lhs_free_attributes(cfd, pattern))
-            written.update(
-                attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare
-            )
-    return bool(grouping & written)
+from repro.rules import compile_rules
 
 
 def _localize_cost_model(model: CostModel, shard: SpilledShard) -> CostModel:
@@ -88,7 +66,7 @@ def _localize_cost_model(model: CostModel, shard: SpilledShard) -> CostModel:
 
 
 def _repair_shard(
-    payload: Tuple[SpilledShardPlan, int, List[CFD], RepairConfig],
+    payload: Tuple[SpilledShardPlan, int, Sequence[CFD], RepairConfig],
 ) -> Tuple[int, bool, int, List[int], float]:
     """Worker body: map one spilled shard, repair it, log the deltas.
 
@@ -134,7 +112,7 @@ class ParallelRepairEngine:
         self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig
     ) -> None:
         self.relation = relation
-        self._cfds = list(cfds)
+        self._cfds = compile_rules(cfds)
         self._config = config
         #: Execution statistics of the last :meth:`run` (None before it).
         self.stats: Optional[ParallelStats] = None
@@ -221,9 +199,11 @@ class ParallelRepairEngine:
             passes=passes,
             pass_violation_counts=pass_counts,
         )
+        # With no attribute both grouped by and written, per-shard
+        # cleanliness is global cleanliness: nothing to re-verify.
         if (
             all_clean
-            and _repairs_may_cross_shards(cfds)
+            and cfds.cross_shard_attributes
             and not find_violations_indexed(work, cfds).is_clean()
         ):
             # Cross-shard residue: repairs moved tuples into equivalence

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cfd import CFD
-from repro.detection.indexed import lhs_free_attributes
 from repro.errors import ParallelExecutionError
 from repro.kernels import active_kernel
 from repro.relation.columnar import ColumnStore
@@ -58,6 +57,7 @@ from repro.relation.mmap_store import (
 )
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
+from repro.rules import compile_rules
 
 
 class _UnionFind:
@@ -89,16 +89,11 @@ class _UnionFind:
 def _grouping_attribute_sets(cfds: Sequence[CFD]) -> List[Tuple[str, ...]]:
     """Every distinct ``@``-free LHS attribute tuple across all patterns.
 
-    Reuses the detector's own projection
-    (:func:`repro.detection.indexed.lhs_free_attributes`), so the sharding
-    invariant can never drift from the grouping semantics detection and
-    repair actually use.
+    Read off the compiled pattern specs that detection and repair evaluate
+    (:attr:`repro.rules.CompiledRules.specs`), so the sharding invariant can
+    never drift from the grouping semantics they actually use.
     """
-    seen: Dict[Tuple[str, ...], None] = {}
-    for cfd in cfds:
-        for pattern in cfd.tableau:
-            seen.setdefault(lhs_free_attributes(cfd, pattern), None)
-    return list(seen)
+    return list(dict.fromkeys(spec.lhs_free for spec in compile_rules(cfds).specs))
 
 
 def components(relation: ColumnStore, cfds: Sequence[CFD]) -> List[List[int]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis import AnalysisReport, AnalysisWarning, analyze, require_clean
@@ -48,7 +48,8 @@ from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
-from repro.repair.heuristic import REPAIRERS, CellChange, RepairResult, repair
+from repro.repair.heuristic import REPAIRERS, CellChange, repair
+from repro.rules import compile_rules
 
 __all__ = [
     "CleaningResult",
@@ -245,10 +246,11 @@ class Cleaner:
 
         The source data is never mutated: repair works on a copy, so passing
         a ``Relation`` directly leaves it untouched.
+
+        The rules are compiled once (:func:`repro.rules.compile_rules`): every
+        stage reads their specs, normal form and consistency verdict from it.
         """
-        if isinstance(cfds, CFD):
-            cfds = [cfds]
-        cfds = list(cfds)
+        cfds = compile_rules(cfds)
         stage_seconds: Dict[str, float] = {}
 
         spill_dir = self.detection.spill_dir or self.repair.spill_dir
@@ -313,16 +315,6 @@ class Cleaner:
         stage_seconds["verify"] = 0.0
 
         repair_config = self.repair.with_method(repair_name)
-        if (
-            analysis_report is not None
-            and "consistency" in analysis_report.checks_run
-            and not analysis_report.by_code("CFD001")
-        ):
-            # The pre-flight already found the set consistent, under the
-            # schema's finite domains at that: a set consistent with them is
-            # consistent without.  Repair need not decide it again.
-            repair_config = replace(repair_config, check_consistency=False)
-
         report = initial_report
         for _ in range(self.max_rounds):
             if report.is_clean():
@@ -330,7 +322,7 @@ class Cleaner:
             result.rounds += 1
 
             start = time.perf_counter()
-            repaired: RepairResult = repair(result.relation, cfds, config=repair_config)
+            repaired = repair(result.relation, cfds, config=repair_config)
             stage_seconds["repair"] += time.perf_counter() - start
             result.relation = repaired.relation
             result.changes.extend(repaired.changes)
@@ -385,4 +377,5 @@ def clean(
     >>> clean(cust_relation(), cust_cfds()).clean
     True
     """
-    return Cleaner(detection=detection, repair=repair).clean(source, cfds, schema=schema)
+    cleaner = Cleaner(detection=detection, repair=repair)
+    return cleaner.clean(source, cfds, schema=schema)

@@ -19,7 +19,7 @@ follows the chase sketched in the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.cfd import CFD, normalize_all
 from repro.reasoning.chase import (
@@ -33,15 +33,8 @@ from repro.relation.schema import Schema
 
 def _attributes_of(cfds: Sequence[CFD], extra: Iterable[str] = ()) -> Tuple[str, ...]:
     """All attributes mentioned in the CFDs (plus ``extra``), in stable order."""
-    seen: List[str] = []
-    for cfd in cfds:
-        for attribute in cfd.attributes:
-            if attribute not in seen:
-                seen.append(attribute)
-    for attribute in extra:
-        if attribute not in seen:
-            seen.append(attribute)
-    return tuple(seen)
+    mentioned = [attribute for cfd in cfds for attribute in cfd.attributes]
+    return tuple(dict.fromkeys([*mentioned, *extra]))
 
 
 def _finite_domains(
@@ -97,7 +90,9 @@ def consistency_witness(
             for attribute, value in assignment.items():
                 state.bind(0, attribute, value)
             single_tuple_chase(normalized, state)
-            concrete = state.instantiate(attributes, forbidden=forbidden, finite_domains=domains)
+            concrete = state.instantiate(
+                attributes, forbidden=forbidden, finite_domains=domains
+            )
         except ChaseConflict:
             continue
         return concrete[0]
@@ -120,7 +115,8 @@ def is_consistent_with_binding(
     True iff some instance satisfies ``cfds`` *and* contains a tuple whose
     ``attribute`` equals ``value``.
     """
-    return consistency_witness(cfds, schema=schema, bindings={attribute: value}) is not None
+    witness = consistency_witness(cfds, schema=schema, bindings={attribute: value})
+    return witness is not None
 
 
 def consistent_domain_values(
@@ -128,7 +124,7 @@ def consistent_domain_values(
     attribute: str,
     schema: Schema,
 ) -> Tuple[Any, ...]:
-    """The values ``b`` of a finite-domain attribute for which ``(Σ, B=b)`` is consistent."""
+    """The values ``b`` of a finite-domain attribute with ``(Σ, B=b)`` consistent."""
     attr = schema[attribute]
     if not attr.has_finite_domain:
         raise ValueError(f"attribute {attribute!r} does not have a finite domain")

@@ -50,16 +50,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import RepairConfig
 from repro.core.cfd import CFD
+from repro.core.pattern import PatternValue
 from repro.core.satisfaction import find_all_violations
 from repro.core.violations import ConstantViolation, VariableViolation, ViolationReport
 from repro.errors import ConfigError, InconsistentCFDsError, RepairError
 from repro.kernels import active_kernel, use_kernel
-from repro.reasoning.consistency import is_consistent
 from repro.registry import apply_storage, resolve_repairer
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
 from repro.repair.cost import CodeDistanceCache, CostModel
 from repro.repair.incremental import RepairState, canonical_order
+from repro.rules import CompiledRules, PatternSpec, compile_rules
 
 #: The serial engines (every engine but the sharded ``parallel`` one).
 REPAIR_METHODS = ("scan", "incremental")
@@ -119,7 +120,9 @@ _FRESH_PREFIX = "__repaired"
 class _ScanEngine:
     """Full re-detection through the pure-Python oracle (the seed behaviour)."""
 
-    def __init__(self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig) -> None:
+    def __init__(
+        self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig
+    ) -> None:
         self.relation = relation
         self._cfds = cfds
 
@@ -134,7 +137,9 @@ class _ScanEngine:
 class _IncrementalEngine:
     """Delta-maintained violation state (:class:`RepairState`)."""
 
-    def __init__(self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig) -> None:
+    def __init__(
+        self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig
+    ) -> None:
         self.relation = relation
         self._state = RepairState(relation, cfds)
 
@@ -196,14 +201,15 @@ def repair(
     ``RepairConfig`` may be passed instead of the individual keywords
     (mutually exclusive with them).  Raises
     :class:`~repro.errors.InconsistentCFDsError` when the CFD set has no
-    satisfying instance at all (no repair can exist then).
+    satisfying instance at all (no repair can exist then); a
+    :class:`~repro.rules.CompiledRules` ``cfds`` lends its memoised verdict.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> result = repair(cust_relation(), cust_cfds())
     >>> result.clean
     True
     """
-    cfds = list(cfds)
+    cfds = compile_rules(cfds)
     options = {
         key: value
         for key, value in (
@@ -227,7 +233,7 @@ def repair(
     name = resolve_repairer(config.method, relation, cfds)
     engine_factory, columnar = REPAIRERS[name]
     config = config.with_method(name)
-    if config.check_consistency and cfds and not is_consistent(cfds):
+    if config.check_consistency and cfds and not cfds.consistent():
         raise InconsistentCFDsError("the CFD set is inconsistent; no repair exists")
     cost_model = config.cost_model or CostModel()
     # The columnar-capable engines work over a column store (the configured
@@ -377,7 +383,9 @@ def _fix_constant_violation(
         # The RHS keeps being pushed back and forth: break the pattern match
         # by moving an LHS value out of the way instead (Section 6's point
         # that CFD repairs sometimes must touch the LHS).
-        return _break_lhs_match(engine, tuple_index, violation.cfd_name, cost_model, result, counts)
+        return _break_lhs_match(
+            engine, tuple_index, violation.cfd_name, cost_model, result, counts
+        )
     return _record_change(
         engine,
         result,
@@ -390,8 +398,10 @@ def _fix_constant_violation(
     )
 
 
-def _resolve_variable_cfd(violation: VariableViolation, cfds: Sequence[CFD]) -> Optional[CFD]:
-    """The CFD a variable violation came from.
+def _resolve_variable_spec(
+    violation: VariableViolation, rules: CompiledRules
+) -> Optional[PatternSpec]:
+    """The pattern a variable violation came from.
 
     Violations carry only the CFD's *name*, and auto-derived names collide
     for CFDs over the same embedded FD — so a bare name match can resolve to
@@ -401,43 +411,36 @@ def _resolve_variable_cfd(violation: VariableViolation, cfds: Sequence[CFD]) -> 
     grouping attributes, its LHS cells match the group key, and it constrains
     at least one RHS attribute (else no variable violation could arise).
     """
-    for candidate in cfds:
-        if candidate.name != violation.cfd_name:
+    offset = 0  # the spec id of the candidate's first pattern
+    for candidate in rules:
+        index = offset + violation.pattern_index
+        offset += len(candidate.tableau)
+        if candidate.name != violation.cfd_name or index >= offset:
             continue
-        if violation.pattern_index >= len(candidate.tableau):
-            continue
-        pattern = candidate.tableau[violation.pattern_index]
-        lhs_free = tuple(
-            attr for attr in candidate.lhs if not pattern.lhs_cell(attr).is_dontcare
-        )
-        if lhs_free != violation.attributes:
-            continue
-        if not all(
-            pattern.lhs_cell(attr).matches(value)
-            for attr, value in zip(lhs_free, violation.group_key)
+        spec = rules.specs[index]
+        if (
+            spec.lhs_free == violation.attributes
+            and spec.rhs_free
+            and all(map(PatternValue.matches, spec.cells, violation.group_key))
         ):
-            continue
-        if not any(not pattern.rhs_cell(attr).is_dontcare for attr in candidate.rhs):
-            continue
-        return candidate
+            return spec
     return None
 
 
 def _fix_variable_violation(
     engine,
     violation: VariableViolation,
-    cfds: Sequence[CFD],
+    rules: CompiledRules,
     cost_model: CostModel,
     result: RepairResult,
     counts: Dict[Tuple[int, str], int],
     code_costs: Optional[CodeDistanceCache] = None,
 ) -> bool:
     work = engine.relation
-    cfd = _resolve_variable_cfd(violation, cfds)
-    if cfd is None:
+    spec = _resolve_variable_spec(violation, rules)
+    if spec is None:
         raise RepairError(f"violation refers to unknown CFD {violation.cfd_name!r}")
-    pattern = cfd.tableau[violation.pattern_index]
-    rhs_free = [attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare]
+    cfd, rhs_free = spec.cfd, list(spec.rhs_free)
     indices = list(violation.tuple_indices)
     if len(indices) < 2 or not rhs_free:
         return False
@@ -471,7 +474,7 @@ def _fix_variable_violation(
         # Stable sort by descending group size reproduces
         # Counter.most_common(): ties stay in first-occurrence order.
         candidates = [
-            key_codes for key_codes, _members in sorted(groups, key=lambda g: -len(g[1]))
+            codes for codes, _members in sorted(groups, key=lambda g: -len(g[1]))
         ]
         best_codes = None
         best_cost = None
@@ -489,7 +492,7 @@ def _fix_variable_violation(
             work.decode(attr, code) for attr, code in zip(rhs_free, best_codes)
         )
         settled = {
-            index for index, key_codes in code_by_index.items() if key_codes == best_codes
+            index for index, codes in code_by_index.items() if codes == best_codes
         }
     else:
         projections = {index: work.project_row(index, rhs_free) for index in indices}
@@ -514,7 +517,7 @@ def _fix_variable_violation(
         assert chosen is not None
         best_value = chosen
         settled = {
-            index for index, projection in projections.items() if projection == best_value
+            index for index, value in projections.items() if value == best_value
         }
 
     progressed = False

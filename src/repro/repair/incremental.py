@@ -52,8 +52,6 @@ from repro.core.cfd import CFD
 from repro.core.violations import Violation, ViolationReport
 from repro.detection.indexed import (
     ConstCheck,
-    PatternSpec,
-    build_specs,
     canonical_order,
     encode_checks,
     evaluate_pattern,
@@ -62,6 +60,7 @@ from repro.detection.partition_index import ClassIndex, CodePartitionIndex, clas
 from repro.errors import DetectionError
 from repro.relation.columnar import ColumnStore
 from repro.relation.relation import Relation
+from repro.rules import PatternSpec, compile_rules
 
 __all__ = ["RepairState", "canonical_order"]
 
@@ -161,8 +160,8 @@ class RepairState:
             if isinstance(relation, ColumnStore)
             else ColumnStore.from_relation(relation)
         )
-        self._cfds = list(cfds)
-        self._specs = build_specs(relation.schema, self._cfds)
+        self._cfds = compile_rules(cfds)
+        self._specs = self._cfds.specs
 
         # attribute -> the specs whose LHS ∪ RHS mention it, bucketed by LHS
         # and constant mask (the dirty-spec map).
@@ -201,7 +200,7 @@ class RepairState:
 
     @property
     def cfds(self) -> Tuple[CFD, ...]:
-        return tuple(self._cfds)
+        return self._cfds
 
     @property
     def batched(self) -> bool:
@@ -228,7 +227,7 @@ class RepairState:
 
     def violation_count(self) -> int:
         self._check_synchronized()
-        return sum(len(violations) for store in self._store for violations in store.values())
+        return sum(len(found) for store in self._store for found in store.values())
 
     def is_clean(self) -> bool:
         """Whether the relation currently satisfies every CFD."""
@@ -393,9 +392,7 @@ class RepairState:
         live: Dict[Tuple[Any, ...], int] = {}
         for key in keys:
             self._partitions_reevaluated += 1
-            position = index.find(
-                tuple(store.encode(attr, value) for attr, value in zip(spec.lhs_free, key))
-            )
+            position = index.find(tuple(map(store.encode, spec.lhs_free, key)))
             if position < 0:
                 # The class emptied out (every member moved away).
                 spec_store.pop(key, None)

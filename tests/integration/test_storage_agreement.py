@@ -39,13 +39,13 @@ from repro.config import DetectionConfig, RepairConfig
 from repro.detection.engine import detect_violations
 from repro.errors import RepairError
 from repro.kernels import numpy_available
-from repro.parallel.repairer import _repairs_may_cross_shards
 from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from repro.reasoning.consistency import is_consistent
 from repro.repair.heuristic import repair
+from repro.rules import compile_rules
 from tests.integration.strategies import ATTRIBUTES, VALUES, cfds, relations, row
 
 #: The columnar-capable detection methods.  The parallel backend runs with
@@ -122,7 +122,7 @@ def test_repair_agrees_across_storages(relation, cfd_list):
     oracle = _repair_or_none(
         relation, cfd_list, RepairConfig(method="scan", check_consistency=False)
     )
-    crosses_shards = _repairs_may_cross_shards(cfd_list)
+    crosses_shards = bool(compile_rules(cfd_list).cross_shard_attributes)
     for method in REPAIR_METHODS:
         baseline = _repair_or_none(
             relation, cfd_list, _repair_config(method, "columnar", "python")

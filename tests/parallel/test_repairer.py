@@ -149,14 +149,14 @@ class TestParallelRepair:
         assert parallel.relation.value(4, "B") == "7"
 
     def test_overlap_gate_detects_written_grouping_attributes(self):
-        from repro.parallel.repairer import _repairs_may_cross_shards
+        from repro.rules import compile_rules
 
         # [ZIP] -> [ST]: ST is written, only ZIP groups -> no overlap.
-        assert not _repairs_may_cross_shards([zip_state_cfd()])
+        assert not compile_rules([zip_state_cfd()]).cross_shard_attributes
         # phi_a writes B, phi_b groups by B -> overlap.
         phi_a = CFD.build(["A"], ["B"], [["a", "v"]])
         phi_b = CFD.build(["B"], ["C"], [["_", "_"]])
-        assert _repairs_may_cross_shards([phi_a, phi_b])
+        assert compile_rules([phi_a, phi_b]).cross_shard_attributes == ["B"]
 
     def test_cross_shard_residue_is_reconciled(self, relation_factory):
         # phi_a's constant pattern *writes* B="v" into shard 0, creating an

@@ -125,8 +125,7 @@ class TestOneConsistencyVerdict:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        from repro.analysis import checks
-        from repro.repair import heuristic
+        from repro import rules
 
         calls = []
 
@@ -134,8 +133,8 @@ class TestOneConsistencyVerdict:
             calls.append(len(cfds))
             return is_consistent(cfds, schema)
 
-        monkeypatch.setattr(checks, "is_consistent", counting)
-        monkeypatch.setattr(heuristic, "is_consistent", counting)
+        # The compiled rule set decides every verdict the stages read.
+        monkeypatch.setattr(rules, "is_consistent", counting)
         return calls
 
     def test_dirty_consistent_set_is_decided_once(
@@ -157,6 +156,44 @@ class TestOneConsistencyVerdict:
         with pytest.raises(InconsistentCFDsError):
             Cleaner(analysis="off").clean(relation, contradictory)
         assert len(counted) == 1
+
+
+@pytest.mark.parametrize("analysis", ["off", "warn", "strict"])
+def test_clean_compiles_the_rule_set_once(
+    analysis, cust, cust_constraints, monkeypatch
+):
+    """One clean() builds the specs, the normal form and the verdict once."""
+    from repro import rules
+    from repro.reasoning import consistency
+
+    built, normalized, decided = [], [], []
+    build_specs, normalize = rules.build_specs, CFD.normalize
+    witness = consistency.consistency_witness
+
+    def counting_build_specs(cfds):
+        built.append(len(cfds))
+        return build_specs(cfds)
+
+    def counting_normalize(self):
+        normalized.append(self)
+        return normalize(self)
+
+    def counting_witness(cfds, schema=None, bindings=None):
+        decided.append(schema)
+        return witness(cfds, schema, bindings)
+
+    monkeypatch.setattr(rules, "build_specs", counting_build_specs)
+    monkeypatch.setattr(CFD, "normalize", counting_normalize)
+    monkeypatch.setattr(consistency, "consistency_witness", counting_witness)
+    cleaner = Cleaner(detection=DetectionConfig(method="indexed"), analysis=analysis)
+    result = cleaner.clean(cust, cust_constraints)
+
+    assert result.changes and result.clean
+    assert result.backends["detect"] == "indexed"
+    assert built == [len(cust_constraints)]
+    # Once per input CFD, never on a part of the normal form.
+    assert sorted(map(id, normalized)) == sorted(map(id, cust_constraints))
+    assert len(decided) == 1
 
 
 def test_row_engines_ingest_no_column_store(monkeypatch):

@@ -142,9 +142,9 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     but *reports* instead of rewriting; ``analyze(optimize=True)`` does the
     rewrite via :func:`~repro.reasoning.mincover.minimal_cover`.
     """
-    normalized = ctx.cfds.normal_form
-    if not ctx.deep or not normalized:
+    if not ctx.deep or not ctx.cfds:
         return
+    normalized = ctx.cfds.normal_form
     if not ctx.cfds.consistent(ctx.schema):
         # Implication from an inconsistent Σ is vacuously true; CFD001
         # already tells the real story.

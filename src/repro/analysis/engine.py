@@ -81,7 +81,7 @@ def analyze(
         deep=deep,
     )
     if optimize and ctx.cfds.consistent(schema):
-        report.optimized = minimal_cover(list(cfds), schema)
+        report.optimized = minimal_cover(list(ctx.cfds), schema)
     report.seconds = time.perf_counter() - start
     return report
 

@@ -105,14 +105,15 @@ class CompiledRules(Tuple[CFD, ...]):
 
         Decided once per schema.  A set consistent under a schema's finite
         domains is consistent without them: ``schema=None`` reuses a ``True``.
+        The chase normalises on its own and keeps no parts, so a clean run
+        does not hold :attr:`normal_form` in memory.
         """
         verdicts = self._verdicts
         if schema not in verdicts:
             if schema is None and any(verdicts.values()):
                 verdicts[schema] = True
             else:
-                parts = [part for part, _origin in self.normal_form]
-                verdicts[schema] = is_consistent(parts, schema)
+                verdicts[schema] = is_consistent(self, schema)
         return verdicts[schema]
 
     @property

@@ -24,7 +24,7 @@ meaningless noise once CFD001 fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.config import PARALLEL, DetectionConfig, RepairConfig
@@ -53,9 +53,8 @@ CORE_SHRINK_LIMIT = 60
 class AnalysisContext:
     """Everything a check may inspect, for one :func:`analyze` run.
 
-    ``cfds`` is compiled, so the facts the checks share are derived once.
-    Its ``normal_form`` carries provenance: ``origin`` in ``(part, origin)``
-    names the CFD the user wrote, not the derived ``<name>_r<row>_<attr>``.
+    ``cfds`` is compiled, so the facts the checks share (the consistency
+    verdict and the pattern specs) are derived once.
     """
 
     cfds: CompiledRules
@@ -79,6 +78,11 @@ class AnalysisContext:
         return "warning" if self.parallel_requested else "info"
 
 
+def _normal_form(cfds: Sequence[CFD]) -> List[Tuple[CFD, str]]:
+    """``Σφ`` as ``(part, origin)``: ``origin`` names the CFD the user wrote."""
+    return [(part, cfd.name) for cfd in cfds for part in cfd.normalize()]
+
+
 # ---------------------------------------------------------------------------
 # CFD001 — consistency
 # ---------------------------------------------------------------------------
@@ -91,7 +95,7 @@ def _inconsistency_core(ctx: AnalysisContext) -> List[Tuple[CFD, str]]:
     useful witness a user can get — typically two or three patterns whose
     constants clash, out of a rule set of hundreds.
     """
-    core = list(ctx.cfds.normal_form)
+    core = _normal_form(ctx.cfds)
     if len(core) > CORE_SHRINK_LIMIT:
         return core
     index = 0
@@ -124,7 +128,7 @@ def check_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         witness={
             "conflicting_cfds": origins,
             "core": [
-                f"{part.embedded_fd} | {part.tableau.render().splitlines()[-1]}"
+                str(part.embedded_fd) + " | " + part.tableau.render().splitlines()[-1]
                 for part, _ in core
             ],
             "core_size": len(core),
@@ -144,11 +148,11 @@ def check_redundancy(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """
     if not ctx.deep or not ctx.cfds:
         return
-    normalized = ctx.cfds.normal_form
     if not ctx.cfds.consistent(ctx.schema):
         # Implication from an inconsistent Σ is vacuously true; CFD001
         # already tells the real story.
         return
+    normalized = _normal_form(ctx.cfds)
     if len(normalized) > DEEP_CHECK_LIMIT:
         yield Diagnostic(
             code="CFD009",

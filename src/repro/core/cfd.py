@@ -90,7 +90,10 @@ class CFD:
             raise CFDError(f"duplicate attributes in CFD LHS {lhs}")
         if len(set(rhs)) != len(rhs):
             raise CFDError(f"duplicate attributes in CFD RHS {rhs}")
-        if set(tableau.lhs_attributes) != set(lhs) or set(tableau.rhs_attributes) != set(rhs):
+        if (
+            set(tableau.lhs_attributes) != set(lhs)
+            or set(tableau.rhs_attributes) != set(rhs)
+        ):
             raise CFDError(
                 "pattern tableau attributes do not match the embedded FD: "
                 f"tableau ({tableau.lhs_attributes} -> {tableau.rhs_attributes}) "
@@ -129,7 +132,9 @@ class CFD:
         return cls(lhs, rhs, tableau, name=name, schema=schema)
 
     @classmethod
-    def from_fd(cls, fd: FD, name: Optional[str] = None, schema: Optional[Schema] = None) -> CFD:
+    def from_fd(
+        cls, fd: FD, name: Optional[str] = None, schema: Optional[Schema] = None
+    ) -> CFD:
         """Wrap a standard FD as a CFD (single all-wildcard pattern tuple)."""
         pattern = ["_"] * (len(fd.lhs) + len(fd.rhs))
         return cls.build(fd.lhs, fd.rhs, [pattern], name=name, schema=schema)
@@ -181,7 +186,7 @@ class CFD:
         return len(self._tableau) == 1 and self._tableau[0].is_variable_only()
 
     def is_instance_level(self) -> bool:
-        """True when the tableau is a single all-constant pattern tuple ([13] in the paper)."""
+        """True when the tableau is one all-constant pattern tuple ([13])."""
         return len(self._tableau) == 1 and self._tableau[0].is_constant_only()
 
     def is_normal_form(self) -> bool:
@@ -198,7 +203,7 @@ class CFD:
 
     # ------------------------------------------------------------------ transforms
     def normalize(self) -> List[CFD]:
-        """Split into normal-form CFDs ``(X → A, tp)`` — one per (RHS attribute, pattern row).
+        """Split into normal-form CFDs ``(X → A, tp)``, one per RHS attribute and row.
 
         The resulting set ``Σφ`` is equivalent to the original CFD
         (Section 3.2 of the paper).
@@ -212,7 +217,9 @@ class CFD:
                     [row.restrict(self._lhs, (attr,))],
                 )
                 suffix = f"{self.name}_r{row_index}_{attr}"
-                parts.append(CFD(self._lhs, (attr,), tableau, name=suffix, schema=self._schema))
+                parts.append(
+                    CFD(self._lhs, (attr,), tableau, name=suffix, schema=self._schema)
+                )
         return parts
 
     def with_schema(self, schema: Schema) -> CFD:
@@ -222,7 +229,9 @@ class CFD:
     def single_pattern(self) -> PatternTuple:
         """The unique pattern tuple of a normal-form CFD."""
         if len(self._tableau) != 1:
-            raise CFDError(f"CFD {self.name} has {len(self._tableau)} pattern tuples, expected 1")
+            raise CFDError(
+                f"CFD {self.name} has {len(self._tableau)} pattern tuples, expected 1"
+            )
         return self._tableau[0]
 
     # ------------------------------------------------------------------ dunder

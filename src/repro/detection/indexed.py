@@ -240,12 +240,20 @@ def canonical_order(
 
     def key(violation: Violation) -> Tuple[int, int, int, int, int]:
         cfd_rank = cfd_position.get(violation.cfd_name, len(cfd_position))
-        pattern_index = violation.pattern_index
         if isinstance(violation, ConstantViolation):
-            ranks = rhs_position.get(violation.cfd_name, {})
-            attr_rank = ranks.get(violation.attribute, 0)
-            return (cfd_rank, pattern_index, 0, violation.tuple_indices[0], attr_rank)
-        return (cfd_rank, pattern_index, 1, min(violation.tuple_indices), 0)
+            attr_rank = rhs_position.get(violation.cfd_name, {}).get(
+                violation.attribute, 0
+            )
+            return (
+                cfd_rank,
+                violation.pattern_index,
+                0,
+                violation.tuple_indices[0],
+                attr_rank,
+            )
+        return (
+            cfd_rank, violation.pattern_index, 1, min(violation.tuple_indices), 0
+        )
 
     return sorted(violations, key=key)
 

@@ -48,7 +48,7 @@ from repro.relation.columnar import ColumnStore
 from repro.relation.mmap_store import MmapColumnStore
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
-from repro.repair.heuristic import REPAIRERS, CellChange, repair
+from repro.repair.heuristic import REPAIRERS, CellChange, RepairResult, repair
 from repro.rules import compile_rules
 
 __all__ = [
@@ -248,7 +248,7 @@ class Cleaner:
         a ``Relation`` directly leaves it untouched.
 
         The rules are compiled once (:func:`repro.rules.compile_rules`): every
-        stage reads their specs, normal form and consistency verdict from it.
+        stage reads their pattern specs and consistency verdict from it.
         """
         cfds = compile_rules(cfds)
         stage_seconds: Dict[str, float] = {}
@@ -322,7 +322,9 @@ class Cleaner:
             result.rounds += 1
 
             start = time.perf_counter()
-            repaired = repair(result.relation, cfds, config=repair_config)
+            repaired: RepairResult = repair(
+                result.relation, cfds, config=repair_config
+            )
             stage_seconds["repair"] += time.perf_counter() - start
             result.relation = repaired.relation
             result.changes.extend(repaired.changes)
@@ -377,5 +379,6 @@ def clean(
     >>> clean(cust_relation(), cust_cfds()).clean
     True
     """
-    cleaner = Cleaner(detection=detection, repair=repair)
-    return cleaner.clean(source, cfds, schema=schema)
+    return Cleaner(detection=detection, repair=repair).clean(
+        source, cfds, schema=schema
+    )

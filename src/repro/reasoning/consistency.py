@@ -19,7 +19,7 @@ follows the chase sketched in the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cfd import CFD, normalize_all
 from repro.reasoning.chase import (
@@ -33,8 +33,15 @@ from repro.relation.schema import Schema
 
 def _attributes_of(cfds: Sequence[CFD], extra: Iterable[str] = ()) -> Tuple[str, ...]:
     """All attributes mentioned in the CFDs (plus ``extra``), in stable order."""
-    mentioned = [attribute for cfd in cfds for attribute in cfd.attributes]
-    return tuple(dict.fromkeys([*mentioned, *extra]))
+    seen: List[str] = []
+    for cfd in cfds:
+        for attribute in cfd.attributes:
+            if attribute not in seen:
+                seen.append(attribute)
+    for attribute in extra:
+        if attribute not in seen:
+            seen.append(attribute)
+    return tuple(seen)
 
 
 def _finite_domains(
@@ -115,8 +122,10 @@ def is_consistent_with_binding(
     True iff some instance satisfies ``cfds`` *and* contains a tuple whose
     ``attribute`` equals ``value``.
     """
-    witness = consistency_witness(cfds, schema=schema, bindings={attribute: value})
-    return witness is not None
+    return (
+        consistency_witness(cfds, schema=schema, bindings={attribute: value})
+        is not None
+    )
 
 
 def consistent_domain_values(

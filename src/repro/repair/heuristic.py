@@ -474,7 +474,8 @@ def _fix_variable_violation(
         # Stable sort by descending group size reproduces
         # Counter.most_common(): ties stay in first-occurrence order.
         candidates = [
-            codes for codes, _members in sorted(groups, key=lambda g: -len(g[1]))
+            key_codes
+            for key_codes, _members in sorted(groups, key=lambda g: -len(g[1]))
         ]
         best_codes = None
         best_cost = None
@@ -492,7 +493,9 @@ def _fix_variable_violation(
             work.decode(attr, code) for attr, code in zip(rhs_free, best_codes)
         )
         settled = {
-            index for index, codes in code_by_index.items() if codes == best_codes
+            index
+            for index, key_codes in code_by_index.items()
+            if key_codes == best_codes
         }
     else:
         projections = {index: work.project_row(index, rhs_free) for index in indices}
@@ -517,7 +520,9 @@ def _fix_variable_violation(
         assert chosen is not None
         best_value = chosen
         settled = {
-            index for index, value in projections.items() if value == best_value
+            index
+            for index, projection in projections.items()
+            if projection == best_value
         }
 
     progressed = False

@@ -227,7 +227,9 @@ class RepairState:
 
     def violation_count(self) -> int:
         self._check_synchronized()
-        return sum(len(found) for store in self._store for found in store.values())
+        return sum(
+            len(violations) for store in self._store for violations in store.values()
+        )
 
     def is_clean(self) -> bool:
         """Whether the relation currently satisfies every CFD."""
@@ -392,7 +394,12 @@ class RepairState:
         live: Dict[Tuple[Any, ...], int] = {}
         for key in keys:
             self._partitions_reevaluated += 1
-            position = index.find(tuple(map(store.encode, spec.lhs_free, key)))
+            position = index.find(
+                tuple(
+                    store.encode(attr, value)
+                    for attr, value in zip(spec.lhs_free, key)
+                )
+            )
             if position < 0:
                 # The class emptied out (every member moved away).
                 spec_store.pop(key, None)

@@ -1,11 +1,11 @@
 """The compiled rule set: what every cleaning stage derives from the CFDs.
 
-The paper reasons over the normal form ``Σφ`` (Section 3.2), decides
-consistency once for the whole set (Section 3.1) and checks violations one
-pattern tuple at a time (Section 4).  :class:`CompiledRules` derives each
-once; :meth:`repro.pipeline.Cleaner.clean` compiles its rules at the top, and
-the pre-flight, detection, repair and the shard planner read them from it.
-It *is* the tuple of the CFDs, so any function taking ``cfds`` takes it.  The
+The paper decides consistency once for the whole set (Section 3.1) and
+checks violations one pattern tuple at a time (Section 4).
+:class:`CompiledRules` derives the verdict and the pattern specs once;
+:meth:`repro.pipeline.Cleaner.clean` compiles its rules at the top, and the
+pre-flight, detection, repair and the shard planner read them from it.  It
+*is* the tuple of the CFDs, so any function taking ``cfds`` takes it.  The
 oracle (:mod:`repro.core.satisfaction`) and :mod:`repro.sql` never read it,
 so they stay independent of the code they check.
 """
@@ -74,9 +74,9 @@ def build_specs(cfds: Iterable[CFD]) -> List[PatternSpec]:
 class CompiledRules(Tuple[CFD, ...]):
     """The input CFDs, with the facts the stages derive from them.
 
-    Each is computed on first use and kept: the pattern :attr:`specs`, the
-    :attr:`normal_form` and the verdict of :meth:`consistent` per schema.
-    The set pickles as its CFDs only, so shard payloads never carry them.
+    Each is computed on first use and kept: the pattern :attr:`specs` and the
+    verdict of :meth:`consistent` per schema.  The set pickles as its CFDs
+    only, so shard payloads never carry them.
 
     >>> from repro.datagen.cust import cust_cfds
     >>> rules = compile_rules(cust_cfds())
@@ -92,11 +92,6 @@ class CompiledRules(Tuple[CFD, ...]):
         return tuple(build_specs(self))
 
     @cached_property
-    def normal_form(self) -> Tuple[Tuple[CFD, str], ...]:
-        """``Σφ`` as ``(part, origin)`` pairs, ``origin`` naming the input CFD."""
-        return tuple((part, cfd.name) for cfd in self for part in cfd.normalize())
-
-    @cached_property
     def _verdicts(self) -> Dict[Optional[Schema], bool]:
         return {}
 
@@ -105,8 +100,7 @@ class CompiledRules(Tuple[CFD, ...]):
 
         Decided once per schema.  A set consistent under a schema's finite
         domains is consistent without them: ``schema=None`` reuses a ``True``.
-        The chase normalises on its own and keeps no parts, so a clean run
-        does not hold :attr:`normal_form` in memory.
+        The chase normalises on its own and keeps no parts.
         """
         verdicts = self._verdicts
         if schema not in verdicts:

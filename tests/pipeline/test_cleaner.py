@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis import AnalysisWarning
 from repro.config import DetectionConfig, RepairConfig
 from repro.core.satisfaction import find_all_violations
 from repro.datagen.cfd_catalog import zip_state_cfd
@@ -158,43 +159,73 @@ class TestOneConsistencyVerdict:
         assert len(counted) == 1
 
 
-@pytest.mark.parametrize("analysis", ["off", "warn", "strict"])
-def test_clean_compiles_the_rule_set_once(
-    analysis, cust, cust_constraints, monkeypatch
-):
-    """One clean() builds the specs, the normal form and the verdict once."""
+@pytest.fixture
+def compile_counts(monkeypatch):
+    """Record each spec build, each ``CFD.normalize`` and each chase."""
     from repro import rules
     from repro.reasoning import consistency
 
-    built, normalized, decided = [], [], []
+    counts = {"built": [], "normalized": [], "decided": []}
     build_specs, normalize = rules.build_specs, CFD.normalize
     witness = consistency.consistency_witness
 
     def counting_build_specs(cfds):
-        built.append(len(cfds))
+        counts["built"].append(len(cfds))
         return build_specs(cfds)
 
     def counting_normalize(self):
-        normalized.append(self)
+        counts["normalized"].append(self)
         return normalize(self)
 
     def counting_witness(cfds, schema=None, bindings=None):
-        decided.append(schema)
+        counts["decided"].append(schema)
         return witness(cfds, schema, bindings)
 
     monkeypatch.setattr(rules, "build_specs", counting_build_specs)
     monkeypatch.setattr(CFD, "normalize", counting_normalize)
     monkeypatch.setattr(consistency, "consistency_witness", counting_witness)
+    return counts
+
+
+@pytest.mark.parametrize("analysis", ["off", "warn", "strict"])
+def test_clean_compiles_the_rule_set_once(
+    analysis, cust, cust_constraints, compile_counts
+):
+    """One clean() builds the specs once and decides consistency once."""
     cleaner = Cleaner(detection=DetectionConfig(method="indexed"), analysis=analysis)
     result = cleaner.clean(cust, cust_constraints)
 
     assert result.changes and result.clean
     assert result.backends["detect"] == "indexed"
-    assert built == [len(cust_constraints)]
+    assert compile_counts["built"] == [len(cust_constraints)]
     # Once per input CFD that is not in normal form, never on a part.
     split = [cfd for cfd in cust_constraints if not cfd.is_normal_form()]
+    normalized = compile_counts["normalized"]
     assert split and sorted(map(id, normalized)) == sorted(map(id, split))
-    assert len(decided) == 1
+    assert len(compile_counts["decided"]) == 1
+
+
+def test_warn_with_cfd001_decides_again_without_the_schema(
+    relation_factory, compile_counts
+):
+    """The one case that decides, and normalises, more than once.
+
+    The pre-flight's ``False`` under the schema cannot answer repair's
+    question without it, and the CFD001 core splits the rules once more.
+    """
+    relation = relation_factory(["A", "B"], [("a", "b")])
+    contradictory = CFD.build(["A"], ["B"], [["_", "b"], ["_", "c"]], name="p")
+    cleaner = Cleaner(detection=DetectionConfig(method="indexed"), analysis="warn")
+    with pytest.warns(AnalysisWarning, match="CFD001"):
+        with pytest.raises(InconsistentCFDsError):
+            cleaner.clean(relation, [contradictory])
+
+    assert compile_counts["built"] == [1]
+    # The chase under the schema, the CFD001 core and repair's chase.
+    assert compile_counts["normalized"] == [contradictory] * 3
+    schema = relation.schema
+    # The verdict, the core's two one-part shrink steps, then repair's.
+    assert compile_counts["decided"] == [schema, schema, schema, None]
 
 
 def test_row_engines_ingest_no_column_store(monkeypatch):

@@ -81,7 +81,9 @@ class SQLDialect:
         return f"{self.rhs_prefix}{attribute}"
 
     # ------------------------------------------------------------------ predicates
-    def match_predicate(self, data_column: str, pattern_column: str, with_dontcare: bool = False) -> str:
+    def match_predicate(
+        self, data_column: str, pattern_column: str, with_dontcare: bool = False
+    ) -> str:
         """The ``t[X] ≍ tp[X]`` shorthand of Section 4.1 / 4.2.2.
 
         ``(t.X = tp.X OR tp.X = '_')``, extended with ``OR tp.X = '@'`` for
@@ -95,7 +97,9 @@ class SQLDialect:
             clauses.append(f"{pattern_column} = {self.literal(self.dontcare_marker)}")
         return "(" + " OR ".join(clauses) + ")"
 
-    def mismatch_predicate(self, data_column: str, pattern_column: str, with_dontcare: bool = False) -> str:
+    def mismatch_predicate(
+        self, data_column: str, pattern_column: str, with_dontcare: bool = False
+    ) -> str:
         """The ``t[Y] ≭ tp[Y]`` shorthand: a constant cell contradicted by the data."""
         clauses = [
             f"{data_column} <> {pattern_column}",
@@ -109,7 +113,9 @@ class SQLDialect:
         """Concatenate columns with the dialect separator (multi-column DISTINCT emulation)."""
         columns = list(columns)
         if not columns:
-            raise SQLGenerationError("cannot build a DISTINCT expression over zero columns")
+            raise SQLGenerationError(
+                "cannot build a DISTINCT expression over zero columns"
+            )
         if len(columns) == 1:
             return columns[0]
         separator = self.literal(self.concat_separator)

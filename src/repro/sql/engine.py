@@ -22,7 +22,7 @@ from __future__ import annotations
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.cfd import CFD
 from repro.core.violations import (
@@ -35,6 +35,7 @@ from repro.relation.relation import Relation
 from repro.sql.dialect import DEFAULT_DIALECT, SQLDialect
 from repro.sql.loader import (
     create_indexes,
+    data_table_name,
     load_merged_tableau,
     load_relation,
     load_single_tableau,
@@ -71,11 +72,23 @@ class DetectionRun:
 
     def seconds_for(self, prefix: str) -> float:
         """Total time of the queries whose label starts with ``prefix`` (e.g. ``"qc"``)."""
-        return sum(timing.seconds for timing in self.timings if timing.label.startswith(prefix))
+        return sum(
+            timing.seconds for timing in self.timings if timing.label.startswith(prefix)
+        )
 
 
 class SQLDetector:
     """Detects CFD violations with SQL, backed by SQLite.
+
+    The data table is built by the first :meth:`detect` and holds only the
+    attributes its rules name, ``attrs(Σ)``, beside the index column; a
+    later call that names another attribute reloads it over the union.
+    Reading :attr:`data_table` before any :meth:`detect` loads every
+    attribute, for callers that query the table themselves.  With
+    ``build_indexes`` each distinct LHS gets one index that covers the RHS
+    of the CFDs sharing it (:func:`~repro.sql.loader.create_indexes`), so a
+    DNF ``Q^C``/``Q^V`` branch that searches the data by that index reads no
+    table row.
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> detector = SQLDetector(cust_relation())
@@ -94,9 +107,28 @@ class SQLDetector:
         self.relation = relation
         self.dialect = dialect
         self.connection = connection or sqlite3.connect(":memory:")
-        self.data_table = load_relation(self.connection, relation, dialect)
+        self._table_name = data_table_name(relation)
+        self._loaded_attributes: FrozenSet[str] = frozenset()
         self._build_indexes = build_indexes
         self._loaded_tableaux: Dict[CFD, str] = {}
+
+    @property
+    def data_table(self) -> str:
+        """The data table's name; loads every attribute if nothing is loaded."""
+        if not self._loaded_attributes:
+            self._load(frozenset(self.relation.schema.names))
+        return self._table_name
+
+    def _load(self, attributes: FrozenSet[str]) -> None:
+        """(Re)load the data table over ``attributes``, dropping its indexes."""
+        load_relation(
+            self.connection,
+            self.relation,
+            self.dialect,
+            table_name=self._table_name,
+            attributes=attributes,
+        )
+        self._loaded_attributes = attributes
 
     # ------------------------------------------------------------------ plumbing
     def close(self) -> None:
@@ -108,7 +140,9 @@ class SQLDetector:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _execute(self, label: str, sql: str, parameters: Sequence[Any] = ()) -> Tuple[List[tuple], QueryTiming]:
+    def _execute(
+        self, label: str, sql: str, parameters: Sequence[Any] = ()
+    ) -> Tuple[List[tuple], QueryTiming]:
         start = time.perf_counter()
         cursor = self.connection.execute(sql, tuple(parameters))
         rows = cursor.fetchall()
@@ -171,8 +205,11 @@ class SQLDetector:
         cfds = list(cfds)
         if not cfds:
             return DetectionRun(report=ViolationReport())
+        needed = {attr for cfd in cfds for attr in (*cfd.lhs, *cfd.rhs)}
+        if not needed <= self._loaded_attributes:
+            self._load(self._loaded_attributes | needed)
         if self._build_indexes:
-            create_indexes(self.connection, self.data_table, cfds, self.dialect)
+            create_indexes(self.connection, self._table_name, cfds, self.dialect)
         if strategy == "per_cfd":
             return self._detect_per_cfd(cfds, form, expand_variable_violations)
         if strategy == "merged":
@@ -187,7 +224,9 @@ class SQLDetector:
         timings: List[QueryTiming] = []
         for cfd in cfds:
             tableau_table = self._ensure_tableau(cfd)
-            builder = SingleCFDQueryBuilder(cfd, self.data_table, tableau_table, self.dialect)
+            builder = SingleCFDQueryBuilder(
+                cfd, self._table_name, tableau_table, self.dialect
+            )
 
             qc_rows, qc_timing = self._execute(f"qc:{cfd.name}", builder.qc_sql(form))
             timings.append(qc_timing)
@@ -239,7 +278,7 @@ class SQLDetector:
         merged = merge_cfds(cfds)
         tables = load_merged_tableau(self.connection, merged, self.dialect)
         builder = MergedQueryBuilder(
-            merged, self.data_table, tables["x"], tables["y"], self.dialect
+            merged, self._table_name, tables["x"], tables["y"], self.dialect
         )
         report = ViolationReport()
         timings: List[QueryTiming] = []
@@ -290,13 +329,15 @@ class SQLDetector:
         if strategy == "per_cfd":
             for cfd in cfds:
                 builder = SingleCFDQueryBuilder(
-                    cfd, self.data_table, tableau_table_name(cfd), self.dialect
+                    cfd, self._table_name, tableau_table_name(cfd), self.dialect
                 )
                 queries[f"qc:{cfd.name}"] = builder.qc_sql(form)
                 queries[f"qv:{cfd.name}"] = builder.qv_sql(form)
         elif strategy == "merged":
             merged = merge_cfds(cfds)
-            builder = MergedQueryBuilder(merged, self.data_table, "tx_sigma", "ty_sigma", self.dialect)
+            builder = MergedQueryBuilder(
+                merged, self._table_name, "tx_sigma", "ty_sigma", self.dialect
+            )
             queries["qc:merged"] = builder.qc_sql()
             queries["qv:merged"] = builder.qv_sql()
         else:

@@ -32,7 +32,9 @@ class InlineCFDQueryBuilder:
     paper's bounded-size tableau-join design.
     """
 
-    def __init__(self, cfd: CFD, data_table: str, dialect: SQLDialect = DEFAULT_DIALECT) -> None:
+    def __init__(
+        self, cfd: CFD, data_table: str, dialect: SQLDialect = DEFAULT_DIALECT
+    ) -> None:
         self.cfd = cfd
         self.data_table = data_table
         self.dialect = dialect
@@ -49,12 +51,15 @@ class InlineCFDQueryBuilder:
         for attribute in self.cfd.lhs:
             cell = pattern.lhs_cell(attribute)
             if cell.is_constant:
-                conjuncts.append(f"{self._data_col(attribute)} = {self.dialect.literal(cell.value)}")
+                conjuncts.append(
+                    f"{self._data_col(attribute)} = {self.dialect.literal(cell.value)}"
+                )
         return conjuncts
 
     # ------------------------------------------------------------------ queries
     def qc_sql(self) -> str:
         """The inlined ``Q^C_φ``: one sub-query per (pattern row, constant RHS attribute)."""
+        index_col = self._data_col(self.dialect.index_column)
         branches: List[str] = []
         for pattern_index, pattern in enumerate(self.cfd.tableau):
             lhs_conjuncts = self._lhs_conjuncts(pattern)
@@ -67,7 +72,7 @@ class InlineCFDQueryBuilder:
                     f"{self._data_col(attribute)} <> {self.dialect.literal(cell.value)}"
                 )
                 branches.append(
-                    f"SELECT {self._data_col(self.dialect.index_column)} AS tuple_index, "
+                    f"SELECT {index_col} AS tuple_index, "
                     f"{pattern_index} AS pattern_index\n"
                     f"{self._from_clause()}\n"
                     f"WHERE {' AND '.join(conjuncts) if conjuncts else '1 = 1'}"
@@ -75,7 +80,7 @@ class InlineCFDQueryBuilder:
         if not branches:
             # No constant RHS cells anywhere: Q^C can never return anything.
             return (
-                f"SELECT {self._data_col(self.dialect.index_column)} AS tuple_index, "
+                f"SELECT {index_col} AS tuple_index, "
                 f"-1 AS pattern_index\n{self._from_clause()}\nWHERE 1 = 0"
             )
         return "\nUNION ALL\n".join(branches)
@@ -92,7 +97,9 @@ class InlineCFDQueryBuilder:
             )
             or "1 AS all_rows"
         )
-        rhs_concat = self.dialect.concat([self._data_col(attr) for attr in self.cfd.rhs])
+        rhs_concat = self.dialect.concat(
+            [self._data_col(attr) for attr in self.cfd.rhs]
+        )
         group_by = f"GROUP BY {', '.join(group_columns)}\n" if group_columns else ""
         branches = []
         for pattern in self.cfd.tableau:

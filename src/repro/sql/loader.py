@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import re
 import sqlite3
-from typing import Dict, Iterable, List, Optional
+from itertools import count
+from operator import add
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cfd import CFD
+from repro.errors import DetectionError
 from repro.relation.relation import Relation
 from repro.sql.dialect import DEFAULT_DIALECT, SQLDialect
 from repro.sql.merge import MergedTableau
 
 _NAME_SANITIZER = re.compile(r"[^A-Za-z0-9_]")
+
+#: What ``sqlite3`` raises for a parameter it cannot bind.
+_BIND_ERRORS = (sqlite3.InterfaceError, sqlite3.ProgrammingError, OverflowError)
 
 
 def sanitize_name(name: str) -> str:
@@ -42,26 +48,49 @@ def load_relation(
     relation: Relation,
     dialect: SQLDialect = DEFAULT_DIALECT,
     table_name: Optional[str] = None,
+    attributes: Optional[Iterable[str]] = None,
 ) -> str:
     """Create and populate the data table; returns its name.
 
-    The table has one column per schema attribute plus the dialect's index
-    column, which stores the row's position in the in-memory relation so that
-    SQL results can be mapped back to :class:`Relation` indices.
+    The table holds the dialect's index column, which stores the row's
+    position in the in-memory relation so that SQL results can be mapped
+    back to :class:`Relation` indices, followed by ``attributes`` in schema
+    order (every schema attribute when ``attributes`` is None).  The
+    detection queries read only ``attrs(Σ)``, so :class:`SQLDetector` loads
+    just those; the rows come from :meth:`Relation.project_rows`, which
+    copies no row.  A cell SQLite cannot store raises
+    :class:`~repro.errors.DetectionError` naming its attribute.
     """
     name = table_name or data_table_name(relation)
+    names = relation.schema.names
+    if attributes is not None:
+        wanted = set(attributes)
+        names = [attribute for attribute in names if attribute in wanted]
     quoted = dialect.quote_identifier(name)
-    columns = ", ".join(
-        f"{dialect.quote_identifier(attribute)}" for attribute in relation.schema.names
-    )
     index_column = dialect.quote_identifier(dialect.index_column)
+    columns = [f"{index_column} INTEGER PRIMARY KEY"]
+    columns.extend(dialect.quote_identifier(attribute) for attribute in names)
     connection.execute(f"DROP TABLE IF EXISTS {quoted}")
-    connection.execute(f"CREATE TABLE {quoted} ({index_column} INTEGER PRIMARY KEY, {columns})")
-    placeholders = ", ".join(["?"] * (len(relation.schema) + 1))
-    connection.executemany(
-        f"INSERT INTO {quoted} VALUES ({placeholders})",
-        ((index,) + row for index, row in enumerate(relation)),
-    )
+    connection.execute(f"CREATE TABLE {quoted} ({', '.join(columns)})")
+    placeholders = ", ".join(["?"] * len(columns))
+    try:
+        connection.executemany(
+            f"INSERT INTO {quoted} VALUES ({placeholders})",
+            map(add, zip(count()), relation.project_rows(names)),
+        )
+    except _BIND_ERRORS:
+        # The rows before the refused one are in: their count is its index.
+        index = connection.execute(f"SELECT COUNT(*) FROM {quoted}").fetchone()[0]
+        connection.rollback()
+        for attribute, value in zip(names, relation.project_row(index, names)):
+            try:
+                connection.execute("SELECT ?", (value,))
+            except _BIND_ERRORS:
+                raise DetectionError(
+                    f"SQLite cannot store {value!r} ({type(value).__name__}) "
+                    f"in attribute {attribute!r} of tuple {index}"
+                ) from None
+        raise
     connection.commit()
     return name
 
@@ -72,22 +101,30 @@ def create_indexes(
     cfds: Iterable[CFD],
     dialect: SQLDialect = DEFAULT_DIALECT,
 ) -> List[str]:
-    """Create one composite index per distinct CFD LHS on the data table.
+    """Create one covering index per distinct CFD LHS on the data table.
 
     Mirrors the paper's observation that constants in pattern tuples let the
-    optimizer use indexes, while variables restrict index use.
+    optimizer use indexes, while variables restrict index use.  Each index
+    holds the LHS followed by the RHS attributes (not already in the LHS) of
+    every CFD sharing that LHS, in first-seen order, so that a DNF
+    ``Q^C``/``Q^V`` branch that searches the data by the index reads the
+    index alone, never the table.  An index that already exists under the
+    same name is kept as it is.
     """
-    created: List[str] = []
-    seen = set()
+    columns_by_lhs: Dict[Tuple[str, ...], List[str]] = {}
     for cfd in cfds:
-        if not cfd.lhs or cfd.lhs in seen:
+        if not cfd.lhs:
             continue
-        seen.add(cfd.lhs)
-        index_name = f"idx_{sanitize_name(table_name)}_{'_'.join(sanitize_name(a) for a in cfd.lhs)}"
-        columns = ", ".join(dialect.quote_identifier(attribute) for attribute in cfd.lhs)
+        columns = columns_by_lhs.setdefault(cfd.lhs, list(cfd.lhs))
+        columns.extend(attr for attr in cfd.rhs if attr not in columns)
+    created: List[str] = []
+    for lhs, columns in columns_by_lhs.items():
+        suffix = "_".join(sanitize_name(attribute) for attribute in lhs)
+        index_name = f"idx_{sanitize_name(table_name)}_{suffix}"
+        column_list = ", ".join(dialect.quote_identifier(attr) for attr in columns)
         connection.execute(
             f"CREATE INDEX IF NOT EXISTS {dialect.quote_identifier(index_name)} "
-            f"ON {dialect.quote_identifier(table_name)} ({columns})"
+            f"ON {dialect.quote_identifier(table_name)} ({column_list})"
         )
         created.append(index_name)
     connection.commit()
@@ -108,9 +145,14 @@ def load_single_tableau(
     """
     name = table_name or tableau_table_name(cfd)
     quoted = dialect.quote_identifier(name)
-    columns = [f"{dialect.quote_identifier(dialect.pattern_id_column)} INTEGER PRIMARY KEY"]
-    columns.extend(dialect.quote_identifier(dialect.lhs_column(attr)) for attr in cfd.lhs)
-    columns.extend(dialect.quote_identifier(dialect.rhs_column(attr)) for attr in cfd.rhs)
+    pid = dialect.quote_identifier(dialect.pattern_id_column)
+    columns = [f"{pid} INTEGER PRIMARY KEY"]
+    columns.extend(
+        dialect.quote_identifier(dialect.lhs_column(attr)) for attr in cfd.lhs
+    )
+    columns.extend(
+        dialect.quote_identifier(dialect.rhs_column(attr)) for attr in cfd.rhs
+    )
     connection.execute(f"DROP TABLE IF EXISTS {quoted}")
     connection.execute(f"CREATE TABLE {quoted} ({', '.join(columns)})")
     width = 1 + len(cfd.lhs) + len(cfd.rhs)
@@ -141,7 +183,8 @@ def load_merged_tableau(
     x_quoted = dialect.quote_identifier(x_name)
     x_columns = [f"{pid} INTEGER PRIMARY KEY"]
     x_columns.extend(
-        dialect.quote_identifier(dialect.lhs_column(attr)) for attr in merged.lhs_attributes
+        dialect.quote_identifier(dialect.lhs_column(attr))
+        for attr in merged.lhs_attributes
     )
     connection.execute(f"DROP TABLE IF EXISTS {x_quoted}")
     connection.execute(f"CREATE TABLE {x_quoted} ({', '.join(x_columns)})")
@@ -157,7 +200,8 @@ def load_merged_tableau(
     y_quoted = dialect.quote_identifier(y_name)
     y_columns = [f"{pid} INTEGER PRIMARY KEY"]
     y_columns.extend(
-        dialect.quote_identifier(dialect.rhs_column(attr)) for attr in merged.rhs_attributes
+        dialect.quote_identifier(dialect.rhs_column(attr))
+        for attr in merged.rhs_attributes
     )
     connection.execute(f"DROP TABLE IF EXISTS {y_quoted}")
     connection.execute(f"CREATE TABLE {y_quoted} ({', '.join(y_columns)})")

@@ -159,11 +159,15 @@ def merge_cfds(cfds: Sequence[CFD]) -> MergedTableau:
     for cfd in cfds:
         for pattern_index, pattern in enumerate(cfd.tableau):
             lhs_cells = {
-                attribute: (pattern.lhs_cell(attribute) if attribute in cfd.lhs else DONTCARE)
+                attribute: (
+                    pattern.lhs_cell(attribute) if attribute in cfd.lhs else DONTCARE
+                )
                 for attribute in lhs_attributes
             }
             rhs_cells = {
-                attribute: (pattern.rhs_cell(attribute) if attribute in cfd.rhs else DONTCARE)
+                attribute: (
+                    pattern.rhs_cell(attribute) if attribute in cfd.rhs else DONTCARE
+                )
                 for attribute in rhs_attributes
             }
             rows.append(

@@ -65,7 +65,9 @@ class MergedQueryBuilder:
 
     def _lhs_match_clauses(self) -> List[str]:
         return [
-            self.dialect.match_predicate(self._data_col(attr), self._x_col(attr), with_dontcare=True)
+            self.dialect.match_predicate(
+                self._data_col(attr), self._x_col(attr), with_dontcare=True
+            )
             for attr in self.merged.lhs_attributes
         ]
 
@@ -73,7 +75,9 @@ class MergedQueryBuilder:
     def qc_sql(self) -> str:
         """``Q^C_Σ``: single-tuple violations of any merged pattern row."""
         mismatch = [
-            self.dialect.mismatch_predicate(self._data_col(attr), self._y_col(attr), with_dontcare=True)
+            self.dialect.mismatch_predicate(
+                self._data_col(attr), self._y_col(attr), with_dontcare=True
+            )
             for attr in self.merged.rhs_attributes
         ]
         where_clauses = [self._join_condition()] + self._lhs_match_clauses()
@@ -94,24 +98,23 @@ class MergedQueryBuilder:
         which the expansion query uses to recover violating tuples.
         """
         at_literal = self.dialect.literal(self.dialect.dontcare_marker)
+        quote = self.dialect.quote_identifier
         select_items: List[str] = []
         for attr in self.merged.lhs_attributes:
             select_items.append(
                 f"CASE {self._x_col(attr)} WHEN {at_literal} THEN {at_literal} "
-                f"ELSE {self._data_col(attr)} END AS {self.dialect.quote_identifier('mx_' + attr)}"
+                f"ELSE {self._data_col(attr)} END AS {quote('mx_' + attr)}"
             )
         for attr in self.merged.rhs_attributes:
             select_items.append(
                 f"CASE {self._y_col(attr)} WHEN {at_literal} THEN {at_literal} "
-                f"ELSE {self._data_col(attr)} END AS {self.dialect.quote_identifier('my_' + attr)}"
+                f"ELSE {self._data_col(attr)} END AS {quote('my_' + attr)}"
             )
         ymask_parts = [
             f"CASE {self._y_col(attr)} WHEN {at_literal} THEN '0' ELSE '1' END"
             for attr in self.merged.rhs_attributes
         ]
-        select_items.append(
-            "(" + " || ".join(ymask_parts) + f") AS {self.dialect.quote_identifier('_ymask')}"
-        )
+        select_items.append("(" + " || ".join(ymask_parts) + f") AS {quote('_ymask')}")
         if include_index:
             select_items.append(
                 f"{self._data_col(self.dialect.index_column)} AS "
@@ -125,13 +128,17 @@ class MergedQueryBuilder:
         )
 
     def _group_columns(self) -> List[str]:
-        columns = [self.dialect.quote_identifier("mx_" + attr) for attr in self.merged.lhs_attributes]
+        columns = [
+            self.dialect.quote_identifier("mx_" + attr)
+            for attr in self.merged.lhs_attributes
+        ]
         columns.append(self.dialect.quote_identifier("_ymask"))
         return columns
 
     def _distinct_rhs_expression(self) -> str:
         return self.dialect.concat(
-            self.dialect.quote_identifier("my_" + attr) for attr in self.merged.rhs_attributes
+            self.dialect.quote_identifier("my_" + attr)
+            for attr in self.merged.rhs_attributes
         )
 
     def qv_sql(self) -> str:

@@ -31,7 +31,9 @@ _VALID_FORMS = ("cnf", "dnf")
 
 def _check_form(form: str) -> str:
     if form not in _VALID_FORMS:
-        raise SQLGenerationError(f"unknown query form {form!r}; expected one of {_VALID_FORMS}")
+        raise SQLGenerationError(
+            f"unknown query form {form!r}; expected one of {_VALID_FORMS}"
+        )
     return form
 
 
@@ -83,18 +85,15 @@ class SingleCFDQueryBuilder:
         """The two atoms of ``t[X] ≍ tp[X]``: equality and wildcard."""
         data_col = self._data_col(attribute)
         pattern_col = self._lhs_col(attribute)
-        equality = f"{data_col} = {pattern_col}"
-        wildcard = f"{pattern_col} = {self.dialect.literal(self.dialect.wildcard_marker)}"
-        return equality, wildcard
+        marker = self.dialect.literal(self.dialect.wildcard_marker)
+        return f"{data_col} = {pattern_col}", f"{pattern_col} = {marker}"
 
     def _rhs_mismatch_conjunction(self, attribute: str) -> str:
         """``t[Y] ≭ tp[Y]``: the constant cell exists and is contradicted."""
         data_col = self._data_col(attribute)
         pattern_col = self._rhs_col(attribute)
-        return (
-            f"({data_col} <> {pattern_col} "
-            f"AND {pattern_col} <> {self.dialect.literal(self.dialect.wildcard_marker)})"
-        )
+        marker = self.dialect.literal(self.dialect.wildcard_marker)
+        return f"({data_col} <> {pattern_col} AND {pattern_col} <> {marker})"
 
     # ------------------------------------------------------------------ WHERE clauses
     def _lhs_where_cnf(self) -> List[str]:
@@ -114,7 +113,9 @@ class SingleCFDQueryBuilder:
     def qc_where(self, form: QueryForm = "cnf") -> str:
         """The WHERE clause of ``Q^C_φ`` in the requested form."""
         _check_form(form)
-        rhs_disjuncts = [self._rhs_mismatch_conjunction(attribute) for attribute in self.cfd.rhs]
+        rhs_disjuncts = [
+            self._rhs_mismatch_conjunction(attribute) for attribute in self.cfd.rhs
+        ]
         if form == "cnf":
             clauses = self._lhs_where_cnf()
             clauses.append("(" + " OR ".join(rhs_disjuncts) + ")")
@@ -158,18 +159,20 @@ class SingleCFDQueryBuilder:
         """
         _check_form(form)
         index_col = self._data_col(self.dialect.index_column)
-        pattern_id = self.dialect.column("tp", self.dialect.pattern_id_column)
-        select_clause = f"SELECT {index_col} AS tuple_index, {pattern_id} AS pattern_index"
+        pid = self.dialect.column("tp", self.dialect.pattern_id_column)
+        select_clause = f"SELECT {index_col} AS tuple_index, {pid} AS pattern_index"
+        from_clause = self._from_clause()
         if form == "cnf":
-            return f"{select_clause}\n{self._from_clause()}\nWHERE {self.qc_where('cnf')}"
-        rhs_disjuncts = [self._rhs_mismatch_conjunction(attribute) for attribute in self.cfd.rhs]
+            return f"{select_clause}\n{from_clause}\nWHERE {self.qc_where('cnf')}"
+        rhs_disjuncts = [
+            self._rhs_mismatch_conjunction(attribute) for attribute in self.cfd.rhs
+        ]
         branches: List[str] = []
         for lhs_conjuncts in self._lhs_where_dnf_disjuncts():
             for rhs in rhs_disjuncts:
                 conjuncts = lhs_conjuncts + [rhs]
-                branches.append(
-                    f"{select_clause}\n{self._from_clause()}\nWHERE {' AND '.join(conjuncts)}"
-                )
+                where = " AND ".join(conjuncts)
+                branches.append(f"{select_clause}\n{from_clause}\nWHERE {where}")
         return "\nUNION ALL\n".join(branches)
 
     def qv_sql(self, form: QueryForm = "cnf") -> str:
@@ -181,7 +184,9 @@ class SingleCFDQueryBuilder:
         """
         _check_form(form)
         group_columns = [self._data_col(attribute) for attribute in self.cfd.lhs]
-        rhs_concat = self.dialect.concat([self._data_col(attribute) for attribute in self.cfd.rhs])
+        rhs_concat = self.dialect.concat(
+            [self._data_col(attribute) for attribute in self.cfd.rhs]
+        )
         select_list = (
             ", ".join(
                 f"{column} AS {self.dialect.quote_identifier(attr)}"
@@ -206,16 +211,22 @@ class SingleCFDQueryBuilder:
             f"{self._data_col(attr)} AS {self.dialect.quote_identifier('rhs_' + attr)}"
             for attr in self.cfd.rhs
         )
+        inner_select = ", ".join(inner_select_items)
+        from_clause = self._from_clause()
         branches = []
         for lhs_conjuncts in self._lhs_where_dnf_disjuncts():
             where = " AND ".join(lhs_conjuncts) if lhs_conjuncts else "1 = 1"
-            branches.append(
-                f"SELECT {', '.join(inner_select_items)}\n{self._from_clause()}\nWHERE {where}"
-            )
+            branches.append(f"SELECT {inner_select}\n{from_clause}\nWHERE {where}")
         inner = "\nUNION ALL\n".join(branches)
-        outer_group_columns = [self.dialect.quote_identifier(attr) for attr in self.cfd.lhs]
+        outer_group_columns = [
+            self.dialect.quote_identifier(attr) for attr in self.cfd.lhs
+        ]
         outer_select = ", ".join(outer_group_columns) or "1 AS all_rows"
-        outer_group_by = f"GROUP BY {', '.join(outer_group_columns)}\n" if outer_group_columns else ""
+        outer_group_by = (
+            f"GROUP BY {', '.join(outer_group_columns)}\n"
+            if outer_group_columns
+            else ""
+        )
         outer_rhs_concat = self.dialect.concat(
             self.dialect.quote_identifier("rhs_" + attr) for attr in self.cfd.rhs
         )
@@ -239,7 +250,9 @@ class SingleCFDQueryBuilder:
                 f"SELECT {self._data_col(self.dialect.index_column)} AS tuple_index\n"
                 f"FROM {self.dialect.quote_identifier(self.data_table)} t"
             )
-        conditions = " AND ".join(f"{self._data_col(attribute)} = ?" for attribute in self.cfd.lhs)
+        conditions = " AND ".join(
+            f"{self._data_col(attribute)} = ?" for attribute in self.cfd.lhs
+        )
         return (
             f"SELECT {self._data_col(self.dialect.index_column)} AS tuple_index\n"
             f"FROM {self.dialect.quote_identifier(self.data_table)} t\n"

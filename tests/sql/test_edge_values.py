@@ -5,10 +5,13 @@ quotes, unicode and marker-like strings must survive the round trip; these
 tests pin that down by cross-checking against the in-memory oracle.
 """
 
+import pytest
 
+from repro.config import DetectionConfig
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
-from repro.detection.engine import cross_check
+from repro.detection.engine import cross_check, detect_violations
+from repro.errors import DetectionError
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
@@ -92,3 +95,29 @@ class TestKnownMarkerCollisionLimitation:
         cfd = CFD.build(["A"], ["B"], [["other", "_"]], name="const_lhs")
         oracle = find_all_violations(relation, [cfd])
         assert oracle.is_clean()
+
+
+class TestUnbindableCells:
+    """SQLite binds only None, int, float, str and bytes."""
+
+    def test_list_outside_the_rule_attributes_is_never_loaded(self):
+        schema = Schema("r", ["A", "B", "C"])
+        rows = [("1", "x", [1]), ("1", "y", [2]), ("2", "z", ["a"])]
+        relation = Relation(schema, rows)
+        cfd = CFD.build(["A"], ["B"], [["_", "_"], ["2", "w"]], name="fd")
+        inmemory = DetectionConfig(method="inmemory")
+        oracle = detect_violations(relation, [cfd], config=inmemory)
+        found = detect_violations(relation, [cfd], config=DetectionConfig(method="sql"))
+        assert oracle.violating_indices() == frozenset({0, 1, 2})
+        assert found.violating_indices() == oracle.violating_indices()
+        assert {v.tuple_index for v in found.constant_violations()} == {2}
+        groups = [sorted(v.tuple_indices) for v in found.variable_violations()]
+        assert groups == [[0, 1]]
+        assert groups == [sorted(v.tuple_indices) for v in oracle.variable_violations()]
+
+    def test_list_in_a_rule_attribute_names_the_attribute(self):
+        schema = Schema("r", ["A", "B", "C"])
+        relation = Relation(schema, [("1", "x", "c"), ("1", ["y"], "c")])
+        cfd = CFD.build(["A"], ["B"], [["_", "_"]], name="fd")
+        with pytest.raises(DetectionError, match="attribute 'B' of tuple 1"):
+            detect_violations(relation, [cfd], config=DetectionConfig(method="sql"))

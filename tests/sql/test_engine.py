@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
+from repro.datagen.cust import phi2, phi3
 from repro.errors import DetectionError
 from repro.sql.engine import SQLDetector
+from repro.sql.loader import create_indexes, tableau_table_name
+from repro.sql.single import SingleCFDQueryBuilder
 
 
 @pytest.fixture
@@ -134,3 +138,72 @@ class TestLargerWorkload:
         }
         # Every constant (single-tuple) violation must be an injected dirty tuple.
         assert constant_violators <= small_tax_workload.dirty_indices
+
+
+def _normalized(report):
+    """A report in a form both detectors produce: constant violations as
+    distinct ``(cfd, pattern, tuple)`` (SQL reports one per pattern, the
+    oracle one per RHS attribute), variable ones as distinct member sets (SQL
+    reports one per violating group, the oracle one per pattern it matches)."""
+    constant = {
+        (violation.cfd_name, violation.pattern_index, violation.tuple_index)
+        for violation in report.constant_violations()
+    }
+    variable = {frozenset(v.tuple_indices) for v in report.variable_violations()}
+    return constant, variable
+
+
+def _columns(detector):
+    table = detector.data_table
+    pragma = f'PRAGMA table_info("{table}")'
+    return [row[1] for row in detector.connection.execute(pragma)]
+
+
+class TestPhysicalDesign:
+    def test_data_table_holds_the_index_column_and_attrs_sigma(self, detector, cust):
+        cfds = [phi2(), phi3()]
+        detector.detect(cfds)
+        named = {attr for cfd in cfds for attr in (*cfd.lhs, *cfd.rhs)}
+        assert "NM" not in named
+        expected = [attr for attr in cust.schema.names if attr in named]
+        assert _columns(detector) == ["_idx"] + expected
+        assert expected == ["CC", "AC", "PN", "STR", "CT", "ZIP"]
+
+    @pytest.mark.parametrize("query", ["qc_sql", "qv_sql"])
+    def test_dnf_queries_read_covering_lhs_indexes(self, detector, query):
+        cfds = [phi2(), phi3()]
+        detector.detect(cfds)
+        for cfd in cfds:
+            builder = SingleCFDQueryBuilder(
+                cfd, detector.data_table, tableau_table_name(cfd)
+            )
+            sql = getattr(builder, query)("dnf")
+            explained = detector.connection.execute(f"EXPLAIN QUERY PLAN {sql}")
+            plan = [row[-1] for row in explained]
+            on_data = [step for step in plan if " t USING " in step]
+            assert any("USING COVERING INDEX idx_" in step for step in on_data), plan
+            assert not any("USING INDEX idx_" in step for step in on_data), plan
+
+    def test_second_detect_reloads_over_the_union(self, detector, cust):
+        detector.detect([phi3()])
+        assert "NM" not in _columns(detector)
+        name_fd = CFD.build(["PN"], ["NM"], [["_", "_"]], name="pn_nm")
+        cfds = [phi2(), name_fd]
+        run = detector.detect(cfds)
+        assert _normalized(run.report) == _normalized(find_all_violations(cust, cfds))
+        assert _columns(detector) == ["_idx"] + list(cust.schema.names)
+
+    def test_data_table_before_any_detect_holds_every_attribute(
+        self, cust, cust_constraints
+    ):
+        with SQLDetector(cust) as detector:
+            assert _columns(detector) == ["_idx"] + list(cust.schema.names)
+            create_indexes(detector.connection, detector.data_table, [phi2()])
+            count = detector.connection.execute(
+                f'SELECT COUNT(*) FROM "{detector.data_table}" WHERE "NM" IS NOT NULL'
+            ).fetchone()[0]
+            assert count == len(cust)
+            run = detector.detect(cust_constraints)
+            assert _columns(detector) == ["_idx"] + list(cust.schema.names)
+        oracle = find_all_violations(cust, cust_constraints)
+        assert run.report.violating_indices() == oracle.violating_indices()

@@ -118,3 +118,28 @@ class TestIndexes:
         create_indexes(connection, table, [phi2()])
         created = create_indexes(connection, table, [phi2()])
         assert len(created) == 1
+
+
+class TestPhysicalDesign:
+    def test_load_keeps_the_named_attributes_in_schema_order(self, connection):
+        relation = cust_relation()
+        table = load_relation(connection, relation, attributes=["ZIP", "CC", "CT"])
+        pragma = f'PRAGMA table_info("{table}")'
+        columns = [row[1] for row in connection.execute(pragma)]
+        assert columns == ["_idx", "CC", "CT", "ZIP"]
+        row = connection.execute(f'SELECT * FROM "{table}" WHERE "_idx" = 5').fetchone()
+        assert row == (5,) + relation.project_row(5, ["CC", "CT", "ZIP"])
+
+    def test_index_covers_the_rhs_of_every_cfd_sharing_its_lhs(self, connection):
+        table = load_relation(connection, cust_relation())
+        street = CFD.build(["CC", "AC"], ["STR", "CT"], [["_", "_", "_", "_"]])
+        created = create_indexes(connection, table, [phi3(), street, phi2()])
+        assert len(created) == 2
+        columns = {
+            name: [row[2] for row in connection.execute(f'PRAGMA index_info("{name}")')]
+            for name in created
+        }
+        assert columns == {
+            "idx_cust_CC_AC": ["CC", "AC", "CT", "STR"],
+            "idx_cust_CC_AC_PN": ["CC", "AC", "PN", "STR", "CT", "ZIP"],
+        }
